@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -80,13 +80,6 @@ class AnalysisSpec:
 
 
 @dataclass(frozen=True)
-class SimulationSpec:
-    runs: int = 100_000
-    seed: int = 0
-    workers: int = 1
-
-
-@dataclass(frozen=True)
 class OutputSpec:
     directory: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
@@ -96,7 +89,7 @@ class OutputSpec:
 class RunConfig:
     model: ShockModel
     analysis: AnalysisSpec = AnalysisSpec()
-    simulation: SimulationSpec = SimulationSpec()
+    simulation: SimulationConfig = SimulationConfig(runs=100_000, seed=0)
     output: OutputSpec = OutputSpec()
 
 
@@ -211,18 +204,13 @@ def parse_config(config: dict) -> RunConfig:
 
     sim_sec = _section(config, "simulation")
     try:
-        SimulationConfig(
+        simulation = SimulationConfig(
             runs=_integer(sim_sec.get("runs", 100_000), "simulation.runs"),
             seed=_integer(sim_sec.get("seed", 0), "simulation.seed"),
             workers=_integer(sim_sec.get("workers", 1), "simulation.workers"),
         )
     except ValueError as exc:
         raise ConfigError(f"simulation: {exc}") from exc
-    simulation = SimulationSpec(
-        runs=sim_sec.get("runs", 100_000),
-        seed=sim_sec.get("seed", 0),
-        workers=sim_sec.get("workers", 1),
-    )
 
     out_sec = _section(config, "output")
     directory = out_sec.get("directory", "out")
@@ -411,19 +399,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _simulation_config(cfg: RunConfig, gap_reservoir: int = 0) -> SimulationConfig:
-    return SimulationConfig(
-        runs=cfg.simulation.runs,
-        seed=cfg.simulation.seed,
-        workers=cfg.simulation.workers,
-        gap_reservoir=gap_reservoir,
-    )
-
-
 def cmd_simulate(cfg: RunConfig) -> int:
     """Monte Carlo pipeline: batch report plus empirical-cdf CSV."""
     model = cfg.model
-    report = run_batch(model, _simulation_config(cfg))
+    report = run_batch(model, cfg.simulation)
     analytic = model.failure_moments()
 
     mean_delta_se = None
@@ -521,7 +500,7 @@ def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int
     """
     sim_model = cfg.model
     analytic = analytic_model if analytic_model is not None else sim_model
-    report = run_batch(sim_model, _simulation_config(cfg))
+    report = run_batch(sim_model, cfg.simulation)
 
     general = analytic.failure_moments()
     transform = moments_from_transform(analytic)
@@ -533,7 +512,9 @@ def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int
     inverted_cdf = _inverted_cdf_interpolant(analytic, inv_cfg, t_hi)
     ks_exact = ks_statistic(report, inverted_cdf)
     ks_normal = ks_statistic(report, approx.cdf)
-    critical = KS_CRITICAL_001 / math.sqrt(report.runs)
+    # the KS statistic sees only the retained samples, not every run
+    samples = len(report.sorted_times)
+    critical = KS_CRITICAL_001 / math.sqrt(samples)
 
     mean_delta_se = (report.mean - general.mean) / report.se_mean if report.se_mean else None
     var_delta_se = None
@@ -581,6 +562,7 @@ def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int
             "empirical_vs_inverted": ks_exact,
             "empirical_vs_normal": ks_normal,
             "critical_alpha_001": critical,
+            "samples": samples,
         },
         "published_variance_check": published_check,
         "checks": checks,
@@ -623,28 +605,22 @@ def _parse_grid_flag(text: str) -> GridSpec:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    simulation = cfg.simulation
     if args.seed is not None or args.runs is not None:
+        simulation = cfg.simulation
         try:
-            SimulationConfig(
+            simulation = replace(
+                simulation,
                 runs=args.runs if args.runs is not None else simulation.runs,
                 seed=args.seed if args.seed is not None else simulation.seed,
-                workers=simulation.workers,
             )
         except ValueError as exc:
             raise ConfigError(f"flags: {exc}") from exc
-        simulation = SimulationSpec(
-            runs=args.runs if args.runs is not None else simulation.runs,
-            seed=args.seed if args.seed is not None else simulation.seed,
-            workers=simulation.workers,
-        )
-    analysis = cfg.analysis
+        cfg = replace(cfg, simulation=simulation)
     if args.grid is not None:
-        analysis = AnalysisSpec(grid=_parse_grid_flag(args.grid), inversion=analysis.inversion)
-    output = cfg.output
+        cfg = replace(cfg, analysis=replace(cfg.analysis, grid=_parse_grid_flag(args.grid)))
     if args.out is not None:
-        output = OutputSpec(directory=args.out, formats=output.formats)
-    return RunConfig(model=cfg.model, analysis=analysis, simulation=simulation, output=output)
+        cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
+    return cfg
 
 
 def _build_parser() -> argparse.ArgumentParser:

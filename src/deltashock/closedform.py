@@ -34,10 +34,6 @@ __all__ = [
     "VarianceComparison",
 ]
 
-# Above this value of rate*t the naive power/factorial evaluation of the
-# series is no longer trusted; the log-space path is always authoritative.
-NAIVE_SERIES_LIMIT = 30.0
-
 
 @dataclass(frozen=True)
 class ExpConstParams:

@@ -5,6 +5,12 @@ between successive shocks (needs a density, moments and Laplace-type
 integrals) and the threshold law G of the recovery time delta a gap is
 compared against (needs only cdf/survival/sampling).  Both are immutable
 value objects; sampling draws from a caller-owned numpy Generator.
+
+Every built-in law is piecewise c * t**n * exp(-r t): the survival function
+of a threshold, the density of an arrival law.  The weighted gap integrals
+the model needs therefore have closed forms for every built-in pair, all
+computed by one routine (weighted_laplace); only a law without pieces, a
+foreign ArrivalLaw subclass, goes through adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -33,6 +39,10 @@ __all__ = [
 TAIL_EPS = 1e-12
 _QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=300)
 
+# A law in pieces: ((lo, hi, ((c, n, r), ...)), ...) stands for the sum of
+# c * t**n * exp(-r t) over lo <= t < hi, and for 0 outside every piece.
+Pieces = tuple[tuple[float, float, tuple[tuple[float, int, float], ...]], ...]
+
 
 class QuadratureError(RuntimeError):
     """A weighted-transform integral did not converge to tolerance."""
@@ -57,6 +67,13 @@ class ProbabilityLaw(ABC):
         """Points where the cdf or density is not smooth."""
         return ()
 
+    def survival_pieces(self) -> Pieces | None:
+        """The survival function as contiguous pieces from t = 0, or None.
+
+        A law that returns None is integrated by quadrature.
+        """
+        return None
+
 
 # A threshold law needs nothing beyond the base surface; the constant
 # threshold below is the degenerate member of this family.
@@ -66,8 +83,15 @@ ThresholdLaw = ProbabilityLaw
 class ArrivalLaw(ProbabilityLaw):
     """Gap law: adds a density, raw moments and a quadrature cutoff.
 
-    Subclass this to plug other nonnegative laws into the model.
+    Subclass this to plug other nonnegative laws into the model.  A law
+    without density_pieces (as an arrival law) or survival_pieces (as a
+    threshold) is integrated by adaptive quadrature, which costs hundreds
+    of times a closed form.
     """
+
+    def density_pieces(self) -> Pieces | None:
+        """The density as pieces (see Pieces), or None."""
+        return None
 
     @abstractmethod
     def density(self, t):
@@ -120,6 +144,12 @@ class Exponential(ArrivalLaw):
     def upper_cutoff(self, eps=TAIL_EPS):
         return -math.log(eps) / self.rate
 
+    def density_pieces(self):
+        return ((0.0, math.inf, ((self.rate, 0, self.rate),)),)
+
+    def survival_pieces(self):
+        return ((0.0, math.inf, ((1.0, 0, self.rate),)),)
+
 
 @dataclass(frozen=True)
 class Uniform(ArrivalLaw):
@@ -159,6 +189,15 @@ class Uniform(ArrivalLaw):
     def breakpoints(self):
         return (self.lower, self.upper)
 
+    def density_pieces(self):
+        return ((self.lower, self.upper, ((1.0 / (self.upper - self.lower), 0, 0.0),)),)
+
+    def survival_pieces(self):
+        # 1 below the support, then the ramp (upper - t) / (upper - lower)
+        width = self.upper - self.lower
+        ramp = ((self.upper / width, 0, 0.0), (-1.0 / width, 1, 0.0))
+        return ((0.0, self.lower, ((1.0, 0, 0.0),)), (self.lower, self.upper, ramp))
+
 
 @dataclass(frozen=True)
 class Constant(ProbabilityLaw):
@@ -182,6 +221,9 @@ class Constant(ProbabilityLaw):
     def breakpoints(self):
         return (self.tau,)
 
+    def survival_pieces(self):
+        return ((0.0, self.tau, ((1.0, 0, 0.0),)),)
+
 
 def _phi(x: complex) -> complex:
     """(1 - exp(-x)) / x, cancellation-free (value 1 at x = 0).
@@ -193,97 +235,133 @@ def _phi(x: complex) -> complex:
     if x == 0:
         return 1.0 + 0.0j
     a, b = x.real, x.imag
-    real_part = -math.expm1(-a) + math.exp(-a) * 2.0 * math.sin(b / 2.0) ** 2
-    imag_part = math.exp(-a) * math.sin(b)
+    decay = math.exp(-a)
+    real_part = -math.expm1(-a) + decay * 2.0 * math.sin(b / 2.0) ** 2
+    imag_part = decay * math.sin(b)
     return complex(real_part, imag_part) / x
 
 
-def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s: complex,
-                     weight: str) -> complex:
-    """Integral of exp(-s t) f(t) w(t) over t >= 0.
+def _phi_powers(j: int, z: complex) -> list[complex]:
+    """Integrals of v**i exp(-z v) over [0, 1] for i = 0..j, cancellation-free.
 
-    w is the threshold survival function for weight="survival" (the lethal
-    branch: its value at s=0 is the lethality probability) or the threshold
-    cdf for weight="cdf" (the non-lethal branch).  Closed forms cover the
-    exponential+constant and uniform+constant pairs; anything else falls
-    back to adaptive quadrature truncated where the arrival tail mass drops
-    below TAIL_EPS.  Values are guaranteed finite for Re s >= 0; small
-    negative real parts are usable thanks to the finite cutoff (the moment
-    differentiation relies on this).
+    Small |z| sums the power series; elsewhere the upward recurrence
+    phi_i = (i phi_{i-1} - exp(-z)) / z loses at most a few digits.
     """
+    values = [_phi(z)]
+    if abs(z) < 1.0:
+        for i in range(1, j + 1):
+            term, total, k = 1.0, 1.0 / (i + 1), 0
+            while abs(term) > 1e-17:
+                k += 1
+                term *= -z / k
+                total += term / (i + k + 1)
+            values.append(total)
+    else:
+        decay = cmath.exp(-z)
+        for i in range(1, j + 1):
+            values.append((i * values[-1] - decay) / z)
+    return values
+
+
+def _term_integral(c: float, j: int, x: complex, lo: float, hi: float) -> complex:
+    """c times the integral of u**j exp(-x u) over [lo, hi]; hi may be inf.
+
+    With u = lo + v this is exp(-x lo) sum_i C(j, i) lo**(j-i) J_i, where
+    J_i, the integral of v**i exp(-x v) over [0, hi - lo], is
+    width**(i+1) phi_i(x width), or i!/x**(i+1) on an infinite range.
+    """
+    if j == 0:  # one _phi or exponential: the common case, kept free of the sum
+        if hi == math.inf:
+            return c * cmath.exp(-x * lo) / x if lo else c / x
+        width = hi - lo
+        value = c * width * _phi(x * width)
+    else:
+        if hi == math.inf:
+            parts = [math.factorial(i) / x ** (i + 1) for i in range(j + 1)]
+        else:
+            width = hi - lo
+            parts = [width ** (i + 1) * p for i, p in enumerate(_phi_powers(j, x * width))]
+        value = c * sum(math.comb(j, i) * lo ** (j - i) * part for i, part in enumerate(parts))
+    return value * cmath.exp(-x * lo) if lo else value
+
+
+def _combine(terms) -> tuple[tuple[float, int, float], ...]:
+    """Sum terms with equal (n, r) and drop those that cancel."""
+    sums: dict[tuple[int, float], float] = {}
+    for c, n, r in terms:
+        sums[n, r] = sums.get((n, r), 0.0) + c
+    return tuple((c, n, r) for (n, r), c in sums.items() if c != 0.0)
+
+
+def _complement(survival: Pieces) -> Pieces:
+    """1 - survival, the cdf in pieces."""
+    pieces = [(lo, hi, _combine(((1.0, 0, 0.0), *((-c, n, r) for c, n, r in terms))))
+              for lo, hi, terms in survival]
+    end = survival[-1][1]
+    if end < math.inf:
+        pieces.append((end, math.inf, ((1.0, 0, 0.0),)))
+    return tuple(p for p in pieces if p[2])
+
+
+def _product_terms(arrival: ArrivalLaw, threshold: ThresholdLaw, weight: str):
+    """f * w as terms (c, n, r, lo, hi), or None when either law has no pieces."""
     if weight not in ("survival", "cdf"):
         raise ValueError(f"weight must be 'survival' or 'cdf', got {weight!r}")
-    s = complex(s)
-
-    if isinstance(threshold, Constant):
-        if isinstance(arrival, Exponential):
-            lam, tau = arrival.rate, threshold.tau
-            w = s + lam
-            if weight == "survival":
-                # integral of lam*exp(-(s+lam)t) over [0, tau]
-                return lam * tau * _phi(w * tau)
-            # integral over [tau, inf); needs Re(s+lam) > 0
-            return lam * cmath.exp(-w * tau) / w
-        if isinstance(arrival, Uniform):
-            a, b = arrival.lower, arrival.upper
-            m = min(max(threshold.tau, a), b)
-            if weight == "survival":
-                lo, hi = a, m
-            else:
-                lo, hi = m, b
-            width = hi - lo
-            if width <= 0:
-                return 0.0 + 0.0j
-            return cmath.exp(-s * lo) * width * _phi(s * width) / (b - a)
-
-    return _weighted_laplace_quad(arrival, threshold, s, weight)
+    density, survival = arrival.density_pieces(), threshold.survival_pieces()
+    if density is None or survival is None:
+        return None
+    weights = survival if weight == "survival" else _complement(survival)
+    product = []
+    for f_lo, f_hi, f_terms in density:
+        for w_lo, w_hi, w_terms in weights:
+            lo, hi = max(f_lo, w_lo), min(f_hi, w_hi)
+            if lo < hi:
+                terms = _combine((cf * cw, nf + nw, rf + rw)
+                                 for cf, nf, rf in f_terms for cw, nw, rw in w_terms)
+                product.extend((c, n, r, lo, hi) for c, n, r in terms)
+    return tuple(product)
 
 
-def _scalar_density(arrival: ArrivalLaw):
-    """Fast scalar density closure for quadrature integrands.
+# Product terms keyed by the identities of their laws, which each entry
+# holds, so no key can be reused while it is cached.  An identity lookup
+# costs a fraction of hashing the laws, and the inversion looks products
+# up twice per transform evaluation.
+_PRODUCTS: dict[tuple[int, int, str], tuple] = {}
+_PRODUCTS_MAX = 64
 
-    The vectorized law methods cost microseconds per scalar call, which
-    dominates adaptive quadrature; built-in laws get plain-math closures and
-    anything else falls back to the generic method.
+
+def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s: complex,
+                     weight: str, *, order: int = 0, upper: float = math.inf) -> complex:
+    """Integral of t**order exp(-s t) f(t) w(t) over [0, upper].
+
+    f is the arrival density; w is the threshold survival function for
+    weight="survival" (the lethal branch: the value at s = 0 is the
+    lethality probability) or the threshold cdf for weight="cdf" (the
+    non-lethal branch).  Every pair of built-in laws has a closed form,
+    summed over the pieces of f * w, which are built once per (arrival,
+    threshold, weight).  Quadrature serves only ArrivalLaw subclasses
+    without pieces; it stops where the arrival tail mass drops below
+    TAIL_EPS and raises QuadratureError when it does not converge.  Values
+    are finite for Re s >= 0; small negative real parts are usable too (the
+    moment differentiation relies on this), since exponential tails decay
+    faster and quadrature stops at a finite cutoff.
     """
-    if isinstance(arrival, Exponential):
-        rate = arrival.rate
-        return lambda t: rate * math.exp(-rate * t) if t >= 0.0 else 0.0
-    if isinstance(arrival, Uniform):
-        lo, hi = arrival.lower, arrival.upper
-        height = 1.0 / (hi - lo)
-        return lambda t: height if lo <= t <= hi else 0.0
-    return lambda t: float(arrival.density(t))
-
-
-def _scalar_weight(threshold: ThresholdLaw, weight: str):
-    """Fast scalar closure for the threshold cdf or survival function."""
-    if isinstance(threshold, Constant):
-        tau = threshold.tau
-        if weight == "survival":
-            return lambda t: 1.0 if t < tau else 0.0
-        return lambda t: 1.0 if t >= tau else 0.0
-    if isinstance(threshold, Exponential):
-        rate = threshold.rate
-        if weight == "survival":
-            return lambda t: math.exp(-rate * t) if t > 0.0 else 1.0
-        return lambda t: -math.expm1(-rate * t) if t > 0.0 else 0.0
-    if isinstance(threshold, Uniform):
-        lo, hi = threshold.lower, threshold.upper
-        span = hi - lo
-
-        def cdf(t):
-            if t <= lo:
-                return 0.0
-            if t >= hi:
-                return 1.0
-            return (t - lo) / span
-
-        if weight == "survival":
-            return lambda t: 1.0 - cdf(t)
-        return cdf
-    w_fn = threshold.survival if weight == "survival" else threshold.cdf
-    return lambda t: float(w_fn(t))
+    try:
+        terms = _PRODUCTS[id(arrival), id(threshold), weight][2]
+    except KeyError:
+        terms = _product_terms(arrival, threshold, weight)
+        if len(_PRODUCTS) >= _PRODUCTS_MAX:
+            _PRODUCTS.clear()
+        _PRODUCTS[id(arrival), id(threshold), weight] = (arrival, threshold, terms)
+    s = complex(s)
+    if terms is None:
+        return _weighted_laplace_quad(arrival, threshold, s, weight, order, upper)
+    total = 0j
+    for c, n, r, lo, hi in terms:
+        if lo < upper:
+            # a conditional, not min(): this loop is the inversion's hot path
+            total += _term_integral(c, n + order, s + r, lo, hi if hi < upper else upper)
+    return total
 
 
 def weighted_time_integral(arrival: ArrivalLaw, threshold: ThresholdLaw, t: float,
@@ -291,52 +369,23 @@ def weighted_time_integral(arrival: ArrivalLaw, threshold: ThresholdLaw, t: floa
     """Integral of f(u) w(u) over [0, t], w as in weighted_laplace.
 
     The survival-weighted value is p times the cdf of a lethal gap.  Closed
-    forms cover the constant-threshold pairs; anything else is quadrature.
+    forms cover every pair of built-in laws; quadrature serves only
+    ArrivalLaw subclasses without pieces.
     """
-    if weight not in ("survival", "cdf"):
-        raise ValueError(f"weight must be 'survival' or 'cdf', got {weight!r}")
-    if t <= 0.0:
-        return 0.0
-
-    if isinstance(threshold, Constant):
-        tau = threshold.tau
-        if isinstance(arrival, Exponential):
-            lam = arrival.rate
-            if weight == "survival":
-                return -math.expm1(-lam * min(t, tau))
-            return math.exp(-lam * tau) - math.exp(-lam * max(t, tau)) if t > tau else 0.0
-        if isinstance(arrival, Uniform):
-            a, b = arrival.lower, arrival.upper
-            m = min(max(tau, a), b)
-            if weight == "survival":
-                lo, hi = a, m
-            else:
-                lo, hi = m, b
-            return (min(max(t, lo), hi) - lo) / (b - a)
-
-    f = _scalar_density(arrival)
-    w = _scalar_weight(threshold, weight)
-    upper = min(t, arrival.upper_cutoff())
-    points = sorted(
-        p for p in set(arrival.breakpoints()) | set(threshold.breakpoints())
-        if 0.0 < p < upper
-    )
-    val, _ = integrate.quad(
-        lambda u: f(u) * w(u), 0.0, upper, points=points or None, **_QUAD_OPTS
-    )
-    return val
+    return weighted_laplace(arrival, threshold, 0.0, weight, upper=t).real
 
 
-def _weighted_laplace_quad(arrival, threshold, s, weight):
-    """Adaptive quadrature fallback, split at law breakpoints.
+def _weighted_laplace_quad(arrival, threshold, s, weight, order=0, upper=math.inf):
+    """Quadrature for weighted_laplace, split at law breakpoints.
 
-    The oscillatory factor exp(-i Im(s) t) is handled by the cos/sin
-    weighted rule, which stays cheap for the high frequencies the inversion
-    contour needs.
+    Uses the laws' own density, cdf and survival methods.  The oscillatory
+    factor exp(-i Im(s) t) is handled by the cos/sin weighted rule, which
+    stays cheap for the high frequencies the inversion contour needs.
     """
-    f = _scalar_density(arrival)
-    w = _scalar_weight(threshold, weight)
-    cutoff = arrival.upper_cutoff()
+    w = threshold.survival if weight == "survival" else threshold.cdf
+    cutoff = min(upper, arrival.upper_cutoff())
+    if cutoff <= 0.0:
+        return 0j
     edges = [0.0] + sorted(
         p for p in set(arrival.breakpoints()) | set(threshold.breakpoints())
         if 0.0 < p < cutoff
@@ -344,7 +393,7 @@ def _weighted_laplace_quad(arrival, threshold, s, weight):
     sigma, omega = s.real, s.imag
 
     def envelope(t):
-        return math.exp(-sigma * t) * f(t) * w(t)
+        return t**order * math.exp(-sigma * t) * float(arrival.density(t)) * float(w(t))
 
     re = im = err = 0.0
     for lo, hi in zip(edges, edges[1:]):

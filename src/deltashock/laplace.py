@@ -26,13 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import (
-    Constant,
-    Exponential,
-    Uniform,
-    weighted_laplace,
-    weighted_time_integral,
-)
+from .distributions import weighted_laplace, weighted_time_integral
 from .model import MomentSummary, ShockModel
 
 __all__ = [
@@ -265,21 +259,16 @@ def invert_cdf(model: ShockModel, t: float,
     return min(max(value, 0.0), 1.0)
 
 
-def _has_closed_transform(model: ShockModel) -> bool:
-    return isinstance(model.threshold, Constant) and isinstance(
-        model.arrivals, (Exponential, Uniform)
-    )
-
-
 def moments_from_transform(model: ShockModel) -> MomentSummary:
     """Failure-time moments from log L_h near s = 0.
 
     log L_h is the cumulant generating function at -s, so its first two
     derivatives at 0 give -mean and the variance directly, without the
     mean^2 cancellation.  Central differences with Richardson extrapolation
-    are used; the step is sized relative to 1/mean, wider when the
-    transform is evaluated through quadrature noise than when closed forms
-    are available.
+    are used with a step of 1e-2/mean: the extrapolated truncation error
+    falls like step^4, while rounding in the transform values grows like
+    1/step^2 in the second difference (a 1e-4/mean step leaves a relative
+    variance error near 3e-7 at p = 0.5, against about 1e-10 at 1e-2/mean).
     """
     evaluator = TransformEvaluator(model)
 
@@ -299,8 +288,7 @@ def moments_from_transform(model: ShockModel) -> MomentSummary:
         raise InversionError("could not bracket the transform scale near s = 0")
     crude_mean = -log_transform(eps) / eps
 
-    rel_step = 1e-4 if _has_closed_transform(model) else 1e-2
-    h = rel_step / crude_mean
+    h = 1e-2 / crude_mean
 
     k0 = log_transform(0.0)
     kp, km = log_transform(h), log_transform(-h)

@@ -16,17 +16,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import integrate
 
-from .distributions import (
-    ArrivalLaw,
-    Constant,
-    Exponential,
-    ThresholdLaw,
-    _scalar_density,
-    _scalar_weight,
-    weighted_laplace,
-)
+from .distributions import ArrivalLaw, ThresholdLaw, weighted_laplace
 
 __all__ = ["ShockModel", "MomentSummary", "UnrealizableModelError"]
 
@@ -118,26 +109,11 @@ class ShockModel:
         q = self.survive_prob
         if q <= 0.0:
             raise UnrealizableModelError("E(Z | Z > delta) is undefined when q = 0")
-        if isinstance(self.arrivals, Exponential) and isinstance(self.threshold, Constant):
-            # memorylessness: the overshoot beyond tau is again exponential
-            return self.threshold.tau + 1.0 / self.arrivals.rate
-        f = _scalar_density(self.arrivals)
-        w = _scalar_weight(self.threshold, "cdf")
-        cutoff = self.arrivals.upper_cutoff()
-        points = sorted(
-            p for p in set(self.arrivals.breakpoints()) | set(self.threshold.breakpoints())
-            if 0.0 < p < cutoff
-        )
-        val, _ = integrate.quad(
-            lambda t: t * f(t) * w(t),
-            0.0,
-            cutoff,
-            points=points or None,
-            epsabs=1e-13,
-            epsrel=1e-11,
-            limit=300,
-        )
-        return val / q
+        return self._nonlethal_gap_moment() / q
+
+    def _nonlethal_gap_moment(self) -> float:
+        """E(Z; Z > delta) = q E(Z | Z > delta), free of the division by q."""
+        return weighted_laplace(self.arrivals, self.threshold, 0.0, "cdf", order=1).real
 
     def failure_moments(self) -> MomentSummary:
         """Mean and variance of the failure time.
@@ -152,7 +128,7 @@ class ShockModel:
         q = 1.0 - p
         ez = self.arrivals.raw_moment(1)
         ez2 = self.arrivals.raw_moment(2)
-        cross = 0.0 if q == 0.0 else 2.0 * ez * self.mean_nonlethal_gap() * q
+        cross = 0.0 if q == 0.0 else 2.0 * ez * self._nonlethal_gap_moment()
         mu = ez / p
         sigma2 = ez2 / p + (cross - ez * ez) / (p * p)
         return MomentSummary(

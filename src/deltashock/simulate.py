@@ -178,22 +178,17 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
 
 
-def _simulate_chunk(model, n_runs, seed, chunk_index, histogram_edges, gap_cap, max_gaps):
-    """Vectorized waves over the still-active runs of one chunk.
+def _waves(model, rng, n_runs, max_gaps):
+    """Vectorized waves over the still-active runs of a batch.
 
-    Every active run has received exactly `wave` gaps, so the gap count of
-    a run equals the wave index at which it finishes.
+    Each wave draws one gap per active run, then one threshold per active
+    run, and yields (wave, active, z, lethal, lethal_counts) with the lethal
+    counts as they stood before this wave.  Every active run has received
+    exactly `wave` gaps, so the gap count of a run equals the wave index at
+    which it finishes.
     """
-    rng = _chunk_rng(seed, chunk_index)
-    k = model.k
-    times = np.zeros(n_runs)
-    gap_counts = np.zeros(n_runs, dtype=np.int64)
     lethal_counts = np.zeros(n_runs, dtype=np.int64)
     active = np.arange(n_runs)
-    lethal_kept: list[np.ndarray] = []
-    nonlethal_kept: list[np.ndarray] = []
-    kept = [0, 0]
-
     wave = 0
     while active.size:
         wave += 1
@@ -204,8 +199,22 @@ def _simulate_chunk(model, n_runs, seed, chunk_index, histogram_edges, gap_cap, 
         z = np.asarray(model.arrivals.sample(rng, size=active.size), dtype=float)
         delta = np.asarray(model.threshold.sample(rng, size=active.size), dtype=float)
         lethal = z <= delta
-        times[active] += z
+        yield wave, active, z, lethal, lethal_counts
         lethal_counts[active] += lethal
+        active = active[lethal_counts[active] < model.k]
+
+
+def _simulate_chunk(model, n_runs, seed, chunk_index, histogram_edges, gap_cap, max_gaps):
+    """Failure times and summaries of one chunk, drawn from its own stream."""
+    rng = _chunk_rng(seed, chunk_index)
+    times = np.zeros(n_runs)
+    gap_counts = np.zeros(n_runs, dtype=np.int64)
+    lethal_kept: list[np.ndarray] = []
+    nonlethal_kept: list[np.ndarray] = []
+    kept = [0, 0]
+
+    for wave, active, z, lethal, _ in _waves(model, rng, n_runs, max_gaps):
+        times[active] += z
         gap_counts[active] = wave
         if gap_cap:
             if kept[0] < gap_cap:
@@ -214,7 +223,6 @@ def _simulate_chunk(model, n_runs, seed, chunk_index, histogram_edges, gap_cap, 
             if kept[1] < gap_cap:
                 nonlethal_kept.append(z[~lethal][: gap_cap - kept[1]])
                 kept[1] += len(nonlethal_kept[-1])
-        active = active[lethal_counts[active] < k]
 
     counts, _ = np.histogram(times, bins=histogram_edges)
     overflow = int((times > histogram_edges[-1]).sum())
@@ -335,27 +343,13 @@ def simulate_segments(model: ShockModel, runs: int, seed: int,
     segment decomposition empirically (i.i.d. segments with the per-segment
     moments).
     """
-    rng = _chunk_rng(seed, 0)
-    k = model.k
-    segments = np.zeros((runs, k))
+    segments = np.zeros((runs, model.k))
     acc = np.zeros(runs)
-    lethal_counts = np.zeros(runs, dtype=np.int64)
-    active = np.arange(runs)
-    wave = 0
-    while active.size:
-        wave += 1
-        if wave > max_gaps:
-            raise UnrealizableModelError(
-                f"{active.size} runs still unfinished after {max_gaps} gaps each"
-            )
-        z = np.asarray(model.arrivals.sample(rng, size=active.size), dtype=float)
-        delta = np.asarray(model.threshold.sample(rng, size=active.size), dtype=float)
+    for _, active, z, lethal, lethal_counts in _waves(model, _chunk_rng(seed, 0), runs, max_gaps):
         acc[active] += z
-        newly = active[z <= delta]
+        newly = active[lethal]
         segments[newly, lethal_counts[newly]] = acc[newly]
         acc[newly] = 0.0
-        lethal_counts[newly] += 1
-        active = active[lethal_counts[active] < k]
     return segments
 
 

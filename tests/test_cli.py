@@ -7,13 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from deltashock import Constant, Exponential, ShockModel
+from deltashock import Constant, Exponential, ShockModel, SimulationConfig
 from deltashock.cli import (
     EXIT_COMPARE,
     EXIT_CONFIG,
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    OutputSpec,
+    RunConfig,
     cmd_analyze,
     cmd_compare,
     cmd_invert,
@@ -248,6 +250,17 @@ class TestCompare:
             payload = json.loads((tmp_path / f"out{k}" / "compare.json").read_text())
             ks[k] = payload["ks"]["empirical_vs_normal"]
         assert ks[100] < ks[1]
+
+    def test_ks_critical_value_uses_retained_samples(self, tmp_path):
+        cfg = RunConfig(
+            model=ShockModel(3, Exponential(1.0), Constant(LN2)),
+            simulation=SimulationConfig(runs=20_000, seed=5, sample_reservoir=5_000),
+            output=OutputSpec(directory=str(tmp_path)),
+        )
+        cmd_compare(cfg)
+        ks = json.loads((tmp_path / "compare.json").read_text())["ks"]
+        assert ks["samples"] == 5_000
+        assert ks["critical_alpha_001"] == 1.63 / math.sqrt(5_000)
 
 
 class TestInvert:

@@ -1,19 +1,27 @@
 """Law-level checks: densities, cdfs, sampling, moments, weighted transforms."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from deltashock import (
+    ArrivalLaw,
     Constant,
     Exponential,
+    ShockModel,
     Uniform,
     ks_statistic,
+    laplace_h,
     weighted_laplace,
 )
-from deltashock.distributions import _weighted_laplace_quad, weighted_time_integral
+from deltashock.distributions import (
+    TAIL_EPS,
+    _weighted_laplace_quad,
+    weighted_time_integral,
+)
 
 LAW_PAIRS = [
     (Exponential(1.0), Constant(1.0)),
@@ -21,6 +29,59 @@ LAW_PAIRS = [
     (Exponential(1.0), Exponential(0.7)),
     (Uniform(0.0, 2.0), Uniform(0.5, 1.5)),
 ]
+
+
+# Every built-in arrival/threshold pair.
+BUILTIN_PAIRS = [
+    (Exponential(1.1), Constant(0.9)),
+    (Uniform(0.3, 2.1), Constant(1.0)),
+    (Exponential(1.1), Exponential(0.7)),
+    (Exponential(1.1), Uniform(0.5, 1.5)),
+    (Uniform(0.3, 2.1), Exponential(0.7)),
+    (Uniform(0.0, 2.0), Uniform(0.5, 1.5)),
+]
+
+
+@dataclass(frozen=True)
+class Gamma2(ArrivalLaw):
+    """Gamma(2, rate) gaps: a law without pieces, so it takes the quadrature path."""
+
+    rate: float
+
+    def density(self, t):
+        self._check_nonnegative(t)
+        t = np.asarray(t, dtype=float)
+        return (self.rate**2 * t * np.exp(-self.rate * t))[()]
+
+    def cdf(self, t):
+        t = np.maximum(np.asarray(t, dtype=float), 0.0)
+        return (1.0 - (1.0 + self.rate * t) * np.exp(-self.rate * t))[()]
+
+    def sample(self, rng, size=None):
+        return rng.gamma(2.0, 1.0 / self.rate, size=size)
+
+    def raw_moment(self, order):
+        self._check_order(order)
+        return 2.0 / self.rate if order == 1 else 6.0 / self.rate**2
+
+    def upper_cutoff(self, eps=TAIL_EPS):
+        # (1 + x) exp(-x) < eps well before x = -2 ln(eps)
+        return -2.0 * math.log(eps) / self.rate
+
+
+def direct_weighted_quad(arrival, threshold, s, weight, order=0, upper=None):
+    """Independent oracle: plain quadrature of t^order exp(-st) f(t) w(t)."""
+    w_fn = threshold.survival if weight == "survival" else threshold.cdf
+    upper = arrival.upper_cutoff() if upper is None else upper
+    points = [p for p in (*arrival.breakpoints(), *threshold.breakpoints()) if 0 < p < upper] or None
+
+    def part(trig):
+        return integrate.quad(
+            lambda t: t**order * math.exp(-s.real * t) * trig(s.imag * t)
+            * float(arrival.density(t)) * float(w_fn(t)),
+            0.0, upper, points=points, epsabs=1e-13, epsrel=1e-12, limit=500)[0]
+
+    return complex(part(math.cos), -part(math.sin))
 
 
 def numeric_density(law, t, h=1e-6):
@@ -171,18 +232,37 @@ class TestWeightedLaplace:
             got = weighted_laplace(arrival, threshold, s, "survival")
             assert got == pytest.approx(expected, rel=1e-12)
 
-    @pytest.mark.parametrize("arrival,threshold", [
-        (Exponential(1.1), Constant(0.9)),
-        (Uniform(0.3, 2.1), Constant(1.0)),
-    ])
+    @pytest.mark.parametrize("arrival,threshold", BUILTIN_PAIRS)
     @pytest.mark.parametrize("weight", ["survival", "cdf"])
     def test_closed_form_matches_quadrature(self, arrival, threshold, weight):
         rng = np.random.default_rng(11)
-        for _ in range(10):
-            s = complex(rng.uniform(0, 2.5), rng.uniform(-3, 3))
+        points = [0.0, -1e-4, -1e-2, complex(0.01, 30.0), complex(0.3, -30.0)]
+        points += [complex(rng.uniform(0, 2.5), rng.uniform(-30, 30)) for _ in range(10)]
+        for s in points:
             closed = weighted_laplace(arrival, threshold, s, weight)
-            quad_val = _weighted_laplace_quad(arrival, threshold, s, weight)
+            quad_val = _weighted_laplace_quad(arrival, threshold, complex(s), weight)
             assert closed == pytest.approx(quad_val, rel=1e-8, abs=1e-10)
+        for upper in (0.2, 0.9, 1.7, 6.0):
+            closed = weighted_time_integral(arrival, threshold, upper, weight)
+            quad_val = _weighted_laplace_quad(arrival, threshold, 0j, weight, upper=upper)
+            assert closed == pytest.approx(quad_val.real, rel=1e-8, abs=1e-10)
+        first = weighted_laplace(arrival, threshold, 0.0, weight, order=1)
+        quad_val = _weighted_laplace_quad(arrival, threshold, 0j, weight, order=1)
+        assert first == pytest.approx(quad_val, rel=1e-8, abs=1e-10)
+
+    @pytest.mark.parametrize("arrival,threshold", BUILTIN_PAIRS)
+    def test_builtin_pairs_never_reach_quadrature(self, arrival, threshold, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a built-in pair reached integrate.quad")
+
+        monkeypatch.setattr(integrate, "quad", refuse)
+        model = ShockModel(2, arrival, threshold)
+        model.failure_moments()
+        model.mean_nonlethal_gap()
+        laplace_h(model, complex(0.4, 3.0))
+        for weight in ("survival", "cdf"):
+            weighted_laplace(arrival, threshold, complex(0.2, -7.0), weight)
+            weighted_time_integral(arrival, threshold, 1.3, weight)
 
     @pytest.mark.parametrize("arrival,threshold", LAW_PAIRS)
     def test_weights_sum_to_plain_transform(self, arrival, threshold):
@@ -206,6 +286,26 @@ class TestWeightedLaplace:
     def test_unknown_weight_rejected(self):
         with pytest.raises(ValueError):
             weighted_laplace(Exponential(1.0), Constant(1.0), 0.0, "pdf")
+
+
+class TestQuadratureFallback:
+    @pytest.mark.parametrize("threshold", [Constant(0.8), Exponential(0.7), Uniform(0.5, 1.5)])
+    @pytest.mark.parametrize("weight", ["survival", "cdf"])
+    def test_foreign_law_matches_direct_quadrature(self, threshold, weight):
+        arrival = Gamma2(1.3)
+        for s in (0j, complex(-1e-2, 0.0), complex(0.4, 2.0), complex(1.0, -15.0)):
+            got = weighted_laplace(arrival, threshold, s, weight)
+            assert got == pytest.approx(direct_weighted_quad(arrival, threshold, s, weight), abs=1e-9)
+        for t in (0.3, 1.2, 4.0):
+            got = weighted_time_integral(arrival, threshold, t, weight)
+            expected = direct_weighted_quad(arrival, threshold, 0j, weight, upper=t).real
+            assert got == pytest.approx(expected, abs=1e-10)
+
+    @pytest.mark.parametrize("threshold", [Constant(0.8), Exponential(0.7), Uniform(0.5, 1.5)])
+    def test_foreign_law_mean_nonlethal_gap(self, threshold):
+        model = ShockModel(2, Gamma2(1.3), threshold)
+        moment = direct_weighted_quad(model.arrivals, threshold, 0j, "cdf", order=1).real
+        assert model.mean_nonlethal_gap() == pytest.approx(moment / model.survive_prob, rel=1e-9)
 
 
 class TestWeightedTimeIntegral:
