@@ -32,11 +32,13 @@ from .distributions import (
 )
 from .gaussian import ApproxErrorReport, NormalApprox, approx_error
 from .laplace import (
+    GridInversion,
     InversionConfig,
     InversionError,
     TransformEvaluator,
     invert_cdf,
     invert_density,
+    invert_grid,
     invert_transform,
     laplace_h,
     moments_from_transform,

@@ -33,7 +33,14 @@ from .closedform import (
 )
 from .distributions import Constant, Exponential, QuadratureError, Uniform
 from .gaussian import NormalApprox
-from .laplace import InversionConfig, InversionError, invert_cdf, invert_density, moments_from_transform
+from .laplace import (
+    InversionConfig,
+    InversionError,
+    invert_cdf,
+    invert_density,
+    invert_grid,
+    moments_from_transform,
+)
 from .model import ShockModel, UnrealizableModelError
 from .simulate import KS_CRITICAL_001, SimulationConfig, ks_statistic, run_batch
 
@@ -349,18 +356,15 @@ def cmd_analyze(cfg: RunConfig) -> int:
     approx = NormalApprox.from_moments(general)
 
     grid = _resolve_grid(cfg, general)
-    inv_cfg = cfg.analysis.inversion
+    inverted = invert_grid(model, grid, cfg.analysis.inversion)
     rows = []
     failures = []
-    for t in grid:
-        t = float(t)
+    for t, pdf_inv, cdf_inv, error in zip(grid.tolist(), inverted.pdf.tolist(),
+                                          inverted.cdf.tolist(), inverted.errors):
         pdf_closed = exp_const_pdf(params, t) if family == "exponential_constant" else None
-        try:
-            pdf_inv = invert_density(model, t, inv_cfg)
-            cdf_inv = invert_cdf(model, t, inv_cfg)
-        except InversionError:
+        if error is not None:
             pdf_inv = cdf_inv = None
-            failures.append(t)
+            failures.append({"t": t, "error_estimate": error.error_estimate})
         rows.append((t, pdf_closed, pdf_inv, float(approx.pdf(t)), cdf_inv))
 
     means = [general.mean, transform.mean]
@@ -418,6 +422,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "config": serialize_config(cfg),
         "report": {
             "runs": report.runs,
+            "samples": len(report.sorted_times),
             "seed": report.seed,
             "mean": report.mean,
             "variance": report.variance,
@@ -468,19 +473,14 @@ def _inverted_cdf_interpolant(model, inv_cfg, t_hi):
 
     corners = {p for p in (*model.arrivals.breakpoints(), *model.threshold.breakpoints())
                if 0.0 < p < t_hi}
-    grid = sorted(set(np.linspace(t_hi / 512.0, t_hi, 512)) | corners)
-    nodes = [0.0]
-    values = [0.0]
-    for t in grid:
-        try:
-            value = invert_cdf(model, float(t), cfg)
-        except InversionError:
-            continue
-        if head is not None:
-            value -= float(head(t))
-        values.append(value)
-        nodes.append(float(t))
-    interp = PchipInterpolator(np.array(nodes), np.maximum.accumulate(values))
+    grid = np.array(sorted(set(np.linspace(t_hi / 512.0, t_hi, 512)) | corners))
+    inverted = invert_grid(model, grid, cfg, pdf=False)
+    settled = ~np.isnan(inverted.cdf)
+    nodes = np.concatenate(([0.0], grid[settled]))
+    values = np.concatenate(([0.0], inverted.cdf[settled]))
+    if head is not None:
+        values[1:] -= head(nodes[1:])
+    interp = PchipInterpolator(nodes, np.maximum.accumulate(values))
 
     def cdf(t):
         t = np.clip(np.asarray(t, dtype=float), 0.0, t_hi)

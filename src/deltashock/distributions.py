@@ -225,54 +225,74 @@ class Constant(ProbabilityLaw):
         return ((0.0, self.tau, ((1.0, 0, 0.0),)),)
 
 
-def _phi(x: complex) -> complex:
+def _phi(x):
     """(1 - exp(-x)) / x, cancellation-free (value 1 at x = 0).
 
     Splitting 1 - exp(-a-ib) into -expm1(-a) + exp(-a)(1 - cos b) and
     exp(-a) sin b keeps full precision for small |x|, which the moment
-    differentiation needs.
+    differentiation needs.  x is a complex scalar or an ndarray of them.
     """
-    if x == 0:
+    array = isinstance(x, np.ndarray)
+    if not array and x == 0:
         return 1.0 + 0.0j
+    lib = np if array else math
     a, b = x.real, x.imag
-    decay = math.exp(-a)
-    real_part = -math.expm1(-a) + decay * 2.0 * math.sin(b / 2.0) ** 2
-    imag_part = decay * math.sin(b)
-    return complex(real_part, imag_part) / x
+    decay = lib.exp(-a)
+    real_part = -lib.expm1(-a) + decay * 2.0 * lib.sin(b / 2.0) ** 2
+    imag_part = decay * lib.sin(b)
+    if not array:
+        return complex(real_part, imag_part) / x
+    zero = x == 0
+    return np.where(zero, 1.0, (real_part + 1j * imag_part) / np.where(zero, 1.0, x))
 
 
-def _phi_powers(j: int, z: complex) -> list[complex]:
+def _power_series(i: int, z):
+    """The integral of v**i exp(-z v) over [0, 1] by its power series in z."""
+    term, total, k = 1.0, 1.0 / (i + 1), 0
+    while np.any(abs(term) > 1e-17):
+        k += 1
+        term = term * (-z / k)
+        total = total + term / (i + k + 1)
+    return total
+
+
+def _phi_powers(j: int, z) -> list:
     """Integrals of v**i exp(-z v) over [0, 1] for i = 0..j, cancellation-free.
 
     Small |z| sums the power series; elsewhere the upward recurrence
-    phi_i = (i phi_{i-1} - exp(-z)) / z loses at most a few digits.
+    phi_i = (i phi_{i-1} - exp(-z)) / z loses at most a few digits.  An
+    ndarray z takes each element down its own branch.
     """
     values = [_phi(z)]
-    if abs(z) < 1.0:
-        for i in range(1, j + 1):
-            term, total, k = 1.0, 1.0 / (i + 1), 0
-            while abs(term) > 1e-17:
-                k += 1
-                term *= -z / k
-                total += term / (i + k + 1)
-            values.append(total)
-    else:
+    if not isinstance(z, np.ndarray):
+        if abs(z) < 1.0:
+            return values + [_power_series(i, z) for i in range(1, j + 1)]
         decay = cmath.exp(-z)
         for i in range(1, j + 1):
             values.append((i * values[-1] - decay) / z)
+        return values
+    small = abs(z) < 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        decay = np.exp(-z)
+        for i in range(1, j + 1):
+            value = (i * values[-1] - decay) / z
+            value[small] = _power_series(i, z[small])
+            values.append(value)
     return values
 
 
-def _term_integral(c: float, j: int, x: complex, lo: float, hi: float) -> complex:
+def _term_integral(c: float, j: int, x, lo: float, hi: float):
     """c times the integral of u**j exp(-x u) over [lo, hi]; hi may be inf.
 
     With u = lo + v this is exp(-x lo) sum_i C(j, i) lo**(j-i) J_i, where
     J_i, the integral of v**i exp(-x v) over [0, hi - lo], is
     width**(i+1) phi_i(x width), or i!/x**(i+1) on an infinite range.
+    x is a complex scalar or an ndarray of them.
     """
+    exp = np.exp if isinstance(x, np.ndarray) else cmath.exp
     if j == 0:  # one _phi or exponential: the common case, kept free of the sum
         if hi == math.inf:
-            return c * cmath.exp(-x * lo) / x if lo else c / x
+            return c * exp(-x * lo) / x if lo else c / x
         width = hi - lo
         value = c * width * _phi(x * width)
     else:
@@ -282,7 +302,7 @@ def _term_integral(c: float, j: int, x: complex, lo: float, hi: float) -> comple
             width = hi - lo
             parts = [width ** (i + 1) * p for i, p in enumerate(_phi_powers(j, x * width))]
         value = c * sum(math.comb(j, i) * lo ** (j - i) * part for i, part in enumerate(parts))
-    return value * cmath.exp(-x * lo) if lo else value
+    return value * exp(-x * lo) if lo else value
 
 
 def _combine(terms) -> tuple[tuple[float, int, float], ...]:
@@ -330,8 +350,8 @@ _PRODUCTS: dict[tuple[int, int, str], tuple] = {}
 _PRODUCTS_MAX = 64
 
 
-def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s: complex,
-                     weight: str, *, order: int = 0, upper: float = math.inf) -> complex:
+def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s,
+                     weight: str, *, order: int = 0, upper: float = math.inf):
     """Integral of t**order exp(-s t) f(t) w(t) over [0, upper].
 
     f is the arrival density; w is the threshold survival function for
@@ -344,7 +364,10 @@ def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s: complex,
     TAIL_EPS and raises QuadratureError when it does not converge.  Values
     are finite for Re s >= 0; small negative real parts are usable too (the
     moment differentiation relies on this), since exponential tails decay
-    faster and quadrature stops at a finite cutoff.
+    faster and quadrature stops at a finite cutoff.  s is a complex scalar,
+    giving a complex, or an ndarray, giving an ndarray of its shape; the
+    closed forms take the whole array at once, quadrature one element at a
+    time.
     """
     try:
         terms = _PRODUCTS[id(arrival), id(threshold), weight][2]
@@ -353,14 +376,16 @@ def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s: complex,
         if len(_PRODUCTS) >= _PRODUCTS_MAX:
             _PRODUCTS.clear()
         _PRODUCTS[id(arrival), id(threshold), weight] = (arrival, threshold, terms)
-    s = complex(s)
+    array = isinstance(s, np.ndarray)
     if terms is None:
-        return _weighted_laplace_quad(arrival, threshold, s, weight, order, upper)
-    total = 0j
+        if array:
+            return np.array([_weighted_laplace_quad(arrival, threshold, x, weight, order, upper)
+                             for x in s.ravel().tolist()], dtype=complex).reshape(s.shape)
+        return _weighted_laplace_quad(arrival, threshold, complex(s), weight, order, upper)
+    s, total = (s.astype(complex), np.zeros(s.shape, dtype=complex)) if array else (complex(s), 0j)
     for c, n, r, lo, hi in terms:
         if lo < upper:
-            # a conditional, not min(): this loop is the inversion's hot path
-            total += _term_integral(c, n + order, s + r, lo, hi if hi < upper else upper)
+            total += _term_integral(c, n + order, s + r, lo, min(hi, upper))
     return total
 
 

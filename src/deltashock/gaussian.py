@@ -17,7 +17,7 @@ from scipy.special import erf
 
 from .closedform import ExpConstParams, exp_const_cdf, exp_const_pdf
 from .distributions import Constant, Exponential
-from .laplace import InversionConfig, invert_cdf, invert_density
+from .laplace import InversionConfig, invert_grid
 from .model import MomentSummary, ShockModel
 
 __all__ = ["NormalApprox", "ApproxErrorReport", "approx_error"]
@@ -99,9 +99,11 @@ def approx_error(model: ShockModel, approx: NormalApprox, reference="inversion",
         ref_cdf = np.array([exp_const_cdf(params, t) for t in grid])
         ref_name = "series"
     elif reference == "inversion":
-        cfg = config or InversionConfig(target_error=1e-4)
-        ref_pdf = np.array([invert_density(model, t, cfg) for t in grid])
-        ref_cdf = np.array([invert_cdf(model, t, cfg) for t in grid])
+        inverted = invert_grid(model, grid, config or InversionConfig(target_error=1e-4))
+        error = next((e for e in inverted.errors if e is not None), None)
+        if error is not None:
+            raise error
+        ref_pdf, ref_cdf = inverted.pdf, inverted.cdf
         ref_name = "inversion"
     elif reference == "simulation":
         if report is None:

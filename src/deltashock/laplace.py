@@ -9,7 +9,10 @@ transforms from the distributions module.  Density and cdf values come from
 the Fourier series of the Bromwich integral on a vertical contour,
 accelerated through the quotient-difference continued fraction (the
 de Hoog-Knight-Stokes scheme); needing only vertical-line transform values
-is what makes the approach suit probability densities.  For k = 1 the
+is what makes the approach suit probability densities.  The inversion runs
+on a whole grid of times at once: each time keeps its own contour, and the
+transform, the quotient-difference table and the fraction are numpy
+operations over every time still unsettled.  For k = 1 the
 density jumps wherever the lethal-branch density f*Gbar does, so that
 branch (whose transform and pointwise values are both known) is subtracted
 before inversion and added back, leaving a continuous series target.
@@ -34,6 +37,8 @@ __all__ = [
     "InversionError",
     "TransformEvaluator",
     "laplace_h",
+    "GridInversion",
+    "invert_grid",
     "invert_transform",
     "invert_density",
     "invert_cdf",
@@ -44,6 +49,12 @@ __all__ = [
 DENSITY_CLAMP = 1e-10
 # Period multiple for the series contour: aliasing samples f at t + 2*kappa*t*n.
 CONTOUR_PERIOD_RATIO = 2.0
+# The retry ladder: (extra fraction depth, period multiple) of each attempt.
+ATTEMPTS = (
+    (0, CONTOUR_PERIOD_RATIO),
+    (10, CONTOUR_PERIOD_RATIO * 1.13),
+    (16, CONTOUR_PERIOD_RATIO * 0.83),
+)
 
 
 class InversionError(RuntimeError):
@@ -96,16 +107,22 @@ class TransformEvaluator:
         self._lethal = lambda s: weighted_laplace(arrivals, threshold, s, "survival")
         self._nonlethal = lambda s: weighted_laplace(arrivals, threshold, s, "cdf")
 
-    def __call__(self, s: complex) -> complex:
+    def __call__(self, s):
+        """L_h at a complex s; an ndarray of s gives an ndarray, with nan
+        where the denominator vanishes instead of the InversionError."""
         denominator = 1.0 - self._nonlethal(s)
+        if isinstance(s, np.ndarray):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                value = (self._lethal(s) / denominator) ** self.model.k
+            return np.where(abs(denominator) < 1e-14, np.nan, value)
         if abs(denominator) < 1e-14:
             raise InversionError(
                 f"transform denominator vanishes at s={s} (|1 - L_nonlethal| < 1e-14)"
             )
         return (self._lethal(s) / denominator) ** self.model.k
 
-    def lethal_transform(self, s: complex) -> complex:
-        return self._lethal(s)
+    def nonlethal_transform(self, s: complex) -> complex:
+        return self._nonlethal(s)
 
 
 def laplace_h(model: ShockModel, s: complex) -> complex:
@@ -113,67 +130,114 @@ def laplace_h(model: ShockModel, s: complex) -> complex:
     return TransformEvaluator(model)(s)
 
 
-def _cf_value(d: np.ndarray, z: complex, terms: int) -> complex:
-    """Evaluate the continued fraction d[0]/(1 + d[1] z/(1 + ...)) with the
-    de Hoog remainder refinement on the last level."""
-    a_prev, a_cur = 0.0 + 0.0j, d[0]
-    b_prev, b_cur = 1.0 + 0.0j, 1.0 + 0.0j
-    for i in range(1, terms - 1):
-        a_prev, a_cur = a_cur, a_cur + d[i] * z * a_prev
-        b_prev, b_cur = b_cur, b_cur + d[i] * z * b_prev
-    h_last = 0.5 * (1.0 + z * (d[terms - 2] - d[terms - 1]))
-    remainder = -h_last * (1.0 - cmath.sqrt(1.0 + d[terms - 1] * z / (h_last * h_last)))
-    return (a_cur + remainder * a_prev) / (b_cur + remainder * b_prev)
+def _fractions(coeffs: np.ndarray, depth: int, z: complex):
+    """The continued fraction d0/(1 + d1 z/(1 + ...)) of every row of coeffs.
 
-
-def _series_once(transform, t, config, depth, kappa):
-    """One inversion attempt; returns (value, estimate) or None when the
-    quotient-difference tables degenerate (0/0 on near-geometric input)."""
-    period = kappa * t
-    gamma = config.contour_parameter / (2.0 * period)
-    n = 2 * depth + 1
-    coeffs = np.empty(n, dtype=complex)
-    coeffs[0] = transform(complex(gamma, 0.0)) / 2.0
-    for j in range(1, n):
-        coeffs[j] = transform(complex(gamma, j * math.pi / period))
-    top = np.max(np.abs(coeffs))
-    if top == 0.0:
-        return 0.0, 0.0
-
-    # quotient-difference recurrences for the continued-fraction coefficients
-    e = np.zeros((n + 1, depth + 1), dtype=complex)
-    q = np.zeros((n + 1, depth + 1), dtype=complex)
-    with np.errstate(all="ignore"):
-        q[0 : n - 1, 1] = coeffs[1:n] / coeffs[0 : n - 1]
-        for r in range(1, depth + 1):
-            for i in range(n - 2 * r):
-                e[i, r] = q[i + 1, r] - q[i, r] + e[i + 1, r - 1]
-            if r < depth:
-                for i in range(n - 2 * r - 1):
-                    q[i, r + 1] = q[i + 1, r] * e[i + 1, r] / e[i, r]
-    d = np.zeros(n, dtype=complex)
-    d[0] = coeffs[0]
+    coeffs has 2 depth + 1 series terms along its last axis.  The
+    quotient-difference rhombus rules give the fraction coefficients d of
+    all rows at once, keeping only the live q and e columns.  Returns the
+    fraction at z, with the de Hoog remainder refinement on its last level,
+    truncated at all its terms and at 4 and 8 fewer (last axis), and whether
+    each row's d are finite.  Runs under np.errstate(all="ignore").
+    """
+    n = coeffs.shape[-1]
+    d = np.empty_like(coeffs)
+    d[..., 0] = coeffs[..., 0]
+    q = coeffs[..., 1:] / coeffs[..., :-1]
+    e = np.zeros_like(q)
     for r in range(1, depth + 1):
-        d[2 * r - 1] = -q[0, r]
-        d[2 * r] = -e[0, r]
-    if not np.all(np.isfinite(d.view(float))):
-        return None
+        e = q[..., 1:] - q[..., :-1] + e[..., 1:q.shape[-1]]
+        d[..., 2 * r - 1] = -q[..., 0]
+        d[..., 2 * r] = -e[..., 0]
+        if r < depth:
+            q = q[..., 1:-1] * e[..., 1:] / e[..., :-1]
 
-    z = cmath.exp(1j * math.pi / kappa)
-    scale = math.exp(gamma * t) / period
-    value = scale * _cf_value(d, z, n).real
-    # settle check against two shallower truncations of the same fraction
-    shallow = [scale * _cf_value(d, z, n - back).real for back in (4, 8)]
-    if not all(map(math.isfinite, [value, *shallow])):
-        return None
-    return value, max(abs(value - v) for v in shallow)
+    # one forward recurrence serves all three truncations: after step i it
+    # holds the convergents a fraction of i + 2 terms needs
+    stops = (n - 10, n - 6, n - 2)
+    states = []
+    a_prev, a_cur = 0j, d[..., 0]
+    b_prev, b_cur = 1 + 0j, 1 + 0j
+    for i in range(1, n - 1):
+        a_prev, a_cur = a_cur, a_cur + d[..., i] * z * a_prev
+        b_prev, b_cur = b_cur, b_cur + d[..., i] * z * b_prev
+        if i in stops:
+            states.append((i + 2, a_prev, a_cur, b_prev, b_cur))
+    values = []
+    for terms, a_prev, a_cur, b_prev, b_cur in reversed(states):
+        h_last = 0.5 * (1.0 + z * (d[..., terms - 2] - d[..., terms - 1]))
+        remainder = -h_last * (1.0 - np.sqrt(1.0 + d[..., terms - 1] * z / (h_last * h_last)))
+        values.append((a_cur + remainder * a_prev) / (b_cur + remainder * b_prev))
+    return np.stack(values, axis=-1), np.isfinite(d).all(axis=-1)
 
 
-def invert_transform(transform: Callable[[complex], complex], t: float,
+def _invert_series(transform, ts: np.ndarray, config: InversionConfig, tails):
+    """Invert len(tails) transforms at every time of ts in one batch.
+
+    transform maps an (m, n) ndarray of contour nodes to the
+    (len(tails), m, n) ndarray of the transforms' values there.  Each t has
+    its own contour (period kappa t, abscissa A / (2 kappa t)) and its own
+    settle check, the fraction against two shallower truncations.  Each
+    attempt of ATTEMPTS runs only on the times where some transform has not
+    settled yet.  A transform that vanishes on a whole contour gives 0 with
+    estimate 0; a non-finite value, coefficient or fraction fails that
+    attempt for that time only.
+
+    Returns (values, estimates), both (len(tails), m): the value of the first
+    attempt that settled, less its alias bias tail/(e^A - 1), or nan where
+    none did; and the best estimate achieved, nan where no attempt gave a
+    finite one.
+    """
+    shape = (len(tails), len(ts))
+    values = np.full(shape, np.nan)
+    estimates = np.full(shape, np.nan)
+    settled = np.zeros(shape, dtype=bool)
+    for extra, kappa in ATTEMPTS:
+        todo = np.flatnonzero(~settled.all(axis=0))
+        if not todo.size:
+            break
+        depth = config.series_depth + extra
+        n = 2 * depth + 1
+        t = ts[todo]
+        period = kappa * t
+        gamma = config.contour_parameter / (2.0 * period)
+        nodes = gamma[:, None] + 1j * (np.arange(n) * math.pi / period[:, None])
+        coeffs = np.array(transform(nodes), dtype=complex)
+        coeffs[..., 0] /= 2.0
+        with np.errstate(all="ignore"):
+            fractions, finite = _fractions(coeffs, depth, cmath.exp(1j * math.pi / kappa))
+            scaled = (np.exp(gamma * t) / period)[:, None] * fractions.real
+            value = scaled[..., 0]
+            estimate = np.max(abs(value[..., None] - scaled[..., 1:]), axis=-1)
+        zero = ~coeffs.any(axis=-1)
+        value[zero] = estimate[zero] = 0.0
+        finite = zero | finite & np.isfinite(scaled).all(axis=-1)
+        # nan estimates never compare below, so a finite one always improves them
+        better = finite & ~settled[:, todo] & ~(estimate >= estimates[:, todo])
+        rows, cols = np.nonzero(better)
+        values[rows, todo[cols]] = value[rows, cols]
+        estimates[rows, todo[cols]] = estimate[rows, cols]
+        settled[rows, todo[cols]] = estimate[rows, cols] <= config.target_error
+    alias = np.asarray(tails, dtype=float)[:, None] / math.expm1(config.contour_parameter)
+    return np.where(settled, values - alias, np.nan), estimates
+
+
+def _series_error(t: float, estimate: float, config: InversionConfig) -> InversionError:
+    if math.isnan(estimate):
+        return InversionError(f"inversion degenerated at t={t}: no finite acceleration")
+    return InversionError(
+        f"inversion did not settle at t={t}: estimate {estimate:.3g} "
+        f"exceeds target {config.target_error:.3g}",
+        error_estimate=estimate,
+    )
+
+
+def invert_transform(transform: Callable, t: float,
                      config: InversionConfig | None = None,
                      tail_limit: float = 0.0) -> float:
     """Invert an arbitrary transform at t > 0 (the inversion self-test hook).
 
+    transform takes an ndarray of s and returns its values elementwise.
     tail_limit is the limit of the inverted function at +infinity (0 for
     densities, 1 for cdfs); its aliasing bias tail_limit/(e^A - 1) is
     subtracted, since the periodized series folds that limit back in.
@@ -184,79 +248,116 @@ def invert_transform(transform: Callable[[complex], complex], t: float,
     if not t > 0:
         raise ValueError(f"inversion requires t > 0, got {t}")
     config = config or InversionConfig()
-    alias = tail_limit / math.expm1(config.contour_parameter)
-    depth = config.series_depth
-    attempts = [
-        (depth, CONTOUR_PERIOD_RATIO),
-        (depth + 10, CONTOUR_PERIOD_RATIO * 1.13),
-        (depth + 16, CONTOUR_PERIOD_RATIO * 0.83),
-    ]
-    best = None
-    for attempt_depth, kappa in attempts:
-        result = _series_once(transform, t, config, attempt_depth, kappa)
-        if result is None:
-            continue
-        value, estimate = result
-        if best is None or estimate < best[1]:
-            best = (value, estimate)
-        if estimate <= config.target_error:
-            return value - alias
-    if best is None:
-        raise InversionError(f"inversion degenerated at t={t}: no finite acceleration")
-    raise InversionError(
-        f"inversion did not settle at t={t}: estimate {best[1]:.3g} "
-        f"exceeds target {config.target_error:.3g}",
-        error_estimate=best[1],
-    )
+    values, estimates = _invert_series(lambda s: transform(s)[np.newaxis],
+                                       np.array([t], dtype=float), config, [tail_limit])
+    if math.isnan(values[0, 0]):
+        raise _series_error(t, float(estimates[0, 0]), config)
+    return float(values[0, 0])
 
 
-def _lethal_branch_density(model, t: float) -> float:
-    return float(model.arrivals.density(t)) * float(model.threshold.survival(t))
+@dataclass(frozen=True)
+class GridInversion:
+    """Inverted density and cdf at each time of a grid, in the grid's order.
+
+    pdf and cdf (None when not asked for) hold nan where that quantity
+    failed.  errors[i] is None when both settled at point i, else the
+    InversionError of its density, or of its cdf when only that failed;
+    error_estimate is the best estimate the retry ladder achieved there,
+    None when no attempt was finite.
+    """
+
+    pdf: np.ndarray | None
+    cdf: np.ndarray | None
+    errors: tuple[InversionError | None, ...]
+
+
+def invert_grid(model: ShockModel, ts, config: InversionConfig | None = None, *,
+                pdf: bool = True, cdf: bool = True) -> GridInversion:
+    """h(t) and P(W <= t) at every t > 0 of ts by one batched inversion.
+
+    Both come from the same L_h values on each t's contour, the cdf by
+    inverting L_h(s)/s.  At k = 1 the lethal branch is subtracted from L_h
+    and added back, pointwise to the density and as its time integral to
+    the cdf.  Densities smaller than DENSITY_CLAMP are 0, and so are
+    negative ones within twice the target; a density more negative than
+    that, or a cdf outside [0, 1] by more than twice the target, fails its
+    point.  Accuracy is as configured wherever h is smooth; within a small
+    neighbourhood of a density kink (multiples of a constant threshold) the
+    series converges to the local average instead, as any vertical-contour
+    Fourier method does, and those points fail.
+    """
+    config = config or InversionConfig()
+    ts = np.array(ts, dtype=float).reshape(-1)
+    if not np.all(ts > 0):
+        raise ValueError(f"inversion requires t > 0, got {ts.min()}")
+    evaluator = TransformEvaluator(model)
+    single = model.k == 1
+
+    def transform(s):
+        h = evaluator(s)
+        if single:
+            # the smooth rest of L_h once the jumpy single-gap lethal branch is
+            # subtracted: L_h - L_lethal = L_h L_nonlethal, as a product
+            # without the difference's cancellation
+            h = h * evaluator.nonlethal_transform(s)
+        return np.stack([h] * pdf + [h / s] * cdf)
+
+    tails = [0.0] * pdf + [model.survive_prob if single else 1.0] * cdf
+    values, estimates = _invert_series(transform, ts, config, tails)
+    errors: list[InversionError | None] = [None] * len(ts)
+    slack = 2.0 * config.target_error
+
+    def checked(which, value, bad, message):
+        """value with nan at the bad points, whose errors are recorded."""
+        for i in np.flatnonzero(bad):
+            t, estimate = float(ts[i]), float(estimates[which, i])
+            if math.isnan(values[which, i]):
+                errors[i] = _series_error(t, estimate, config)
+            else:
+                errors[i] = InversionError(message.format(t=t, value=value[i]), estimate)
+        return np.where(bad, np.nan, value)
+
+    pdf_values = cdf_values = None
+    # the cdf first, so that a point's density error replaces its cdf error
+    if cdf:
+        value = values[-1]
+        if single:
+            value = value + [weighted_time_integral(model.arrivals, model.threshold, t,
+                                                    "survival") for t in ts]
+        bad = np.isnan(value) | (value < -slack) | (value > 1.0 + slack)
+        value = checked(-1, value, bad, "inverted cdf at t={t} is {value:.3g}, outside [0, 1]")
+        cdf_values = np.where(value > 1.0, 1.0, np.where(value < 0.0, 0.0, value))
+    if pdf:
+        value = values[0]
+        if single:
+            value = value + [float(model.arrivals.density(t)) * float(model.threshold.survival(t))
+                             for t in ts]
+        value = np.where(abs(value) < DENSITY_CLAMP, 0.0, value)
+        value = np.where((value < 0.0) & (-value <= slack), 0.0, value)
+        pdf_values = checked(0, value, np.isnan(value) | (value < 0.0),
+                             "inverted density at t={t} is {value:.3g}, "
+                             "negative beyond the error budget")
+    return GridInversion(pdf=pdf_values, cdf=cdf_values, errors=tuple(errors))
 
 
 def invert_density(model: ShockModel, t: float,
                    config: InversionConfig | None = None) -> float:
-    """h(t) by numerical inversion, to within the configured target error.
-
-    Accuracy is as configured wherever h is smooth; within a small
-    neighbourhood of a density kink (multiples of a constant threshold) the
-    series converges to the local average instead, as any vertical-contour
-    Fourier method does.
-    """
-    config = config or InversionConfig()
-    evaluator = TransformEvaluator(model)
-    if model.k == 1:
-        # subtract the jumpy single-gap lethal branch, invert the smooth rest
-        target = lambda s: evaluator(s) - evaluator.lethal_transform(s)
-        value = invert_transform(target, t, config) + _lethal_branch_density(model, t)
-    else:
-        value = invert_transform(evaluator, t, config)
-    if abs(value) < DENSITY_CLAMP:
-        return 0.0
-    if value < 0.0:
-        if -value <= 2.0 * config.target_error:
-            return 0.0
-        raise InversionError(
-            f"inverted density at t={t} is {value:.3g}, negative beyond the error budget"
-        )
-    return value
+    """h(t) by numerical inversion, to within the configured target error
+    (see invert_grid); raises its InversionError."""
+    grid = invert_grid(model, [t], config, cdf=False)
+    if grid.errors[0] is not None:
+        raise grid.errors[0]
+    return float(grid.pdf[0])
 
 
 def invert_cdf(model: ShockModel, t: float,
                config: InversionConfig | None = None) -> float:
-    """P(W <= t) by inverting L_h(s)/s at t > 0."""
-    config = config or InversionConfig()
-    evaluator = TransformEvaluator(model)
-    if model.k == 1:
-        target = lambda s: (evaluator(s) - evaluator.lethal_transform(s)) / s
-        head = weighted_time_integral(model.arrivals, model.threshold, t, "survival")
-        value = invert_transform(target, t, config, tail_limit=model.survive_prob) + head
-    else:
-        value = invert_transform(lambda s: evaluator(s) / s, t, config, tail_limit=1.0)
-    slack = 2.0 * config.target_error
-    if value < -slack or value > 1.0 + slack:
-        raise InversionError(f"inverted cdf at t={t} is {value:.3g}, outside [0, 1]")
-    return min(max(value, 0.0), 1.0)
+    """P(W <= t) by inverting L_h(s)/s at t > 0 (see invert_grid); raises
+    its InversionError."""
+    grid = invert_grid(model, [t], config, pdf=False)
+    if grid.errors[0] is not None:
+        raise grid.errors[0]
+    return float(grid.cdf[0])
 
 
 def moments_from_transform(model: ShockModel) -> MomentSummary:

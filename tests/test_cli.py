@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,10 @@ class TestAnalyze:
         rows = read_rows(tmp_path / "out" / "curves.csv")[1:]
         failed = [r for r in rows if r[2] == ""]
         assert len(failed) == len(summary["inversion_failures"])
+        for entry, row in zip(summary["inversion_failures"], failed):
+            assert set(entry) == {"t", "error_estimate"}
+            assert entry["t"] == float(row[0])
+            assert entry["error_estimate"] > 1e-14
 
 
 class TestSimulate:
@@ -205,6 +210,15 @@ class TestSimulate:
         assert rows[0] == ["t", "ecdf"]
         assert len(rows) == 1 + 50_000
         assert float(rows[-1][1]) == 1.0
+
+    def test_report_counts_retained_samples(self, tmp_path):
+        cfg = parse_config(exp_config(tmp_path / "out"))
+        cfg = replace(cfg, simulation=SimulationConfig(runs=20_000, seed=42, sample_reservoir=5_000))
+        assert cmd_simulate(cfg) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "summary.json").read_text())["report"]
+        rows = read_rows(tmp_path / "out" / "ecdf.csv")[1:]
+        assert report["samples"] == 5_000 == len(rows)
+        assert report["runs"] == 20_000
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = parse_config(exp_config(tmp_path / "a", runs=30_000))

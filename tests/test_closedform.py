@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy
 from scipy import integrate
+from scipy.special import gammaln
 
 from deltashock import (
     Constant,
@@ -25,6 +26,36 @@ from deltashock import (
 from deltashock.closedform import _exp_const_pdf_naive
 
 LN2 = math.log(2.0)
+
+
+def exp_const_pdf_loop(params, t):
+    """The series density term by term with Kahan summation: the reference
+    the vectorized exp_const_pdf replaced."""
+    if t <= 0.0:
+        return 0.0
+    lam, tau, k = params.rate, params.tau, params.k
+    base_log = k * math.log(lam) - lam * t - math.lgamma(k)
+    choose_log = [math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1)
+                  for i in range(k + 1)]
+    total = compensation = 0.0
+    for j in range(int(math.floor(t / tau)) + 1):
+        coef_log = base_log + j * math.log(lam) - math.lgamma(j + 1)
+        exponent = j + k - 1
+        for i in range(k + 1):
+            x = t - (j + i) * tau
+            if x < 0.0:
+                break
+            if exponent == 0:
+                log_mag = coef_log + choose_log[i]
+            elif x == 0.0:
+                continue
+            else:
+                log_mag = coef_log + choose_log[i] + exponent * math.log(x)
+            term = (-1) ** i * (math.exp(log_mag) if log_mag > -745.0 else 0.0)
+            y = term - compensation
+            new_total = total + y
+            total, compensation = new_total, (new_total - total) - y
+    return max(total, 0.0)
 
 
 def integrate_series_pdf(params, upper):
@@ -56,14 +87,41 @@ class TestSeriesPdf:
         assert exp_const_pdf(params, 1.0) == 0.0
 
     @pytest.mark.parametrize("lam,tau,k", [
-        (0.7, 0.5, 1), (1.0, 1.0, 1), (1.0, 0.5, 2), (2.0, 0.4, 3), (1.0, 1.0, 5),
+        (0.7, 0.5, 1), (1.0, 1.0, 1), (1.0, 0.5, 2), (2.0, 0.4, 3), (1.0, 1.0, 5), (1.0, LN2, 3),
     ])
     def test_log_space_matches_naive_for_moderate_arguments(self, lam, tau, k):
         params = ExpConstParams(lam, tau, k)
         for t in np.linspace(0.05, 30.0 / lam, 40):
             naive = _exp_const_pdf_naive(params, float(t))
             stable = exp_const_pdf(params, float(t))
-            assert abs(stable - naive) < 1e-9 * max(1.0, abs(naive))
+            assert abs(stable - naive) < 1e-12 * max(1.0, abs(naive))
+
+    def test_many_steps_against_high_precision_sum(self):
+        """t/tau near 4e4 at p = 0.01, where the series is ill-conditioned.
+
+        t is the third point of the default 10-point analyze grid of
+        k = 3, Exponential(1) gaps and a Constant(-ln 0.99) threshold, where
+        the vectorized sum and the term-by-term loop differ most.
+        """
+        mpmath = pytest.importorskip("mpmath")
+        tau, k, t = -math.log(0.99), 3, 404.8559153597423
+        params = ExpConstParams(1.0, tau, k)
+        # the 60-digit sum skips j whose terms lie e^150 below the largest
+        j = np.arange(int(t / tau) + 1)
+        log_size = (j + k - 1) * np.log(np.maximum(t - j * tau, 1e-300)) - gammaln(j + 1)
+        with mpmath.workdps(60):
+            T, TAU = mpmath.mpf(t), mpmath.mpf(tau)
+            total = mpmath.mpf(0)
+            for jj in j[log_size > log_size.max() - 150.0].tolist():
+                for i in range(k + 1):
+                    x = T - (jj + i) * TAU
+                    if x > 0:
+                        total += ((-1) ** i * mpmath.binomial(k, i) * x ** (jj + k - 1)
+                                  / mpmath.factorial(jj))
+            exact = float(total * mpmath.exp(-T) / mpmath.factorial(k - 1))
+        loop_error = abs(exp_const_pdf_loop(params, t) - exact)
+        assert 0.0 < loop_error < 1e-7 * exact
+        assert abs(exp_const_pdf(params, t) - exact) <= 2.0 * loop_error
 
     @pytest.mark.parametrize("lam,tau,k", [(1.0, 1.0, 1), (1.0, 1.0, 2), (1.0, 0.5, 2)])
     def test_integrates_to_one(self, lam, tau, k):

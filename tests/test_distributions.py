@@ -308,6 +308,24 @@ class TestQuadratureFallback:
         assert model.mean_nonlethal_gap() == pytest.approx(moment / model.survive_prob, rel=1e-9)
 
 
+# Nodes with |s| below and above 1, so that both branches of _phi_powers run
+# within one array.
+ARRAY_NODES = np.array([[0.0, -1e-2, 0.05 + 0.3j, 0.4 - 0.8j],
+                        [0.02 + 2.0j, 1.0 - 15.0j, 3.0 + 40.0j, 0.5 + 0.1j]])
+
+
+@pytest.mark.parametrize("arrival,threshold", BUILTIN_PAIRS + [(Gamma2(1.3), Uniform(0.5, 1.5))])
+@pytest.mark.parametrize("weight", ["survival", "cdf"])
+@pytest.mark.parametrize("order", [0, 1])
+def test_array_transform_matches_scalar(arrival, threshold, weight, order):
+    got = weighted_laplace(arrival, threshold, ARRAY_NODES, weight, order=order)
+    assert got.shape == ARRAY_NODES.shape
+    for s, value in zip(ARRAY_NODES.ravel().tolist(), got.ravel()):
+        expected = weighted_laplace(arrival, threshold, s, weight, order=order)
+        assert type(expected) is complex
+        assert abs(value - expected) <= 1e-14 * abs(expected)
+
+
 class TestWeightedTimeIntegral:
     def test_exponential_constant_against_quadrature(self):
         arrival, threshold = Exponential(1.2), Constant(0.7)

@@ -15,11 +15,13 @@ from deltashock import (
     Uniform,
     invert_cdf,
     invert_density,
+    invert_grid,
     invert_transform,
     laplace_h,
     moments_from_transform,
 )
 from deltashock.closedform import ExpConstParams, exp_const_cdf, exp_const_pdf
+from deltashock.laplace import _fractions, _invert_series
 
 LN2 = math.log(2.0)
 
@@ -69,6 +71,24 @@ class TestTransform:
                         / (s * (b - a) - np.exp(-s * tau) + np.exp(-s * b))) ** k
             assert laplace_h(model, s) == pytest.approx(expected, rel=1e-9)
 
+    @pytest.mark.parametrize("model", BUILTIN_PAIRS)
+    def test_array_matches_scalar(self, model):
+        evaluator = TransformEvaluator(model)
+        nodes = np.array([[0.0, 0.05 + 0.3j, 0.4 - 0.8j], [0.02 + 2.0j, 1.0 - 15.0j, 3.0 + 40.0j]])
+        got = evaluator(nodes)
+        assert got.shape == nodes.shape
+        for s, value in zip(nodes.ravel().tolist(), got.ravel()):
+            expected = evaluator(s)
+            assert type(expected) is complex
+            assert abs(value - expected) <= 1e-13 * abs(expected)
+
+    def test_pole_is_nan_in_an_array(self):
+        model = ShockModel(1, Exponential(1.0), Constant(1.0))
+        evaluator = TransformEvaluator(model)
+        evaluator._nonlethal = lambda s: np.where(s.real > 1.0, 1.0, 0.5)
+        got = evaluator(np.array([0.5, 2.0, 3.0 + 1.0j]))
+        assert np.isfinite(got[0]) and np.isnan(got[1:]).all()
+
     def test_pole_reported(self):
         model = ShockModel(1, Exponential(1.0), Constant(1.0))
         evaluator = TransformEvaluator(model)
@@ -102,6 +122,100 @@ class TestInvertTransform:
             # right next to the density kink the series cannot settle to 1e-13
             invert_transform(evaluator, 1.001, strict)
         assert err.value.error_estimate is not None
+
+
+def fraction_loop(coeffs, depth, z, terms):
+    """The quotient-difference table and continued fraction of one row, one
+    element at a time: the reference for the vectorized _fractions."""
+    n = len(coeffs)
+    e = np.zeros((n + 1, depth + 1), dtype=complex)
+    q = np.zeros((n + 1, depth + 1), dtype=complex)
+    q[0:n - 1, 1] = coeffs[1:n] / coeffs[0:n - 1]
+    for r in range(1, depth + 1):
+        for i in range(n - 2 * r):
+            e[i, r] = q[i + 1, r] - q[i, r] + e[i + 1, r - 1]
+        if r < depth:
+            for i in range(n - 2 * r - 1):
+                q[i, r + 1] = q[i + 1, r] * e[i + 1, r] / e[i, r]
+    d = [coeffs[0]] + [x for r in range(1, depth + 1) for x in (-q[0, r], -e[0, r])]
+    a_prev, a_cur, b_prev, b_cur = 0j, d[0], 1 + 0j, 1 + 0j
+    for i in range(1, terms - 1):
+        a_prev, a_cur = a_cur, a_cur + d[i] * z * a_prev
+        b_prev, b_cur = b_cur, b_cur + d[i] * z * b_prev
+    h_last = 0.5 * (1.0 + z * (d[terms - 2] - d[terms - 1]))
+    remainder = -h_last * (1.0 - np.sqrt(1.0 + d[terms - 1] * z / (h_last * h_last)))
+    return (a_cur + remainder * a_prev) / (b_cur + remainder * b_prev)
+
+
+class TestInvertGrid:
+    def test_fractions_match_the_element_loop(self):
+        depth, kappa = 30, 2.0
+        n = 2 * depth + 1
+        period = kappa * np.array([0.5, 2.0, 7.0])
+        gamma = InversionConfig().contour_parameter / (2.0 * period)
+        nodes = gamma[:, None] + 1j * (np.arange(n) * math.pi / period[:, None])
+        coeffs = np.stack([1.0 / (nodes + 1.0) ** 2, 1.0 / (nodes * (nodes + 1.0))])
+        z = complex(math.cos(math.pi / kappa), math.sin(math.pi / kappa))
+        got, finite = _fractions(coeffs, depth, z)
+        assert got.shape == (2, 3, 3) and finite.all()
+        for row, fractions in zip(coeffs.reshape(-1, n), got.reshape(-1, 3)):
+            for value, back in zip(fractions, (0, 4, 8)):
+                expected = fraction_loop(row, depth, z, n - back)
+                assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("transform,tail,exact", [
+        (lambda s: 1.0 / (s + 1.0) ** 2, 0.0, lambda t: t * math.exp(-t)),
+        (lambda s: 1.0 / (s * (s + 1.0)), 1.0, lambda t: 1.0 - math.exp(-t)),
+    ])
+    def test_batch_matches_single_points(self, transform, tail, exact):
+        grid = np.linspace(0.1, 12.0, 50)
+        config = InversionConfig()
+        values, estimates = _invert_series(lambda s: transform(s)[np.newaxis], grid, config, [tail])
+        assert values.shape == estimates.shape == (1, 50)
+        for t, value, estimate in zip(grid.tolist(), values[0], estimates[0]):
+            assert value == invert_transform(transform, t, config, tail_limit=tail)
+            assert estimate <= config.target_error
+            assert value == pytest.approx(exact(t), abs=config.target_error)
+
+    def test_single_hit_against_closed_forms(self):
+        model = ShockModel(1, Exponential(1.0), Constant(1.0))
+        params = ExpConstParams(1.0, 1.0, 1)
+        grid = np.linspace(0.05, 8.0, 50)
+        inverted = invert_grid(model, grid)
+        settled = [error is None for error in inverted.errors]
+        # only points within 0.03 of a kink (multiples of tau) may fail
+        assert all(ok or min(abs(t - round(t)), t) < 0.03 for t, ok in zip(grid, settled))
+        assert sum(settled) >= 45
+        for t, pdf, cdf, ok in zip(grid.tolist(), inverted.pdf, inverted.cdf, settled):
+            if ok:
+                assert pdf == pytest.approx(exp_const_pdf(params, t), abs=2e-8)
+                assert cdf == pytest.approx(exp_const_cdf(params, t), abs=2e-8)
+            else:
+                assert math.isnan(pdf) or math.isnan(cdf)
+
+    def test_kink_point_fails_alone_with_its_estimate(self):
+        model = ShockModel(2, Exponential(1.0), Constant(1.0))
+        config = InversionConfig()
+        grid = [0.9, 0.95, 1.0, 1.05, 1.1]
+        inverted = invert_grid(model, grid, config)
+        failed = [t for t, error in zip(grid, inverted.errors) if error is not None]
+        assert failed == [1.0]
+        error = inverted.errors[2]
+        assert error.error_estimate > config.target_error
+        assert np.isnan(inverted.pdf[2]) and np.isnan(inverted.cdf[2])
+        with pytest.raises(InversionError) as single:
+            invert_density(model, 1.0, config)
+        assert single.value.error_estimate == error.error_estimate
+        # each quantity keeps the value of its own first settling attempt,
+        # whichever attempts the other one needed
+        for i in (0, 1, 3, 4):
+            assert inverted.pdf[i] == invert_density(model, grid[i], config)
+            assert inverted.cdf[i] == invert_cdf(model, grid[i], config)
+
+    def test_requires_positive_times(self):
+        model = ShockModel(2, Exponential(1.0), Constant(1.0))
+        with pytest.raises(ValueError):
+            invert_grid(model, [0.5, 0.0])
 
 
 class TestInvertDensity:
