@@ -12,6 +12,7 @@ correctness contract.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -123,18 +124,21 @@ def exp_const_pdf(params: ExpConstParams, t: float) -> float:
     sign = np.array([(-1.0) ** i for i in range(k + 1)])
     i = np.arange(k + 1)
 
-    terms = []
-    j_max = int(math.floor(t / tau))
-    for start in range(0, j_max + 1, SERIES_BLOCK):
-        j = np.arange(start, min(start + SERIES_BLOCK, j_max + 1))[:, None]
-        x = t - (j + i) * tau
-        exponent = j + k - 1
-        log_mag = (base_log + j * log_lam - gammaln(j + 1) + choose_log
-                   + exponent * np.log(np.where(x > 0.0, x, 1.0)))
-        # a term is absent past its step, and at it unless its exponent is 0
-        present = ((x > 0.0) | (x == 0.0) & (exponent == 0)) & (log_mag > -745.0)
-        terms.append((sign * np.exp(np.where(present, log_mag, -np.inf)))[present])
-    return max(math.fsum(np.concatenate(terms).tolist()), 0.0)
+    def blocks():
+        j_max = int(math.floor(t / tau))
+        for start in range(0, j_max + 1, SERIES_BLOCK):
+            j = np.arange(start, min(start + SERIES_BLOCK, j_max + 1))[:, None]
+            x = t - (j + i) * tau
+            exponent = j + k - 1
+            log_mag = (base_log + j * log_lam - gammaln(j + 1) + choose_log
+                       + exponent * np.log(np.where(x > 0.0, x, 1.0)))
+            # a term is absent past its step, and at it unless its exponent is 0
+            present = ((x > 0.0) | (x == 0.0) & (exponent == 0)) & (log_mag > -745.0)
+            yield (sign * np.exp(np.where(present, log_mag, -np.inf)))[present].tolist()
+
+    # one block at a time: fsum is exact whatever the order, and the memory
+    # stays that of a block however large t/tau is
+    return max(math.fsum(itertools.chain.from_iterable(blocks())), 0.0)
 
 
 def _exp_const_pdf_naive(params: ExpConstParams, t: float) -> float:

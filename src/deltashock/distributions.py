@@ -15,7 +15,6 @@ foreign ArrivalLaw subclass, goes through adaptive quadrature.
 
 from __future__ import annotations
 
-import cmath
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -225,28 +224,22 @@ class Constant(ProbabilityLaw):
         return ((0.0, self.tau, ((1.0, 0, 0.0),)),)
 
 
-def _phi(x):
-    """(1 - exp(-x)) / x, cancellation-free (value 1 at x = 0).
+def _phi(x: np.ndarray) -> np.ndarray:
+    """(1 - exp(-x)) / x elementwise, cancellation-free (value 1 at x = 0).
 
     Splitting 1 - exp(-a-ib) into -expm1(-a) + exp(-a)(1 - cos b) and
     exp(-a) sin b keeps full precision for small |x|, which the moment
-    differentiation needs.  x is a complex scalar or an ndarray of them.
+    differentiation needs.
     """
-    array = isinstance(x, np.ndarray)
-    if not array and x == 0:
-        return 1.0 + 0.0j
-    lib = np if array else math
     a, b = x.real, x.imag
-    decay = lib.exp(-a)
-    real_part = -lib.expm1(-a) + decay * 2.0 * lib.sin(b / 2.0) ** 2
-    imag_part = decay * lib.sin(b)
-    if not array:
-        return complex(real_part, imag_part) / x
+    decay = np.exp(-a)
+    real_part = -np.expm1(-a) + decay * 2.0 * np.sin(b / 2.0) ** 2
+    imag_part = decay * np.sin(b)
     zero = x == 0
     return np.where(zero, 1.0, (real_part + 1j * imag_part) / np.where(zero, 1.0, x))
 
 
-def _power_series(i: int, z):
+def _power_series(i: int, z: np.ndarray):
     """The integral of v**i exp(-z v) over [0, 1] by its power series in z."""
     term, total, k = 1.0, 1.0 / (i + 1), 0
     while np.any(abs(term) > 1e-17):
@@ -256,43 +249,34 @@ def _power_series(i: int, z):
     return total
 
 
-def _phi_powers(j: int, z) -> list:
+def _phi_powers(j: int, z: np.ndarray) -> list[np.ndarray]:
     """Integrals of v**i exp(-z v) over [0, 1] for i = 0..j, cancellation-free.
 
-    Small |z| sums the power series; elsewhere the upward recurrence
-    phi_i = (i phi_{i-1} - exp(-z)) / z loses at most a few digits.  An
-    ndarray z takes each element down its own branch.
+    Elements with |z| < 1 sum the power series; the others take the upward
+    recurrence phi_i = (i phi_{i-1} - exp(-z)) / z, which loses at most a
+    few digits there.
     """
     values = [_phi(z)]
-    if not isinstance(z, np.ndarray):
-        if abs(z) < 1.0:
-            return values + [_power_series(i, z) for i in range(1, j + 1)]
-        decay = cmath.exp(-z)
-        for i in range(1, j + 1):
-            values.append((i * values[-1] - decay) / z)
-        return values
     small = abs(z) < 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        decay = np.exp(-z)
-        for i in range(1, j + 1):
-            value = (i * values[-1] - decay) / z
-            value[small] = _power_series(i, z[small])
-            values.append(value)
+    decay = np.exp(-z)
+    for i in range(1, j + 1):
+        value = (i * values[-1] - decay) / z
+        value[small] = _power_series(i, z[small])
+        values.append(value)
     return values
 
 
-def _term_integral(c: float, j: int, x, lo: float, hi: float):
-    """c times the integral of u**j exp(-x u) over [lo, hi]; hi may be inf.
+def _term_integral(c: float, j: int, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """c times the integral of u**j exp(-x u) over [lo, hi], elementwise in x;
+    hi may be inf.
 
     With u = lo + v this is exp(-x lo) sum_i C(j, i) lo**(j-i) J_i, where
     J_i, the integral of v**i exp(-x v) over [0, hi - lo], is
     width**(i+1) phi_i(x width), or i!/x**(i+1) on an infinite range.
-    x is a complex scalar or an ndarray of them.
     """
-    exp = np.exp if isinstance(x, np.ndarray) else cmath.exp
     if j == 0:  # one _phi or exponential: the common case, kept free of the sum
         if hi == math.inf:
-            return c * exp(-x * lo) / x if lo else c / x
+            return c * np.exp(-x * lo) / x if lo else c / x
         width = hi - lo
         value = c * width * _phi(x * width)
     else:
@@ -302,7 +286,7 @@ def _term_integral(c: float, j: int, x, lo: float, hi: float):
             width = hi - lo
             parts = [width ** (i + 1) * p for i, p in enumerate(_phi_powers(j, x * width))]
         value = c * sum(math.comb(j, i) * lo ** (j - i) * part for i, part in enumerate(parts))
-    return value * exp(-x * lo) if lo else value
+    return value * np.exp(-x * lo) if lo else value
 
 
 def _combine(terms) -> tuple[tuple[float, int, float], ...]:
@@ -376,17 +360,19 @@ def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s,
         if len(_PRODUCTS) >= _PRODUCTS_MAX:
             _PRODUCTS.clear()
         _PRODUCTS[id(arrival), id(threshold), weight] = (arrival, threshold, terms)
-    array = isinstance(s, np.ndarray)
+    s = np.asarray(s, dtype=complex)
+    x = s.reshape(-1)
     if terms is None:
-        if array:
-            return np.array([_weighted_laplace_quad(arrival, threshold, x, weight, order, upper)
-                             for x in s.ravel().tolist()], dtype=complex).reshape(s.shape)
-        return _weighted_laplace_quad(arrival, threshold, complex(s), weight, order, upper)
-    s, total = (s.astype(complex), np.zeros(s.shape, dtype=complex)) if array else (complex(s), 0j)
-    for c, n, r, lo, hi in terms:
-        if lo < upper:
-            total += _term_integral(c, n + order, s + r, lo, min(hi, upper))
-    return total
+        total = np.array([_weighted_laplace_quad(arrival, threshold, v, weight, order, upper)
+                          for v in x.tolist()], dtype=complex)
+    else:
+        total = np.zeros(x.shape, dtype=complex)
+        # a pole (x + r = 0 on an infinite piece) gives inf or nan, not an error
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for c, n, r, lo, hi in terms:
+                if lo < upper:
+                    total += _term_integral(c, n + order, x + r, lo, min(hi, upper))
+    return complex(total[0]) if s.ndim == 0 else total.reshape(s.shape)
 
 
 def weighted_time_integral(arrival: ArrivalLaw, threshold: ThresholdLaw, t: float,

@@ -55,6 +55,10 @@ ATTEMPTS = (
     (10, CONTOUR_PERIOD_RATIO * 1.13),
     (16, CONTOUR_PERIOD_RATIO * 0.83),
 )
+# Contour nodes per batch: a grid is inverted in blocks of times holding
+# about this many transform values each, which bounds the memory of one
+# attempt (about 7 MB) whatever the grid size and depth.
+BLOCK_NODES = 1 << 15
 
 
 class InversionError(RuntimeError):
@@ -108,20 +112,26 @@ class TransformEvaluator:
         self._nonlethal = lambda s: weighted_laplace(arrivals, threshold, s, "cdf")
 
     def __call__(self, s):
-        """L_h at a complex s; an ndarray of s gives an ndarray, with nan
-        where the denominator vanishes instead of the InversionError."""
-        denominator = 1.0 - self._nonlethal(s)
-        if isinstance(s, np.ndarray):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                value = (self._lethal(s) / denominator) ** self.model.k
-            return np.where(abs(denominator) < 1e-14, np.nan, value)
-        if abs(denominator) < 1e-14:
+        """L_h at s, a complex or an ndarray of them.
+
+        An ndarray gives an ndarray of its shape, with nan where the
+        denominator vanishes; a complex at such a pole raises InversionError.
+        """
+        nodes = np.asarray(s, dtype=complex)
+        flat = nodes.reshape(-1)
+        denominator = 1.0 - self._nonlethal(flat)
+        pole = np.logical_not(abs(denominator) >= 1e-14)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.where(pole, np.nan, (self._lethal(flat) / denominator) ** self.model.k)
+        if nodes.ndim:
+            return value.reshape(nodes.shape)
+        if pole.any():
             raise InversionError(
                 f"transform denominator vanishes at s={s} (|1 - L_nonlethal| < 1e-14)"
             )
-        return (self._lethal(s) / denominator) ** self.model.k
+        return complex(value[0])
 
-    def nonlethal_transform(self, s: complex) -> complex:
+    def nonlethal_transform(self, s):
         return self._nonlethal(s)
 
 
@@ -171,6 +181,29 @@ def _fractions(coeffs: np.ndarray, depth: int, z: complex):
     return np.stack(values, axis=-1), np.isfinite(d).all(axis=-1)
 
 
+def _attempt(transform, t: np.ndarray, depth: int, kappa: float, config: InversionConfig):
+    """One attempt of the ladder at the times t, on contours of period kappa t.
+
+    Returns (value, estimate, finite), each of shape (transforms, len(t)):
+    the fraction at all its terms, its largest difference to the two
+    shallower truncations, and whether the attempt stayed finite.
+    """
+    n = 2 * depth + 1
+    period = kappa * t
+    gamma = config.contour_parameter / (2.0 * period)
+    nodes = gamma[:, None] + 1j * (np.arange(n) * math.pi / period[:, None])
+    coeffs = np.array(transform(nodes), dtype=complex)
+    coeffs[..., 0] /= 2.0
+    with np.errstate(all="ignore"):
+        fractions, finite = _fractions(coeffs, depth, cmath.exp(1j * math.pi / kappa))
+        scaled = (np.exp(gamma * t) / period)[:, None] * fractions.real
+        value = scaled[..., 0]
+        estimate = np.max(abs(value[..., None] - scaled[..., 1:]), axis=-1)
+    zero = ~coeffs.any(axis=-1)
+    value[zero] = estimate[zero] = 0.0
+    return value, estimate, zero | finite & np.isfinite(scaled).all(axis=-1)
+
+
 def _invert_series(transform, ts: np.ndarray, config: InversionConfig, tails):
     """Invert len(tails) transforms at every time of ts in one batch.
 
@@ -179,8 +212,9 @@ def _invert_series(transform, ts: np.ndarray, config: InversionConfig, tails):
     its own contour (period kappa t, abscissa A / (2 kappa t)) and its own
     settle check, the fraction against two shallower truncations.  Each
     attempt of ATTEMPTS runs only on the times where some transform has not
-    settled yet.  A transform that vanishes on a whole contour gives 0 with
-    estimate 0; a non-finite value, coefficient or fraction fails that
+    settled yet, BLOCK_NODES contour nodes at a time, so memory does not grow
+    with the grid.  A transform that vanishes on a whole contour gives 0
+    with estimate 0; a non-finite value, coefficient or fraction fails that
     attempt for that time only.
 
     Returns (values, estimates), both (len(tails), m): the value of the first
@@ -193,31 +227,18 @@ def _invert_series(transform, ts: np.ndarray, config: InversionConfig, tails):
     estimates = np.full(shape, np.nan)
     settled = np.zeros(shape, dtype=bool)
     for extra, kappa in ATTEMPTS:
-        todo = np.flatnonzero(~settled.all(axis=0))
-        if not todo.size:
-            break
         depth = config.series_depth + extra
-        n = 2 * depth + 1
-        t = ts[todo]
-        period = kappa * t
-        gamma = config.contour_parameter / (2.0 * period)
-        nodes = gamma[:, None] + 1j * (np.arange(n) * math.pi / period[:, None])
-        coeffs = np.array(transform(nodes), dtype=complex)
-        coeffs[..., 0] /= 2.0
-        with np.errstate(all="ignore"):
-            fractions, finite = _fractions(coeffs, depth, cmath.exp(1j * math.pi / kappa))
-            scaled = (np.exp(gamma * t) / period)[:, None] * fractions.real
-            value = scaled[..., 0]
-            estimate = np.max(abs(value[..., None] - scaled[..., 1:]), axis=-1)
-        zero = ~coeffs.any(axis=-1)
-        value[zero] = estimate[zero] = 0.0
-        finite = zero | finite & np.isfinite(scaled).all(axis=-1)
-        # nan estimates never compare below, so a finite one always improves them
-        better = finite & ~settled[:, todo] & ~(estimate >= estimates[:, todo])
-        rows, cols = np.nonzero(better)
-        values[rows, todo[cols]] = value[rows, cols]
-        estimates[rows, todo[cols]] = estimate[rows, cols]
-        settled[rows, todo[cols]] = estimate[rows, cols] <= config.target_error
+        todo = np.flatnonzero(~settled.all(axis=0))
+        block = max(1, BLOCK_NODES // (2 * depth + 1))
+        for start in range(0, todo.size, block):
+            cols = todo[start:start + block]
+            value, estimate, finite = _attempt(transform, ts[cols], depth, kappa, config)
+            # nan estimates never compare below, so a finite one always improves them
+            better = finite & ~settled[:, cols] & ~(estimate >= estimates[:, cols])
+            rows, at = np.nonzero(better)
+            values[rows, cols[at]] = value[rows, at]
+            estimates[rows, cols[at]] = estimate[rows, at]
+            settled[rows, cols[at]] = estimate[rows, at] <= config.target_error
     alias = np.asarray(tails, dtype=float)[:, None] / math.expm1(config.contour_parameter)
     return np.where(settled, values - alias, np.nan), estimates
 
@@ -237,7 +258,10 @@ def invert_transform(transform: Callable, t: float,
                      tail_limit: float = 0.0) -> float:
     """Invert an arbitrary transform at t > 0 (the inversion self-test hook).
 
-    transform takes an ndarray of s and returns its values elementwise.
+    transform takes an ndarray of s and returns its values elementwise (a
+    callable written for one complex s, with math or cmath, can be passed as
+    np.vectorize(transform, otypes=[complex])); nan or inf at a pole fails
+    the attempt whose contour meets it.
     tail_limit is the limit of the inverted function at +infinity (0 for
     densities, 1 for cdfs); its aliasing bias tail_limit/(e^A - 1) is
     subtracted, since the periodized series folds that limit back in.
@@ -261,9 +285,11 @@ class GridInversion:
 
     pdf and cdf (None when not asked for) hold nan where that quantity
     failed.  errors[i] is None when both settled at point i, else the
-    InversionError of its density, or of its cdf when only that failed;
-    error_estimate is the best estimate the retry ladder achieved there,
-    None when no attempt was finite.
+    InversionError of its density, or of its cdf when only that failed.
+    When the quantity did not settle, error_estimate is the best estimate
+    the retry ladder achieved (above the target), or None when no attempt
+    was finite; when it settled but failed the sign or range check,
+    error_estimate is None and the message names the offending value.
     """
 
     pdf: np.ndarray | None
@@ -310,11 +336,11 @@ def invert_grid(model: ShockModel, ts, config: InversionConfig | None = None, *,
     def checked(which, value, bad, message):
         """value with nan at the bad points, whose errors are recorded."""
         for i in np.flatnonzero(bad):
-            t, estimate = float(ts[i]), float(estimates[which, i])
+            t = float(ts[i])
             if math.isnan(values[which, i]):
-                errors[i] = _series_error(t, estimate, config)
+                errors[i] = _series_error(t, float(estimates[which, i]), config)
             else:
-                errors[i] = InversionError(message.format(t=t, value=value[i]), estimate)
+                errors[i] = InversionError(message.format(t=t, value=value[i]))
         return np.where(bad, np.nan, value)
 
     pdf_values = cdf_values = None
@@ -373,27 +399,24 @@ def moments_from_transform(model: ShockModel) -> MomentSummary:
     """
     evaluator = TransformEvaluator(model)
 
-    def log_transform(s: float) -> float:
-        value = evaluator(complex(s, 0.0)).real
-        if value <= 0.0:
-            raise InversionError(f"transform is non-positive at s={s}; cannot take log")
-        return math.log(value)
-
     # crude scale: find eps with L_h(eps) > 0.5, then mean ~ -log L / eps
     eps = 1e-3
     for _ in range(200):
-        if evaluator(complex(eps, 0.0)).real > 0.5:
+        value = evaluator(complex(eps, 0.0)).real
+        if value > 0.5:
             break
         eps /= 2.0
     else:
         raise InversionError("could not bracket the transform scale near s = 0")
-    crude_mean = -log_transform(eps) / eps
+    crude_mean = -math.log(value) / eps
 
     h = 1e-2 / crude_mean
-
-    k0 = log_transform(0.0)
-    kp, km = log_transform(h), log_transform(-h)
-    kp2, km2 = log_transform(h / 2.0), log_transform(-h / 2.0)
+    nodes = np.array([0.0, h, -h, h / 2.0, -h / 2.0])
+    values = evaluator(nodes).real
+    if not np.all(values > 0.0):
+        s = nodes[np.flatnonzero(~(values > 0.0))[0]]
+        raise InversionError(f"transform is non-positive at s={s}; cannot take log")
+    k0, kp, km, kp2, km2 = np.log(values).tolist()
 
     d1_h = (kp - km) / (2.0 * h)
     d1_h2 = (kp2 - km2) / h

@@ -21,6 +21,7 @@ from deltashock import (
     moments_from_transform,
 )
 from deltashock.closedform import ExpConstParams, exp_const_cdf, exp_const_pdf
+from deltashock import laplace
 from deltashock.laplace import _fractions, _invert_series
 
 LN2 = math.log(2.0)
@@ -101,6 +102,11 @@ class TestInvertTransform:
     def test_known_pair_exponential(self):
         got = invert_transform(lambda s: 1.0 / (s + 1.0), 1.0)
         assert got == pytest.approx(math.exp(-1.0), abs=1e-9)
+
+    def test_scalar_callable_through_vectorize(self):
+        scalar = np.vectorize(lambda s: 1.0 / complex(s + 1.0) ** 2, otypes=[complex])
+        got = invert_transform(scalar, 2.0)
+        assert got == pytest.approx(invert_transform(lambda s: 1.0 / (s + 1.0) ** 2, 2.0), abs=1e-12)
 
     def test_known_pair_gamma(self):
         got = invert_transform(lambda s: 1.0 / (s + 1.0) ** 2, 2.0)
@@ -216,6 +222,47 @@ class TestInvertGrid:
         model = ShockModel(2, Exponential(1.0), Constant(1.0))
         with pytest.raises(ValueError):
             invert_grid(model, [0.5, 0.0])
+
+    def test_blocks_match_one_batch(self, monkeypatch):
+        model = ShockModel(2, Exponential(1.0), Constant(1.0))
+        grid = np.concatenate([np.linspace(0.1, 8.0, 40), [1.0, 2.0]])
+        whole = invert_grid(model, grid)
+        # seven times per block at the first attempt, fewer at the deeper ones
+        monkeypatch.setattr(laplace, "BLOCK_NODES", 7 * 61)
+        blocked = invert_grid(model, grid)
+        np.testing.assert_array_equal(blocked.pdf, whole.pdf)
+        np.testing.assert_array_equal(blocked.cdf, whole.cdf)
+        estimates = [[None if e is None else e.error_estimate for e in inverted.errors]
+                     for inverted in (whole, blocked)]
+        assert estimates[0] == estimates[1]
+        assert estimates[0][-2] > InversionConfig().target_error
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        tracemalloc = pytest.importorskip("tracemalloc")
+        model = ShockModel(3, Exponential(1.0), Constant(LN2))
+        grid = np.linspace(0.05, 30.0, 4000)
+        tracemalloc.start()
+        try:
+            invert_grid(model, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one batch of all 4000 times peaks near 40 MB
+        assert peak < 15e6
+
+    def test_settled_value_out_of_range_has_no_estimate(self, monkeypatch):
+        def settled(transform, ts, config, tails):
+            values = np.array([[0.3, -1e-3, 0.2], [0.5, 0.5, 1.5]])
+            return values, np.full(values.shape, 1e-12)
+
+        monkeypatch.setattr(laplace, "_invert_series", settled)
+        inverted = invert_grid(ShockModel(2, Exponential(1.0), Constant(1.0)), [1.5, 2.5, 3.5])
+        assert inverted.errors[0] is None
+        negative, outside = inverted.errors[1:]
+        assert "negative" in str(negative) and negative.error_estimate is None
+        assert "outside [0, 1]" in str(outside) and outside.error_estimate is None
+        assert np.isnan(inverted.pdf[1]) and np.isnan(inverted.cdf[2])
+        assert inverted.pdf[2] == 0.2 and inverted.cdf[1] == 0.5
 
 
 class TestInvertDensity:
