@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,14 @@ from .closedform import (
     unif_const_mean,
     unif_const_variance_comparison,
 )
-from .distributions import Constant, Exponential, QuadratureError, Uniform
+from .distributions import (
+    ArrivalLaw,
+    Constant,
+    Exponential,
+    QuadratureError,
+    Uniform,
+    weighted_time_integral,
+)
 from .gaussian import NormalApprox
 from .laplace import (
     InversionConfig,
@@ -79,6 +86,16 @@ class GridSpec:
     t_max: float | None = None
     points: int = 200
 
+    def __post_init__(self):
+        if self.points < 2:
+            raise ValueError(f"points must be >= 2, got {self.points}")
+        for name in ("t_min", "t_max"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {value}")
+        if self.t_min is not None and self.t_max is not None and not self.t_min < self.t_max:
+            raise ValueError(f"t_min {self.t_min} must be below t_max {self.t_max}")
+
 
 @dataclass(frozen=True)
 class AnalysisSpec:
@@ -91,6 +108,12 @@ class OutputSpec:
     directory: str = "out"
     formats: tuple[str, ...] = ("csv", "json")
 
+    def __post_init__(self):
+        if not isinstance(self.directory, str):
+            raise ValueError(f"directory must be a string, got {self.directory!r}")
+        if not all(f in ("csv", "json") for f in self.formats):
+            raise ValueError(f"formats must be drawn from ['csv', 'json'], got {list(self.formats)!r}")
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -98,6 +121,18 @@ class RunConfig:
     analysis: AnalysisSpec = AnalysisSpec()
     simulation: SimulationConfig = SimulationConfig(runs=100_000, seed=0)
     output: OutputSpec = OutputSpec()
+
+
+def _checked(path: str, build, *args, **fields):
+    """build(*args, **fields), its ValueError as a ConfigError under path.
+
+    Every spec and law names the offending field first in its messages, so
+    the message continues the key path of its section.
+    """
+    try:
+        return build(*args, **fields)
+    except ValueError as exc:
+        raise ConfigError(f"{path}.{exc}") from exc
 
 
 def _require(section: dict, key: str, path: str):
@@ -110,6 +145,10 @@ def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     return float(value)
+
+
+def _number_or_none(value, path: str) -> float | None:
+    return None if value is None else _number(value, path)
 
 
 def _integer(value, path: str) -> int:
@@ -125,113 +164,91 @@ def _section(config: dict, key: str) -> dict:
     return value
 
 
-def _law_from_spec(spec: dict, path: str, kinds: dict):
+# Each law type of the config: its class and its {JSON key: attribute}.
+_LAWS = {
+    "exponential": (Exponential, {"rate": "rate"}),
+    "uniform": (Uniform, {"lower": "lower", "upper": "upper"}),
+    "constant": (Constant, {"value": "tau"}),
+}
+
+
+def _law_from_spec(spec, path: str, *, arrival: bool):
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}: expected an object, got {spec!r}")
+    kinds = sorted(kind for kind, (cls, _) in _LAWS.items()
+                   if not arrival or issubclass(cls, ArrivalLaw))
     kind = _require(spec, "type", path)
     if kind not in kinds:
-        raise ConfigError(f"{path}.type: unknown law {kind!r}; expected one of {sorted(kinds)}")
-    try:
-        return kinds[kind](spec, path)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-_ARRIVAL_KINDS = {
-    "exponential": lambda spec, path: Exponential(rate=_number(_require(spec, "rate", path), f"{path}.rate")),
-    "uniform": lambda spec, path: Uniform(
-        lower=_number(_require(spec, "lower", path), f"{path}.lower"),
-        upper=_number(_require(spec, "upper", path), f"{path}.upper"),
-    ),
-}
-_THRESHOLD_KINDS = dict(
-    _ARRIVAL_KINDS,
-    constant=lambda spec, path: Constant(tau=_number(_require(spec, "value", path), f"{path}.value")),
-)
+        raise ConfigError(f"{path}.type: unknown law {kind!r}; expected one of {kinds}")
+    cls, fields = _LAWS[kind]
+    return _checked(path, cls, **{attr: _number(_require(spec, key, path), f"{path}.{key}")
+                                  for key, attr in fields.items()})
 
 
 def _law_to_spec(law) -> dict:
-    if isinstance(law, Exponential):
-        return {"type": "exponential", "rate": law.rate}
-    if isinstance(law, Uniform):
-        return {"type": "uniform", "lower": law.lower, "upper": law.upper}
-    if isinstance(law, Constant):
-        return {"type": "constant", "value": law.tau}
+    for kind, (cls, fields) in _LAWS.items():
+        if isinstance(law, cls):
+            return {"type": kind, **{key: getattr(law, attr) for key, attr in fields.items()}}
     raise TypeError(f"cannot serialize law {law!r}")
 
 
 def parse_config(config: dict) -> RunConfig:
-    """Validate a config dict into a RunConfig; dotted paths in errors."""
+    """Validate a config dict into a RunConfig; dotted paths in errors.
+
+    Only the JSON types are checked here; each spec checks its own values.
+    """
     if not isinstance(config, dict):
         raise ConfigError("top level: expected a JSON object")
 
     model_sec = config.get("model")
     if not isinstance(model_sec, dict):
         raise ConfigError("model: missing or not an object")
-    k = _integer(_require(model_sec, "k", "model"), "model.k")
-    arrivals = _law_from_spec(_require(model_sec, "arrivals", "model"), "model.arrivals", _ARRIVAL_KINDS)
-    threshold = _law_from_spec(_require(model_sec, "threshold", "model"), "model.threshold", _THRESHOLD_KINDS)
-    try:
-        model = ShockModel(k=k, arrivals=arrivals, threshold=threshold)
-    except UnrealizableModelError as exc:
-        raise ConfigError(f"model: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"model.k: {exc}") from exc
+    model = _checked(
+        "model", ShockModel,
+        k=_integer(_require(model_sec, "k", "model"), "model.k"),
+        arrivals=_law_from_spec(_require(model_sec, "arrivals", "model"), "model.arrivals",
+                                arrival=True),
+        threshold=_law_from_spec(_require(model_sec, "threshold", "model"), "model.threshold",
+                                 arrival=False),
+    )
 
     analysis_sec = _section(config, "analysis")
     grid_sec = _section(analysis_sec, "grid")
-    points = _integer(grid_sec.get("points", 200), "analysis.grid.points")
-    if points < 2:
-        raise ConfigError(f"analysis.grid.points: must be >= 2, got {points}")
-    t_min = grid_sec.get("t_min")
-    t_max = grid_sec.get("t_max")
-    if t_min is not None:
-        t_min = _number(t_min, "analysis.grid.t_min")
-        if t_min <= 0:
-            raise ConfigError(f"analysis.grid.t_min: must be > 0, got {t_min}")
-    if t_max is not None:
-        t_max = _number(t_max, "analysis.grid.t_max")
-    if t_min is not None and t_max is not None and not t_min < t_max:
-        raise ConfigError(f"analysis.grid: t_min {t_min} must be below t_max {t_max}")
+    grid = _checked(
+        "analysis.grid", GridSpec,
+        t_min=_number_or_none(grid_sec.get("t_min"), "analysis.grid.t_min"),
+        t_max=_number_or_none(grid_sec.get("t_max"), "analysis.grid.t_max"),
+        points=_integer(grid_sec.get("points", 200), "analysis.grid.points"),
+    )
     inv_sec = _section(analysis_sec, "inversion")
-    try:
-        inversion = InversionConfig(
-            target_error=_number(inv_sec.get("target_error", 1e-8), "analysis.inversion.target_error"),
-            euler_depth=_integer(inv_sec.get("euler_depth", 12), "analysis.inversion.euler_depth"),
-            discretization=(
-                None
-                if inv_sec.get("discretization") is None
-                else _number(inv_sec["discretization"], "analysis.inversion.discretization")
-            ),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"analysis.inversion: {exc}") from exc
+    inversion = _checked(
+        "analysis.inversion", InversionConfig,
+        target_error=_number(inv_sec.get("target_error", 1e-8), "analysis.inversion.target_error"),
+        euler_depth=_integer(inv_sec.get("euler_depth", 12), "analysis.inversion.euler_depth"),
+        discretization=_number_or_none(inv_sec.get("discretization"),
+                                       "analysis.inversion.discretization"),
+    )
 
     sim_sec = _section(config, "simulation")
-    try:
-        simulation = SimulationConfig(
-            runs=_integer(sim_sec.get("runs", 100_000), "simulation.runs"),
-            seed=_integer(sim_sec.get("seed", 0), "simulation.seed"),
-            workers=_integer(sim_sec.get("workers", 1), "simulation.workers"),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"simulation: {exc}") from exc
+    simulation = _checked(
+        "simulation", SimulationConfig,
+        runs=_integer(sim_sec.get("runs", 100_000), "simulation.runs"),
+        seed=_integer(sim_sec.get("seed", 0), "simulation.seed"),
+        workers=_integer(sim_sec.get("workers", 1), "simulation.workers"),
+    )
 
     out_sec = _section(config, "output")
-    directory = out_sec.get("directory", "out")
-    if not isinstance(directory, str):
-        raise ConfigError(f"output.directory: expected a string, got {directory!r}")
     formats = out_sec.get("formats", ["csv", "json"])
-    if not isinstance(formats, list) or not all(f in ("csv", "json") for f in formats):
-        raise ConfigError(f"output.formats: expected a list drawn from ['csv', 'json'], got {formats!r}")
+    if not isinstance(formats, list):
+        raise ConfigError(f"output.formats: expected a list, got {formats!r}")
+    output = _checked("output", OutputSpec, directory=out_sec.get("directory", "out"),
+                      formats=tuple(formats))
 
     return RunConfig(
         model=model,
-        analysis=AnalysisSpec(grid=GridSpec(t_min=t_min, t_max=t_max, points=points), inversion=inversion),
+        analysis=AnalysisSpec(grid=grid, inversion=inversion),
         simulation=simulation,
-        output=OutputSpec(directory=directory, formats=tuple(formats)),
+        output=output,
     )
 
 
@@ -243,18 +260,8 @@ def serialize_config(cfg: RunConfig) -> dict:
             "arrivals": _law_to_spec(cfg.model.arrivals),
             "threshold": _law_to_spec(cfg.model.threshold),
         },
-        "analysis": {
-            "grid": {
-                "t_min": cfg.analysis.grid.t_min,
-                "t_max": cfg.analysis.grid.t_max,
-                "points": cfg.analysis.grid.points,
-            },
-            "inversion": {
-                "target_error": cfg.analysis.inversion.target_error,
-                "euler_depth": cfg.analysis.inversion.euler_depth,
-                "discretization": cfg.analysis.inversion.discretization,
-            },
-        },
+        # the fields of these two specs are their config keys
+        "analysis": {"grid": asdict(cfg.analysis.grid), "inversion": asdict(cfg.analysis.inversion)},
         "simulation": {
             "runs": cfg.simulation.runs,
             "seed": cfg.simulation.seed,
@@ -456,20 +463,18 @@ def _inverted_cdf_interpolant(model, inv_cfg, t_hi):
 
     At k = 1 the cdf has a genuine corner wherever the single-gap lethal
     branch density jumps, which a shape-preserving fit cannot carry with one
-    derivative per node; for constant thresholds that head term is exactly
-    F(min(t, tau)), so it is split off and only the smooth remainder is
-    interpolated.  Grid nodes where the inversion will not settle (kink
-    neighbourhoods) are skipped and bridged by the interpolant.
+    derivative per node; that head term, the time integral of the lethal
+    branch, is split off and only the smooth remainder is interpolated.
+    Grid nodes where the inversion will not settle (kink neighbourhoods)
+    are skipped and bridged by the interpolant.
     """
-    cfg = InversionConfig(
-        target_error=max(inv_cfg.target_error, 1e-6),
-        euler_depth=inv_cfg.euler_depth,
-        discretization=inv_cfg.discretization,
-    )
-    head = None
-    if model.k == 1 and isinstance(model.threshold, Constant):
-        tau = model.threshold.tau
-        head = lambda t: np.asarray(model.arrivals.cdf(np.minimum(t, tau)), dtype=float)
+    cfg = replace(inv_cfg, target_error=max(inv_cfg.target_error, 1e-6))
+
+    def head(t):
+        """The cdf's lethal-branch term at k = 1, where it has the corners."""
+        if model.k > 1:
+            return 0.0
+        return weighted_time_integral(model.arrivals, model.threshold, t, "survival")
 
     corners = {p for p in (*model.arrivals.breakpoints(), *model.threshold.breakpoints())
                if 0.0 < p < t_hi}
@@ -477,17 +482,12 @@ def _inverted_cdf_interpolant(model, inv_cfg, t_hi):
     inverted = invert_grid(model, grid, cfg, pdf=False)
     settled = ~np.isnan(inverted.cdf)
     nodes = np.concatenate(([0.0], grid[settled]))
-    values = np.concatenate(([0.0], inverted.cdf[settled]))
-    if head is not None:
-        values[1:] -= head(nodes[1:])
+    values = np.concatenate(([0.0], inverted.cdf[settled])) - head(nodes)
     interp = PchipInterpolator(nodes, np.maximum.accumulate(values))
 
     def cdf(t):
         t = np.clip(np.asarray(t, dtype=float), 0.0, t_hi)
-        smooth = interp(t)
-        if head is not None:
-            smooth = smooth + head(t)
-        return np.clip(smooth, 0.0, 1.0)
+        return np.clip(interp(t) + head(t), 0.0, 1.0)
 
     return cdf
 
@@ -599,27 +599,21 @@ def _parse_grid_flag(text: str) -> GridSpec:
         t_min, t_max, points = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise ConfigError(f"--grid: {exc}") from exc
-    if not (0 < t_min < t_max) or points < 2:
-        raise ConfigError(f"--grid: need 0 < MIN < MAX and POINTS >= 2, got {text!r}")
-    return GridSpec(t_min=t_min, t_max=t_max, points=points)
+    return _checked("--grid: analysis.grid", GridSpec, t_min=t_min, t_max=t_max, points=points)
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     if args.seed is not None or args.runs is not None:
-        simulation = cfg.simulation
-        try:
-            simulation = replace(
-                simulation,
-                runs=args.runs if args.runs is not None else simulation.runs,
-                seed=args.seed if args.seed is not None else simulation.seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"flags: {exc}") from exc
+        simulation = _checked(
+            "--seed/--runs: simulation", replace, cfg.simulation,
+            runs=args.runs if args.runs is not None else cfg.simulation.runs,
+            seed=args.seed if args.seed is not None else cfg.simulation.seed,
+        )
         cfg = replace(cfg, simulation=simulation)
     if args.grid is not None:
         cfg = replace(cfg, analysis=replace(cfg.analysis, grid=_parse_grid_flag(args.grid)))
     if args.out is not None:
-        cfg = replace(cfg, output=replace(cfg.output, directory=args.out))
+        cfg = replace(cfg, output=_checked("--out: output", replace, cfg.output, directory=args.out))
     return cfg
 
 

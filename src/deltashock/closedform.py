@@ -93,10 +93,31 @@ class UnifConstParams:
         return ShockModel(self.k, Uniform(self.lower, self.upper), Constant(self.tau))
 
 
-def _kahan_add(total: float, compensation: float, term: float):
-    y = term - compensation
-    new_total = total + y
-    return new_total, (new_total - total) - y
+def _series_sum(params: ExpConstParams, t: float, log_terms) -> float:
+    """math.fsum of the terms (-1)^i exp(log_terms(j, c, choose_log)) of the
+    series over j <= t/tau and i = 0..k, with shifts c = (j+i)tau.
+
+    log_terms gets a column of j, the (len(j), k + 1) array of c and the log
+    binomials log C(k, i), and returns the log magnitudes, -inf for absent
+    terms.  The terms are built as numpy arrays, SERIES_BLOCK values of j at
+    a time, and fed to fsum one block at a time: fsum is exact whatever the
+    order, and the memory stays that of a block however large t/tau is.
+    """
+    k = params.k
+    choose_log = np.array([math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1)
+                           for i in range(k + 1)])
+    sign = np.array([(-1.0) ** i for i in range(k + 1)])
+    i = np.arange(k + 1)
+
+    def blocks():
+        j_max = int(math.floor(t / params.tau))
+        for start in range(0, j_max + 1, SERIES_BLOCK):
+            j = np.arange(start, min(start + SERIES_BLOCK, j_max + 1))[:, None]
+            log_mag = log_terms(j, (j + i) * params.tau, choose_log)
+            present = log_mag > -745.0
+            yield (sign * np.exp(np.where(present, log_mag, -np.inf)))[present].tolist()
+
+    return math.fsum(itertools.chain.from_iterable(blocks()))
 
 
 def exp_const_pdf(params: ExpConstParams, t: float) -> float:
@@ -108,37 +129,27 @@ def exp_const_pdf(params: ExpConstParams, t: float) -> float:
     with U the unit step (1 at and above the shift) and the convention that
     a zero exponent means the step indicator itself; the j sum truncates at
     floor(t/tau) because later steps are all zero.  The (j, i) terms are
-    built in log space as numpy arrays, SERIES_BLOCK values of j at a time,
-    and summed exactly rounded by math.fsum: the i sum alternates in sign
-    and would otherwise lose precision for large rate*t.  The series stays
-    ill-conditioned there all the same (about 1e-7 relative at t/tau near
-    3e4, p = 0.01), since the terms themselves carry rounding.
+    built in log space and summed exactly rounded (see _series_sum): the i
+    sum alternates in sign and would otherwise lose precision for large
+    rate*t.  The series stays ill-conditioned there all the same (about
+    1e-7 relative at t/tau near 3e4, p = 0.01), since the terms themselves
+    carry rounding.
     """
     if t <= 0.0:
         return 0.0
-    lam, tau, k = params.rate, params.tau, params.k
+    lam, k = params.rate, params.k
     base_log = k * math.log(lam) - lam * t - math.lgamma(k)
     log_lam = math.log(lam)
-    choose_log = np.array([math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1)
-                           for i in range(k + 1)])
-    sign = np.array([(-1.0) ** i for i in range(k + 1)])
-    i = np.arange(k + 1)
 
-    def blocks():
-        j_max = int(math.floor(t / tau))
-        for start in range(0, j_max + 1, SERIES_BLOCK):
-            j = np.arange(start, min(start + SERIES_BLOCK, j_max + 1))[:, None]
-            x = t - (j + i) * tau
-            exponent = j + k - 1
-            log_mag = (base_log + j * log_lam - gammaln(j + 1) + choose_log
-                       + exponent * np.log(np.where(x > 0.0, x, 1.0)))
-            # a term is absent past its step, and at it unless its exponent is 0
-            present = ((x > 0.0) | (x == 0.0) & (exponent == 0)) & (log_mag > -745.0)
-            yield (sign * np.exp(np.where(present, log_mag, -np.inf)))[present].tolist()
+    def log_terms(j, c, choose_log):
+        x = t - c
+        exponent = j + k - 1
+        log_mag = (base_log + j * log_lam - gammaln(j + 1) + choose_log
+                   + exponent * np.log(np.where(x > 0.0, x, 1.0)))
+        # a term is absent past its step, and at it unless its exponent is 0
+        return np.where((x > 0.0) | (x == 0.0) & (exponent == 0), log_mag, -np.inf)
 
-    # one block at a time: fsum is exact whatever the order, and the memory
-    # stays that of a block however large t/tau is
-    return max(math.fsum(itertools.chain.from_iterable(blocks())), 0.0)
+    return max(_series_sum(params, t, log_terms), 0.0)
 
 
 def _exp_const_pdf_naive(params: ExpConstParams, t: float) -> float:
@@ -168,38 +179,24 @@ def exp_const_cdf(params: ExpConstParams, t: float) -> float:
     """Term-by-term integral of the series density: shifted Erlang cdfs.
 
     Each series term integrates to exp(-lam c) * P(j+k, lam (t-c)) with
-    c = (j+i)tau and P the regularized lower incomplete gamma.  Stable in
-    double precision up to k around 30; beyond that the alternating terms
-    outgrow the unit-bounded sum, so use the inverted transform as the
-    reference there instead.
+    c = (j+i)tau and P the regularized lower incomplete gamma, summed as
+    the density's terms are (see _series_sum).  Stable in double precision
+    up to k around 30; beyond that the alternating terms outgrow the
+    unit-bounded sum, so use the inverted transform as the reference there
+    instead.
     """
     if t <= 0.0:
         return 0.0
-    lam, tau, k = params.rate, params.tau, params.k
-    choose_log = [
-        math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1)
-        for i in range(k + 1)
-    ]
+    lam, k = params.rate, params.k
 
-    total = 0.0
-    compensation = 0.0
-    j_max = int(math.floor(t / tau))
-    for j in range(j_max + 1):
-        negbin_log = math.lgamma(j + k) - math.lgamma(j + 1) - math.lgamma(k)
-        for i in range(k + 1):
-            c = (j + i) * tau
-            x = t - c
-            if x < 0.0:
-                break
-            tail = float(gammainc(j + k, lam * x))
-            if tail <= 0.0:
-                continue
-            log_mag = choose_log[i] + negbin_log - lam * c + math.log(tail)
-            term = math.exp(log_mag) if log_mag > -745.0 else 0.0
-            if i % 2:
-                term = -term
-            total, compensation = _kahan_add(total, compensation, term)
-    return min(max(total, 0.0), 1.0)
+    def log_terms(j, c, choose_log):
+        # P(j + k, 0) = 0, so a term with c >= t is absent (log -inf)
+        with np.errstate(divide="ignore"):
+            tail = np.log(gammainc(j + k, lam * np.maximum(t - c, 0.0)))
+        negbin_log = gammaln(j + k) - gammaln(j + 1) - math.lgamma(k)
+        return choose_log + negbin_log - lam * c + tail
+
+    return min(max(_series_sum(params, t, log_terms), 0.0), 1.0)
 
 
 def exp_const_moments(params: ExpConstParams) -> MomentSummary:

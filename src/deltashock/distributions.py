@@ -266,21 +266,22 @@ def _phi_powers(j: int, z: np.ndarray) -> list[np.ndarray]:
     return values
 
 
-def _term_integral(c: float, j: int, x: np.ndarray, lo: float, hi: float) -> np.ndarray:
+def _term_integral(c: float, j: int, x: np.ndarray, lo: float, hi) -> np.ndarray:
     """c times the integral of u**j exp(-x u) over [lo, hi], elementwise in x;
-    hi may be inf.
+    hi is inf, a float, or an ndarray of finite values, each at least lo.
 
     With u = lo + v this is exp(-x lo) sum_i C(j, i) lo**(j-i) J_i, where
     J_i, the integral of v**i exp(-x v) over [0, hi - lo], is
     width**(i+1) phi_i(x width), or i!/x**(i+1) on an infinite range.
     """
+    infinite = np.ndim(hi) == 0 and hi == math.inf
     if j == 0:  # one _phi or exponential: the common case, kept free of the sum
-        if hi == math.inf:
+        if infinite:
             return c * np.exp(-x * lo) / x if lo else c / x
         width = hi - lo
         value = c * width * _phi(x * width)
     else:
-        if hi == math.inf:
+        if infinite:
             parts = [math.factorial(i) / x ** (i + 1) for i in range(j + 1)]
         else:
             width = hi - lo
@@ -326,62 +327,54 @@ def _product_terms(arrival: ArrivalLaw, threshold: ThresholdLaw, weight: str):
     return tuple(product)
 
 
-# Product terms keyed by the identities of their laws, which each entry
-# holds, so no key can be reused while it is cached.  An identity lookup
-# costs a fraction of hashing the laws, and the inversion looks products
-# up twice per transform evaluation.
-_PRODUCTS: dict[tuple[int, int, str], tuple] = {}
-_PRODUCTS_MAX = 64
-
-
 def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s,
-                     weight: str, *, order: int = 0, upper: float = math.inf):
+                     weight: str, *, order: int = 0, upper=math.inf):
     """Integral of t**order exp(-s t) f(t) w(t) over [0, upper].
 
     f is the arrival density; w is the threshold survival function for
     weight="survival" (the lethal branch: the value at s = 0 is the
     lethality probability) or the threshold cdf for weight="cdf" (the
     non-lethal branch).  Every pair of built-in laws has a closed form,
-    summed over the pieces of f * w, which are built once per (arrival,
-    threshold, weight).  Quadrature serves only ArrivalLaw subclasses
-    without pieces; it stops where the arrival tail mass drops below
-    TAIL_EPS and raises QuadratureError when it does not converge.  Values
-    are finite for Re s >= 0; small negative real parts are usable too (the
-    moment differentiation relies on this), since exponential tails decay
-    faster and quadrature stops at a finite cutoff.  s is a complex scalar,
-    giving a complex, or an ndarray, giving an ndarray of its shape; the
-    closed forms take the whole array at once, quadrature one element at a
-    time.
+    summed over the pieces of f * w.  Quadrature serves only ArrivalLaw
+    subclasses without pieces; it stops where the arrival tail mass drops
+    below TAIL_EPS and raises QuadratureError when it does not converge.
+    Values are finite for Re s >= 0; small negative real parts are usable
+    too (the moment differentiation relies on this), since exponential
+    tails decay faster and quadrature stops at a finite cutoff.  s is a
+    complex scalar and upper a float, giving a complex, or either is an
+    ndarray (upper of finite values), giving an ndarray of their broadcast
+    shape; the closed forms take the whole array at once, quadrature one
+    element at a time.
     """
-    try:
-        terms = _PRODUCTS[id(arrival), id(threshold), weight][2]
-    except KeyError:
-        terms = _product_terms(arrival, threshold, weight)
-        if len(_PRODUCTS) >= _PRODUCTS_MAX:
-            _PRODUCTS.clear()
-        _PRODUCTS[id(arrival), id(threshold), weight] = (arrival, threshold, terms)
+    terms = _product_terms(arrival, threshold, weight)
     s = np.asarray(s, dtype=complex)
+    if np.ndim(upper):  # a scalar stays one, so that upper = inf keeps the infinite-range forms
+        s, upper = np.broadcast_arrays(s, np.asarray(upper, dtype=float))
+        upper = upper.reshape(-1)
     x = s.reshape(-1)
     if terms is None:
-        total = np.array([_weighted_laplace_quad(arrival, threshold, v, weight, order, upper)
-                          for v in x.tolist()], dtype=complex)
+        total = np.array([_weighted_laplace_quad(arrival, threshold, v, weight, order, u)
+                          for v, u in zip(x.tolist(), np.broadcast_to(upper, x.shape).tolist())],
+                         dtype=complex)
     else:
         total = np.zeros(x.shape, dtype=complex)
         # a pole (x + r = 0 on an infinite piece) gives inf or nan, not an error
         with np.errstate(divide="ignore", invalid="ignore"):
             for c, n, r, lo, hi in terms:
-                if lo < upper:
-                    total += _term_integral(c, n + order, x + r, lo, min(hi, upper))
+                # a piece starting at or beyond upper integrates over zero width
+                top = np.minimum(np.maximum(upper, lo), hi)
+                total += _term_integral(c, n + order, x + r, lo, top)
     return complex(total[0]) if s.ndim == 0 else total.reshape(s.shape)
 
 
-def weighted_time_integral(arrival: ArrivalLaw, threshold: ThresholdLaw, t: float,
-                           weight: str) -> float:
+def weighted_time_integral(arrival: ArrivalLaw, threshold: ThresholdLaw, t,
+                           weight: str):
     """Integral of f(u) w(u) over [0, t], w as in weighted_laplace.
 
-    The survival-weighted value is p times the cdf of a lethal gap.  Closed
-    forms cover every pair of built-in laws; quadrature serves only
-    ArrivalLaw subclasses without pieces.
+    t is a float, giving a float, or an ndarray of finite times, giving an
+    ndarray.  The survival-weighted value is p times the cdf of a lethal
+    gap.  Closed forms cover every pair of built-in laws; quadrature serves
+    only ArrivalLaw subclasses without pieces.
     """
     return weighted_laplace(arrival, threshold, 0.0, weight, upper=t).real
 

@@ -86,10 +86,12 @@ class InversionConfig:
     discretization: float | None = None
 
     def __post_init__(self):
-        if not self.target_error > 0:
-            raise ValueError("target_error must be > 0")
+        if not 0 < self.target_error < math.inf:
+            raise ValueError(f"target_error must be finite and > 0, got {self.target_error}")
         if self.euler_depth < 8:
             raise ValueError(f"euler_depth must be >= 8, got {self.euler_depth}")
+        if self.discretization is not None and not 0 < self.discretization < math.inf:
+            raise ValueError(f"discretization must be finite and > 0, got {self.discretization}")
 
     @property
     def contour_parameter(self) -> float:
@@ -348,16 +350,14 @@ def invert_grid(model: ShockModel, ts, config: InversionConfig | None = None, *,
     if cdf:
         value = values[-1]
         if single:
-            value = value + [weighted_time_integral(model.arrivals, model.threshold, t,
-                                                    "survival") for t in ts]
+            value = value + weighted_time_integral(model.arrivals, model.threshold, ts, "survival")
         bad = np.isnan(value) | (value < -slack) | (value > 1.0 + slack)
         value = checked(-1, value, bad, "inverted cdf at t={t} is {value:.3g}, outside [0, 1]")
         cdf_values = np.where(value > 1.0, 1.0, np.where(value < 0.0, 0.0, value))
     if pdf:
         value = values[0]
         if single:
-            value = value + [float(model.arrivals.density(t)) * float(model.threshold.survival(t))
-                             for t in ts]
+            value = value + model.arrivals.density(ts) * model.threshold.survival(ts)
         value = np.where(abs(value) < DENSITY_CLAMP, 0.0, value)
         value = np.where((value < 0.0) & (-value <= slack), 0.0, value)
         pdf_values = checked(0, value, np.isnan(value) | (value < 0.0),

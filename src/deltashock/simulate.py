@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -248,6 +250,13 @@ def _merge_bincounts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def _retain(parts: list[np.ndarray], values: np.ndarray, cap: int) -> None:
+    """Append a copy of the head of values that fits parts under cap values."""
+    room = cap - sum(len(p) for p in parts)
+    if room > 0:
+        parts.append(values[:room].copy())
+
+
 def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
     """Simulate config.runs failure times; deterministic given (seed, runs)."""
     upper = config.histogram_upper
@@ -257,19 +266,15 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
     edges = np.linspace(0.0, upper, config.histogram_bins + 1)
 
     n_chunks = (config.runs + CHUNK_SIZE - 1) // CHUNK_SIZE
-    sizes = [
-        min(CHUNK_SIZE, config.runs - i * CHUNK_SIZE) for i in range(n_chunks)
-    ]
-    args = [
-        (model, sizes[i], config.seed, i, edges, config.gap_reservoir, config.max_gaps_per_run)
-        for i in range(n_chunks)
-    ]
-
-    if config.workers == 1 or n_chunks == 1:
-        results = [_simulate_chunk(*a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_simulate_chunk_star, args))
+    columns = (
+        repeat(model, n_chunks),
+        [min(CHUNK_SIZE, config.runs - i * CHUNK_SIZE) for i in range(n_chunks)],
+        repeat(config.seed, n_chunks),
+        range(n_chunks),
+        repeat(edges, n_chunks),
+        repeat(config.gap_reservoir, n_chunks),
+        repeat(config.max_gaps_per_run, n_chunks),
+    )
 
     moments = _Moments()
     shock_counts = np.zeros(1, dtype=np.int64)
@@ -277,25 +282,28 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
     hist_counts = np.zeros(config.histogram_bins, dtype=np.int64)
     hist_overflow = 0
     times_parts: list[np.ndarray] = []
-    times_kept = 0
     lethal_parts: list[np.ndarray] = []
     nonlethal_parts: list[np.ndarray] = []
     t_min, t_max = math.inf, -math.inf
-    for r in results:
-        moments = moments.merge(r["moments"])
-        shock_counts = _merge_bincounts(shock_counts, r["shock_counts"])
-        shock_sum += r["shock_count_sum"]
-        hist_counts += r["hist_counts"]
-        hist_overflow += r["hist_overflow"]
-        t_min = min(t_min, r["min"])
-        t_max = max(t_max, r["max"])
-        if times_kept < config.sample_reservoir:
-            part = r["times"][: config.sample_reservoir - times_kept]
-            times_parts.append(part)
-            times_kept += len(part)
-        if config.gap_reservoir:
-            lethal_parts.append(r["lethal_gaps"])
-            nonlethal_parts.append(r["nonlethal_gaps"])
+    with ExitStack() as stack:
+        if config.workers == 1 or n_chunks == 1:
+            results = map(_simulate_chunk, *columns)
+        else:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
+            results = pool.map(_simulate_chunk, *columns)
+        # each chunk is folded in as it arrives, in chunk order, so only the
+        # retained samples outlive it
+        for r in results:
+            moments = moments.merge(r["moments"])
+            shock_counts = _merge_bincounts(shock_counts, r["shock_counts"])
+            shock_sum += r["shock_count_sum"]
+            hist_counts += r["hist_counts"]
+            hist_overflow += r["hist_overflow"]
+            t_min = min(t_min, r["min"])
+            t_max = max(t_max, r["max"])
+            _retain(times_parts, r["times"], config.sample_reservoir)
+            _retain(lethal_parts, r["lethal_gaps"], config.gap_reservoir)
+            _retain(nonlethal_parts, r["nonlethal_gaps"], config.gap_reservoir)
 
     variance = moments.variance
     se_mean = None if variance is None else math.sqrt(variance / moments.n)
@@ -307,8 +315,7 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
 
     lethal = nonlethal = None
     if config.gap_reservoir:
-        lethal = np.concatenate(lethal_parts)[: config.gap_reservoir]
-        nonlethal = np.concatenate(nonlethal_parts)[: config.gap_reservoir]
+        lethal, nonlethal = np.concatenate(lethal_parts), np.concatenate(nonlethal_parts)
 
     return SimulationReport(
         runs=config.runs,
@@ -328,10 +335,6 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
         lethal_gaps=lethal,
         nonlethal_gaps=nonlethal,
     )
-
-
-def _simulate_chunk_star(args):
-    return _simulate_chunk(*args)
 
 
 def simulate_segments(model: ShockModel, runs: int, seed: int,

@@ -101,6 +101,11 @@ class TestConfigParsing:
         (lambda c: c["simulation"].update(runs=0), "simulation"),
         (lambda c: c["simulation"].update(seed=-3), "simulation"),
         (lambda c: c["output"].update(formats=["xml"]), "output.formats"),
+        (lambda c: c["analysis"]["grid"].update(t_max=-2.0), "analysis.grid.t_max"),
+        (lambda c: c["analysis"]["grid"].update(t_max=0.0), "analysis.grid.t_max"),
+        (lambda c: c["analysis"].update(inversion={"target_error": math.inf}), "analysis.inversion"),
+        (lambda c: c["analysis"].update(inversion={"discretization": -5.0}), "analysis.inversion"),
+        (lambda c: c["analysis"].update(inversion={"discretization": 0.0}), "analysis.inversion"),
     ])
     def test_validation_messages_carry_key_paths(self, tmp_path, mutate, needle):
         config = exp_config(tmp_path)
@@ -333,6 +338,16 @@ class TestMain:
         assert float(rows[1][0]) == 0.5
         assert float(rows[-1][0]) == 8.0
 
-    def test_bad_grid_flag(self, tmp_path):
+    def test_bad_grid_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, exp_config(tmp_path / "out"))
-        assert main(["analyze", "--config", str(path), "--grid", "5:1:10"]) == EXIT_CONFIG
+        for grid in ("5:1:10", "0:1:10", "1:1:10", "0.5:8:1"):
+            assert main(["analyze", "--config", str(path), "--grid", grid]) == EXIT_CONFIG
+            assert "analysis.grid" in capsys.readouterr().err
+            # the same grid from the config file meets the same rules
+            t_min, t_max, points = grid.split(":")
+            config = exp_config(tmp_path / "out")
+            config["analysis"]["grid"] = {"t_min": float(t_min), "t_max": float(t_max),
+                                          "points": int(points)}
+            bad = write_config(tmp_path, config, name="bad.json")
+            assert main(["analyze", "--config", str(bad)]) == EXIT_CONFIG
+            assert "analysis.grid" in capsys.readouterr().err

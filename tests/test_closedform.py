@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import sympy
 from scipy import integrate
-from scipy.special import gammaln
+from scipy.special import gammainc, gammaln
 
 from deltashock import (
     Constant,
@@ -56,6 +56,33 @@ def exp_const_pdf_loop(params, t):
             new_total = total + y
             total, compensation = new_total, (new_total - total) - y
     return max(total, 0.0)
+
+
+def exp_const_cdf_loop(params, t):
+    """The series cdf term by term with Kahan summation: the reference the
+    block sum of exp_const_cdf replaced."""
+    if t <= 0.0:
+        return 0.0
+    lam, tau, k = params.rate, params.tau, params.k
+    choose_log = [math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1)
+                  for i in range(k + 1)]
+    total = compensation = 0.0
+    for j in range(int(math.floor(t / tau)) + 1):
+        negbin_log = math.lgamma(j + k) - math.lgamma(j + 1) - math.lgamma(k)
+        for i in range(k + 1):
+            c = (j + i) * tau
+            x = t - c
+            if x < 0.0:
+                break
+            tail = float(gammainc(j + k, lam * x))
+            if tail <= 0.0:
+                continue
+            log_mag = choose_log[i] + negbin_log - lam * c + math.log(tail)
+            term = (-1) ** i * (math.exp(log_mag) if log_mag > -745.0 else 0.0)
+            y = term - compensation
+            new_total = total + y
+            total, compensation = new_total, (new_total - total) - y
+    return min(max(total, 0.0), 1.0)
 
 
 def integrate_series_pdf(params, upper):
@@ -157,6 +184,27 @@ class TestSeriesCdf:
         for t in (0.3, tau, 2.2, 5.7):
             assert exp_const_cdf(params, t) == pytest.approx(
                 integrate_series_pdf(params, t), abs=1e-10)
+
+    def test_many_steps_against_high_precision_sum(self):
+        """Up to 600 steps per threshold at p = 0.095, where the alternating
+        terms reach about 1e3 and the sum loses three digits."""
+        mpmath = pytest.importorskip("mpmath")
+        lam, tau, k = 1.0, 0.1, 3
+        params = ExpConstParams(lam, tau, k)
+        loop_errors, errors = [], []
+        for t in (10.0, 30.0, 60.0):
+            with mpmath.workdps(40):
+                T, TAU = mpmath.mpf(t), mpmath.mpf(tau)
+                exact = float(mpmath.fsum(
+                    (-1) ** i * mpmath.binomial(k, i) * mpmath.binomial(j + k - 1, j)
+                    * mpmath.exp(-(j + i) * TAU)
+                    * mpmath.gammainc(j + k, 0, T - (j + i) * TAU, regularized=True)
+                    for j in range(int(t / tau) + 1) for i in range(k + 1)
+                    if (j + i) * TAU < T))
+            loop_errors.append(abs(exp_const_cdf_loop(params, t) - exact))
+            errors.append(abs(exp_const_cdf(params, t) - exact))
+        assert 0.0 < max(loop_errors) < 1e-11
+        assert max(errors) <= max(loop_errors)
 
     def test_limits(self):
         params = ExpConstParams(1.0, 1.0, 2)

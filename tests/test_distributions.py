@@ -327,6 +327,19 @@ def test_array_transform_matches_scalar(arrival, threshold, weight, order):
 
 
 class TestWeightedTimeIntegral:
+    @pytest.mark.parametrize("arrival,threshold",
+                             BUILTIN_PAIRS + [(Gamma2(1.3), Uniform(0.5, 1.5))])
+    @pytest.mark.parametrize("weight", ["survival", "cdf"])
+    def test_array_matches_scalar(self, arrival, threshold, weight):
+        # times before, on and past every breakpoint of the pairs, and 0
+        ts = np.array([0.0, 0.1, 0.3, 0.5, 0.9, 1.0, 1.2, 1.5, 2.0, 2.1, 3.7, 30.0])
+        got = weighted_time_integral(arrival, threshold, ts, weight)
+        assert got.shape == ts.shape
+        for t, value in zip(ts.tolist(), got.tolist()):
+            expected = weighted_time_integral(arrival, threshold, t, weight)
+            assert type(expected) is float
+            assert abs(value - expected) <= 1e-15 * abs(expected)
+
     def test_exponential_constant_against_quadrature(self):
         arrival, threshold = Exponential(1.2), Constant(0.7)
         for t in (0.3, 0.7, 1.5, 10.0):

@@ -387,6 +387,9 @@ class TestInversionConfig:
         dict(target_error=0.0),
         dict(target_error=-1e-9),
         dict(euler_depth=7),
+        dict(target_error=math.inf),
+        dict(discretization=-5.0),
+        dict(discretization=0.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, statistical concordance, report shape."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,6 +189,21 @@ class TestReportShape:
         values = report.empirical_cdf(grid)
         assert np.all(np.diff(values) >= 0.0)
         assert values[-1] == 1.0
+
+    def test_memory_does_not_grow_with_chunks(self):
+        # every gap lethal: one wave per chunk, so what the batch keeps of
+        # each chunk dominates its memory
+        model = ShockModel(1, Exponential(1.0), Constant(1e9))
+        peaks = {}
+        for chunks in (4, 16):
+            tracemalloc.start()
+            try:
+                run_batch(model, SimulationConfig(runs=chunks * CHUNK_SIZE, seed=3,
+                                                  sample_reservoir=1_000))
+                peaks[chunks] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[16] - peaks[4] < 1e6
 
     def test_run_cap_propagates(self):
         slow = ShockModel(3, Exponential(1.0), Constant(0.01))
