@@ -47,12 +47,10 @@ from .model import MomentSummary, ShockModel, UnrealizableModelError
 from .simulate import (
     CHUNK_SIZE,
     KS_CRITICAL_001,
-    FailureSample,
     SimulationConfig,
     SimulationReport,
     ks_statistic,
     run_batch,
-    simulate_one,
     simulate_segments,
 )
 

@@ -157,11 +157,19 @@ def _integer(value, path: str) -> int:
     return value
 
 
-def _section(config: dict, key: str) -> dict:
+def _known(section: dict, path: str, keys) -> dict:
+    """section, once each of its keys is one of keys; path ends in "." or is ""."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{path}{key}: unknown key")
+    return section
+
+
+def _section(config: dict, path: str, key: str, keys) -> dict:
     value = config.get(key, {})
     if not isinstance(value, dict):
-        raise ConfigError(f"{key}: expected an object, got {value!r}")
-    return value
+        raise ConfigError(f"{path}{key}: expected an object, got {value!r}")
+    return _known(value, f"{path}{key}.", keys)
 
 
 # Each law type of the config: its class and its {JSON key: attribute}.
@@ -181,6 +189,7 @@ def _law_from_spec(spec, path: str, *, arrival: bool):
     if kind not in kinds:
         raise ConfigError(f"{path}.type: unknown law {kind!r}; expected one of {kinds}")
     cls, fields = _LAWS[kind]
+    _known(spec, f"{path}.", ("type", *fields))
     return _checked(path, cls, **{attr: _number(_require(spec, key, path), f"{path}.{key}")
                                   for key, attr in fields.items()})
 
@@ -199,10 +208,11 @@ def parse_config(config: dict) -> RunConfig:
     """
     if not isinstance(config, dict):
         raise ConfigError("top level: expected a JSON object")
+    _known(config, "", ("model", "analysis", "simulation", "output"))
 
-    model_sec = config.get("model")
-    if not isinstance(model_sec, dict):
-        raise ConfigError("model: missing or not an object")
+    if "model" not in config:
+        raise ConfigError("model: missing required key")
+    model_sec = _section(config, "", "model", ("k", "arrivals", "threshold"))
     model = _checked(
         "model", ShockModel,
         k=_integer(_require(model_sec, "k", "model"), "model.k"),
@@ -212,15 +222,16 @@ def parse_config(config: dict) -> RunConfig:
                                  arrival=False),
     )
 
-    analysis_sec = _section(config, "analysis")
-    grid_sec = _section(analysis_sec, "grid")
+    analysis_sec = _section(config, "", "analysis", ("grid", "inversion"))
+    grid_sec = _section(analysis_sec, "analysis.", "grid", ("t_min", "t_max", "points"))
     grid = _checked(
         "analysis.grid", GridSpec,
         t_min=_number_or_none(grid_sec.get("t_min"), "analysis.grid.t_min"),
         t_max=_number_or_none(grid_sec.get("t_max"), "analysis.grid.t_max"),
         points=_integer(grid_sec.get("points", 200), "analysis.grid.points"),
     )
-    inv_sec = _section(analysis_sec, "inversion")
+    inv_sec = _section(analysis_sec, "analysis.", "inversion",
+                       ("target_error", "euler_depth", "discretization"))
     inversion = _checked(
         "analysis.inversion", InversionConfig,
         target_error=_number(inv_sec.get("target_error", 1e-8), "analysis.inversion.target_error"),
@@ -229,7 +240,7 @@ def parse_config(config: dict) -> RunConfig:
                                        "analysis.inversion.discretization"),
     )
 
-    sim_sec = _section(config, "simulation")
+    sim_sec = _section(config, "", "simulation", ("runs", "seed", "workers"))
     simulation = _checked(
         "simulation", SimulationConfig,
         runs=_integer(sim_sec.get("runs", 100_000), "simulation.runs"),
@@ -237,7 +248,7 @@ def parse_config(config: dict) -> RunConfig:
         workers=_integer(sim_sec.get("workers", 1), "simulation.workers"),
     )
 
-    out_sec = _section(config, "output")
+    out_sec = _section(config, "", "output", ("directory", "formats"))
     formats = out_sec.get("formats", ["csv", "json"])
     if not isinstance(formats, list):
         raise ConfigError(f"output.formats: expected a list, got {formats!r}")
@@ -341,6 +352,9 @@ def _resolve_grid(cfg: RunConfig, moments) -> np.ndarray:
     sd = math.sqrt(moments.variance)
     t_max = grid.t_max if grid.t_max is not None else moments.mean + 6.0 * sd
     t_min = grid.t_min if grid.t_min is not None else t_max / grid.points
+    if not t_min < t_max:
+        raise ConfigError(f"analysis.grid.t_min {t_min} must be below t_max, which defaults "
+                          f"to mean + 6 sd = {t_max:.17g}; set analysis.grid.t_max")
     return np.linspace(t_min, t_max, grid.points)
 
 

@@ -77,8 +77,10 @@ class InversionConfig:
     Re s = A / (2 T) for series period 2 T); the aliasing error is of order
     exp(-A) times the sup of the inverted function, so the default
     A = ln(2/target_error) keeps that bound at half the target for
-    functions of order one.  euler_depth sets the acceleration depth: the
-    continued fraction uses 2*(2*euler_depth + 6) + 1 series terms.
+    functions of order one; a smaller A is refused, since the settle
+    estimate does not see that bias.  euler_depth sets the acceleration
+    depth: the continued fraction uses 2*(2*euler_depth + 6) + 1 series
+    terms.
     """
 
     target_error: float = 1e-8
@@ -90,8 +92,11 @@ class InversionConfig:
             raise ValueError(f"target_error must be finite and > 0, got {self.target_error}")
         if self.euler_depth < 8:
             raise ValueError(f"euler_depth must be >= 8, got {self.euler_depth}")
-        if self.discretization is not None and not 0 < self.discretization < math.inf:
-            raise ValueError(f"discretization must be finite and > 0, got {self.discretization}")
+        floor = math.log(2.0 / self.target_error)
+        if self.discretization is not None and not (
+                0 < self.discretization < math.inf and self.discretization >= floor):
+            raise ValueError(f"discretization must be finite, > 0 and >= ln(2/target_error) "
+                             f"= {floor:.6g}, got {self.discretization}")
 
     @property
     def contour_parameter(self) -> float:

@@ -6,7 +6,7 @@ order, so results are bit-identical regardless of worker count.  Moments
 stream through a single-pass accumulator (merged with the parallel
 central-moment formulas up to fourth order, which the variance standard
 error needs); failure times are retained up to a reservoir cap for the
-empirical cdf, with a fixed-bin histogram covering arbitrarily large runs.
+empirical cdf.  The batch reads nothing of the analytic routes it checks.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ __all__ = [
     "KS_CRITICAL_001",
     "SimulationConfig",
     "SimulationReport",
-    "FailureSample",
-    "simulate_one",
     "run_batch",
     "simulate_segments",
     "ks_statistic",
@@ -40,15 +38,13 @@ KS_CRITICAL_001 = 1.63
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Batch size, stream seed, worker count and report shaping."""
+    """Batch size, stream seed, worker count, retained-sample cap and the
+    runaway-run guard."""
 
     runs: int
     seed: int
     workers: int = 1
-    histogram_bins: int = 200
-    histogram_upper: float | None = None
     sample_reservoir: int = 1_000_000
-    gap_reservoir: int = 0
     max_gaps_per_run: int = 10**9
 
     def __post_init__(self):
@@ -58,17 +54,8 @@ class SimulationConfig:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if not (isinstance(self.workers, int) and self.workers >= 1):
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if self.histogram_bins < 1:
-            raise ValueError("histogram_bins must be >= 1")
-
-
-@dataclass(frozen=True)
-class FailureSample:
-    """One simulated run: failure time, total gap count, lethal gap indices."""
-
-    time: float
-    shock_count: int
-    lethal_positions: tuple[int, ...]
+        if not (isinstance(self.sample_reservoir, int) and self.sample_reservoir >= 1):
+            raise ValueError(f"sample_reservoir must be an integer >= 1, got {self.sample_reservoir!r}")
 
 
 @dataclass
@@ -133,13 +120,8 @@ class SimulationReport:
     mean_shock_count: float
     shock_count_histogram: np.ndarray
     sorted_times: np.ndarray
-    histogram_edges: np.ndarray
-    histogram_counts: np.ndarray
-    histogram_overflow: int
     min_time: float
     max_time: float
-    lethal_gaps: np.ndarray | None = None
-    nonlethal_gaps: np.ndarray | None = None
 
     def shock_count_probability(self, n: int) -> float:
         """Empirical P(N = n)."""
@@ -152,28 +134,6 @@ class SimulationReport:
         return np.searchsorted(self.sorted_times, np.asarray(t), side="right") / len(
             self.sorted_times
         )
-
-
-def simulate_one(model: ShockModel, rng: np.random.Generator,
-                 max_gaps: int = 10**9) -> FailureSample:
-    """Single-run reference: draw gaps until the k-th lethal one."""
-    total = 0.0
-    gaps = 0
-    lethal = 0
-    positions = []
-    while lethal < model.k:
-        if gaps >= max_gaps:
-            raise UnrealizableModelError(
-                f"run exceeded {max_gaps} gaps without reaching {model.k} lethal shocks"
-            )
-        z = float(model.arrivals.sample(rng))
-        delta = float(model.threshold.sample(rng))
-        gaps += 1
-        total += z
-        if z <= delta:
-            lethal += 1
-            positions.append(gaps)
-    return FailureSample(time=total, shock_count=gaps, lethal_positions=tuple(positions))
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -206,39 +166,19 @@ def _waves(model, rng, n_runs, max_gaps):
         active = active[lethal_counts[active] < model.k]
 
 
-def _simulate_chunk(model, n_runs, seed, chunk_index, histogram_edges, gap_cap, max_gaps):
+def _simulate_chunk(model, n_runs, seed, chunk_index, max_gaps):
     """Failure times and summaries of one chunk, drawn from its own stream."""
-    rng = _chunk_rng(seed, chunk_index)
     times = np.zeros(n_runs)
     gap_counts = np.zeros(n_runs, dtype=np.int64)
-    lethal_kept: list[np.ndarray] = []
-    nonlethal_kept: list[np.ndarray] = []
-    kept = [0, 0]
-
-    for wave, active, z, lethal, _ in _waves(model, rng, n_runs, max_gaps):
+    for wave, active, z, _, _ in _waves(model, _chunk_rng(seed, chunk_index), n_runs, max_gaps):
         times[active] += z
         gap_counts[active] = wave
-        if gap_cap:
-            if kept[0] < gap_cap:
-                lethal_kept.append(z[lethal][: gap_cap - kept[0]])
-                kept[0] += len(lethal_kept[-1])
-            if kept[1] < gap_cap:
-                nonlethal_kept.append(z[~lethal][: gap_cap - kept[1]])
-                kept[1] += len(nonlethal_kept[-1])
-
-    counts, _ = np.histogram(times, bins=histogram_edges)
-    overflow = int((times > histogram_edges[-1]).sum())
     return {
         "moments": _Moments.from_array(times),
         "times": times,
         "shock_counts": np.bincount(gap_counts),
-        "shock_count_sum": int(gap_counts.sum()),
-        "hist_counts": counts,
-        "hist_overflow": overflow,
         "min": float(times.min()),
         "max": float(times.max()),
-        "lethal_gaps": np.concatenate(lethal_kept) if lethal_kept else np.empty(0),
-        "nonlethal_gaps": np.concatenate(nonlethal_kept) if nonlethal_kept else np.empty(0),
     }
 
 
@@ -250,40 +190,20 @@ def _merge_bincounts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _retain(parts: list[np.ndarray], values: np.ndarray, cap: int) -> None:
-    """Append a copy of the head of values that fits parts under cap values."""
-    room = cap - sum(len(p) for p in parts)
-    if room > 0:
-        parts.append(values[:room].copy())
-
-
 def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
     """Simulate config.runs failure times; deterministic given (seed, runs)."""
-    upper = config.histogram_upper
-    if upper is None:
-        moments = model.failure_moments()
-        upper = moments.mean + 10.0 * math.sqrt(moments.variance)
-    edges = np.linspace(0.0, upper, config.histogram_bins + 1)
-
     n_chunks = (config.runs + CHUNK_SIZE - 1) // CHUNK_SIZE
     columns = (
         repeat(model, n_chunks),
         [min(CHUNK_SIZE, config.runs - i * CHUNK_SIZE) for i in range(n_chunks)],
         repeat(config.seed, n_chunks),
         range(n_chunks),
-        repeat(edges, n_chunks),
-        repeat(config.gap_reservoir, n_chunks),
         repeat(config.max_gaps_per_run, n_chunks),
     )
 
     moments = _Moments()
     shock_counts = np.zeros(1, dtype=np.int64)
-    shock_sum = 0
-    hist_counts = np.zeros(config.histogram_bins, dtype=np.int64)
-    hist_overflow = 0
     times_parts: list[np.ndarray] = []
-    lethal_parts: list[np.ndarray] = []
-    nonlethal_parts: list[np.ndarray] = []
     t_min, t_max = math.inf, -math.inf
     with ExitStack() as stack:
         if config.workers == 1 or n_chunks == 1:
@@ -296,14 +216,11 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
         for r in results:
             moments = moments.merge(r["moments"])
             shock_counts = _merge_bincounts(shock_counts, r["shock_counts"])
-            shock_sum += r["shock_count_sum"]
-            hist_counts += r["hist_counts"]
-            hist_overflow += r["hist_overflow"]
             t_min = min(t_min, r["min"])
             t_max = max(t_max, r["max"])
-            _retain(times_parts, r["times"], config.sample_reservoir)
-            _retain(lethal_parts, r["lethal_gaps"], config.gap_reservoir)
-            _retain(nonlethal_parts, r["nonlethal_gaps"], config.gap_reservoir)
+            room = config.sample_reservoir - sum(len(p) for p in times_parts)
+            if room > 0:
+                times_parts.append(r["times"][:room].copy())
 
     variance = moments.variance
     se_mean = None if variance is None else math.sqrt(variance / moments.n)
@@ -313,10 +230,6 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
         m4 = moments.m4 / n
         se_variance = math.sqrt(max(m4 - (n - 3) / (n - 1) * variance**2, 0.0) / n)
 
-    lethal = nonlethal = None
-    if config.gap_reservoir:
-        lethal, nonlethal = np.concatenate(lethal_parts), np.concatenate(nonlethal_parts)
-
     return SimulationReport(
         runs=config.runs,
         seed=config.seed,
@@ -324,16 +237,12 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
         variance=variance,
         se_mean=se_mean,
         se_variance=se_variance,
-        mean_shock_count=shock_sum / config.runs,
+        # the gap total, exactly, as an integer dot product
+        mean_shock_count=int(np.arange(len(shock_counts)) @ shock_counts) / config.runs,
         shock_count_histogram=shock_counts,
         sorted_times=np.sort(np.concatenate(times_parts)),
-        histogram_edges=edges,
-        histogram_counts=hist_counts,
-        histogram_overflow=hist_overflow,
         min_time=t_min,
         max_time=t_max,
-        lethal_gaps=lethal,
-        nonlethal_gaps=nonlethal,
     )
 
 

@@ -1,0 +1,29 @@
+"""Shared test helpers."""
+
+import numpy as np
+import pytest
+
+from deltashock.simulate import CHUNK_SIZE, _chunk_rng, _waves
+
+
+def _kernel_gaps(model, runs, seed, count):
+    """The first `count` lethal and the first `count` non-lethal gaps that the
+    wave kernel draws for a batch of `runs` runs, in chunk and wave order.
+
+    Gaps are split by the kernel's own lethal flag, so the conditional gap
+    laws test the kernel's labelling as well as its draws.
+    """
+    lethal, nonlethal = [], []
+    for index in range(-(-runs // CHUNK_SIZE)):
+        size = min(CHUNK_SIZE, runs - index * CHUNK_SIZE)
+        for _, _, z, hit, _ in _waves(model, _chunk_rng(seed, index), size, 10**9):
+            lethal.append(z[hit])
+            nonlethal.append(z[~hit])
+    lethal, nonlethal = np.concatenate(lethal)[:count], np.concatenate(nonlethal)[:count]
+    assert len(lethal) == len(nonlethal) == count
+    return lethal, nonlethal
+
+
+@pytest.fixture
+def kernel_gaps():
+    return _kernel_gaps

@@ -201,20 +201,18 @@ def test_acceptance_7_determinism(tmp_path):
            "leaves every output unchanged")
 
 
-def test_acceptance_8_conditional_gap_laws():
+def test_acceptance_8_conditional_gap_laws(kernel_gaps):
     """Simulated lethal/non-lethal gaps pass KS at alpha=0.01 against their laws."""
     model = ShockModel(2, Exponential(1.0), Constant(1.0))
     p, q = model.lethal_prob, model.survive_prob
-    batch = run_batch(model, SimulationConfig(runs=120_000, seed=90, gap_reservoir=100_000))
-    assert len(batch.lethal_gaps) == 100_000
-    assert len(batch.nonlethal_gaps) == 100_000
+    lethal, nonlethal = kernel_gaps(model, runs=120_000, seed=90, count=100_000)
 
     lethal_cdf = lambda x: np.minimum(-np.expm1(-np.asarray(x, dtype=float)), p) / p
     nonlethal_cdf = lambda x: np.clip(
         (math.exp(-1.0) - np.exp(-np.maximum(np.asarray(x, dtype=float), 1.0))) / q, 0.0, 1.0)
     critical = 1.63 / math.sqrt(100_000)
-    d_lethal = ks_statistic(batch.lethal_gaps, lethal_cdf)
-    d_nonlethal = ks_statistic(batch.nonlethal_gaps, nonlethal_cdf)
+    d_lethal = ks_statistic(lethal, lethal_cdf)
+    d_nonlethal = ks_statistic(nonlethal, nonlethal_cdf)
     assert d_lethal < critical
     assert d_nonlethal < critical
     report(f"ACCEPTANCE 8 PASS: conditional gap laws hold at alpha=0.01 "

@@ -106,6 +106,8 @@ class TestConfigParsing:
         (lambda c: c["analysis"].update(inversion={"target_error": math.inf}), "analysis.inversion"),
         (lambda c: c["analysis"].update(inversion={"discretization": -5.0}), "analysis.inversion"),
         (lambda c: c["analysis"].update(inversion={"discretization": 0.0}), "analysis.inversion"),
+        (lambda c: c["analysis"].update(inversion={"discretization": 5.0}),
+         "analysis.inversion.discretization"),
     ])
     def test_validation_messages_carry_key_paths(self, tmp_path, mutate, needle):
         config = exp_config(tmp_path)
@@ -113,6 +115,27 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(config)
         assert needle in str(err.value)
+
+    @pytest.mark.parametrize("mutate,path", [
+        (lambda c: c["analysis"].update(inversion={"target_eror": 1e-3}),
+         "analysis.inversion.target_eror"),
+        (lambda c: c["analysis"]["grid"].update(tmax=30.0), "analysis.grid.tmax"),
+        (lambda c: c["simulation"].update(worker=2), "simulation.worker"),
+        (lambda c: c["output"].update(format=["json"]), "output.format"),
+        # named before the "rate" it replaces goes missing
+        (lambda c: c["model"]["arrivals"].update(rat=c["model"]["arrivals"].pop("rate")),
+         "model.arrivals.rat"),
+        (lambda c: c["model"]["threshold"].update(tau=1.0), "model.threshold.tau"),
+        (lambda c: c["model"].update(kk=3), "model.kk"),
+        (lambda c: c["analysis"].update(grids={}), "analysis.grids"),
+        (lambda c: c.update(simulaton={"runs": 10}), "simulaton"),
+    ])
+    def test_unknown_keys_rejected(self, tmp_path, mutate, path):
+        config = exp_config(tmp_path)
+        mutate(config)
+        with pytest.raises(ConfigError) as err:
+            parse_config(config)
+        assert str(err.value) == f"{path}: unknown key"
 
     def test_unrealizable_model_rejected_at_parse(self, tmp_path):
         config = exp_config(tmp_path)
@@ -337,6 +360,17 @@ class TestMain:
         assert len(rows) == 11
         assert float(rows[1][0]) == 0.5
         assert float(rows[-1][0]) == 8.0
+
+    def test_t_min_beyond_default_t_max_rejected(self, tmp_path, capsys):
+        # exp+constant k = 3: mean + 6 sd is about 33, below t_min
+        config = exp_config(tmp_path / "out")
+        config["analysis"]["grid"] = {"t_min": 100.0}
+        path = write_config(tmp_path, config)
+        assert main(["analyze", "--config", str(path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "analysis.grid.t_min 100.0 must be below t_max" in err
+        assert "mean + 6 sd = 33.04" in err
+        assert not (tmp_path / "out" / "curves.csv").exists()
 
     def test_bad_grid_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, exp_config(tmp_path / "out"))

@@ -276,9 +276,11 @@ class TestInvertDensity:
         params = ExpConstParams(1.0, 1.0, k)
         mean = model.failure_moments().mean
         cfg = InversionConfig(target_error=1e-6)
-        for t in np.linspace(0.1, 10 * mean, 20):
-            assert invert_density(model, float(t), cfg) == pytest.approx(
-                exp_const_pdf(params, float(t)), abs=1e-6)
+        ts = np.linspace(0.1, 10 * mean, 20)
+        inverted = invert_grid(model, ts, cfg, cdf=False)
+        assert not any(inverted.errors)
+        for t, value in zip(ts.tolist(), inverted.pdf.tolist()):
+            assert value == pytest.approx(exp_const_pdf(params, t), abs=1e-6)
 
     def test_far_tail_clamps_to_zero(self):
         model = ShockModel(2, Exponential(1.0), Constant(1.0))
@@ -303,13 +305,8 @@ class TestInvertDensity:
                 grid.update((j * tau - 1e-9, j * tau + 1e-9))
         grid = np.array(sorted(grid))
         cfg = InversionConfig(target_error=1e-4)
-        values = []
-        for t in grid:
-            try:
-                values.append(invert_density(model, float(t), cfg))
-            except InversionError:
-                values.append(np.nan)
-        values = np.array(values)
+        # nan where a point did not settle
+        values = invert_grid(model, grid, cfg, cdf=False).pdf
         ok = ~np.isnan(values)
         values = np.interp(grid, grid[ok], values[ok])
         assert np.trapezoid(values, grid) == pytest.approx(1.0, abs=1e-4)
@@ -382,6 +379,7 @@ class TestInversionConfig:
 
     def test_explicit_discretization_wins(self):
         assert InversionConfig(discretization=25.0).contour_parameter == 25.0
+        assert InversionConfig(target_error=1e-7, discretization=21.0).contour_parameter == 21.0
 
     @pytest.mark.parametrize("kwargs", [
         dict(target_error=0.0),
@@ -390,6 +388,10 @@ class TestInversionConfig:
         dict(target_error=math.inf),
         dict(discretization=-5.0),
         dict(discretization=0.0),
+        # below ln(2/target_error): the settle check does not see the e^-A
+        # alias bias, 5e-7 at A = 5 on exp+constant k = 3 at t = 6.609
+        dict(discretization=0.5),
+        dict(discretization=5.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -16,43 +16,11 @@ from deltashock import (
     UnrealizableModelError,
     ks_statistic,
     run_batch,
-    simulate_one,
     simulate_segments,
 )
 
 LN2 = math.log(2.0)
 BENCH = ShockModel(3, Exponential(1.0), Constant(LN2))
-
-
-class TestSimulateOne:
-    def test_reproducible_given_stream(self):
-        a = simulate_one(BENCH, np.random.default_rng(5))
-        b = simulate_one(BENCH, np.random.default_rng(5))
-        assert a == b
-
-    def test_structure(self):
-        sample = simulate_one(BENCH, np.random.default_rng(17))
-        assert len(sample.lethal_positions) == BENCH.k
-        assert sample.lethal_positions[-1] == sample.shock_count
-        assert sample.time > 0.0
-        assert all(p1 < p2 for p1, p2 in zip(sample.lethal_positions, sample.lethal_positions[1:]))
-
-    def test_every_gap_lethal(self):
-        model = ShockModel(4, Exponential(1.0), Constant(1e9))
-        sample = simulate_one(model, np.random.default_rng(3))
-        assert sample.shock_count == 4
-        assert sample.lethal_positions == (1, 2, 3, 4)
-
-    def test_mean_statistics(self):
-        rng = np.random.default_rng(23)
-        times = [simulate_one(BENCH, rng).time for _ in range(4000)]
-        se = math.sqrt(BENCH.failure_moments().variance / len(times))
-        assert abs(np.mean(times) - 6.0) <= 4 * se
-
-    def test_run_cap(self):
-        slow = ShockModel(3, Exponential(1.0), Constant(0.01))
-        with pytest.raises(UnrealizableModelError):
-            simulate_one(slow, np.random.default_rng(1), max_gaps=10)
 
 
 class TestDeterminism:
@@ -61,7 +29,7 @@ class TestDeterminism:
         a, b = run_batch(BENCH, cfg), run_batch(BENCH, cfg)
         assert a.mean == b.mean and a.variance == b.variance
         assert np.array_equal(a.sorted_times, b.sorted_times)
-        assert np.array_equal(a.histogram_counts, b.histogram_counts)
+        assert np.array_equal(a.shock_count_histogram, b.shock_count_histogram)
 
     def test_worker_count_never_changes_results(self):
         base = run_batch(BENCH, SimulationConfig(runs=200_000, seed=7, workers=1))
@@ -123,30 +91,32 @@ class TestStatistics:
         # quadrature-backed transforms: keep the node count and tolerance
         # modest, the KS budget at 2e4 runs is 1.2e-2
         from scipy.interpolate import PchipInterpolator
-        from deltashock import InversionConfig, invert_cdf
+        from deltashock import InversionConfig, invert_grid
         model = ShockModel(2, Exponential(1.0), Exponential(0.7))
         report = run_batch(model, SimulationConfig(runs=20_000, seed=15))
         hi = float(report.max_time) * 1.01
         # denser near the origin where the cdf curvature peaks
         nodes = np.concatenate([np.linspace(hi / 512, hi / 8, 48), np.linspace(hi / 8, hi, 80)[1:]])
         cfg = InversionConfig(target_error=1e-4)
-        values = np.maximum.accumulate([invert_cdf(model, float(t), cfg) for t in nodes])
+        inverted = invert_grid(model, nodes, cfg, pdf=False)
+        assert not any(inverted.errors)
+        values = np.maximum.accumulate(inverted.cdf)
         interp = PchipInterpolator(np.concatenate(([0.0], nodes)), np.concatenate(([0.0], values)))
         d = ks_statistic(report, lambda x: np.clip(interp(np.clip(x, 0, hi)), 0, 1))
         assert d < 1.63 / math.sqrt(report.runs)
 
 
 class TestConditionalGapLaws:
-    def test_lethal_and_nonlethal_gaps_follow_their_laws(self):
+    def test_lethal_and_nonlethal_gaps_follow_their_laws(self, kernel_gaps):
         model = ShockModel(2, Exponential(1.0), Constant(1.0))
         p, q = model.lethal_prob, model.survive_prob
-        report = run_batch(model, SimulationConfig(runs=30_000, seed=18, gap_reservoir=20_000))
+        lethal, nonlethal = kernel_gaps(model, runs=30_000, seed=18, count=20_000)
         lethal_cdf = lambda x: np.minimum(-np.expm1(-np.asarray(x)), p) / p
         nonlethal_cdf = lambda x: np.clip(
             (math.exp(-1.0) - np.exp(-np.maximum(np.asarray(x), 1.0))) / q, 0.0, 1.0)
         critical = 1.63 / math.sqrt(20_000)
-        assert ks_statistic(report.lethal_gaps, lethal_cdf) < critical
-        assert ks_statistic(report.nonlethal_gaps, nonlethal_cdf) < critical
+        assert ks_statistic(lethal, lethal_cdf) < critical
+        assert ks_statistic(nonlethal, nonlethal_cdf) < critical
 
 
 class TestSegments:
@@ -180,7 +150,6 @@ class TestReportShape:
         cfg = SimulationConfig(runs=150_000, seed=21, sample_reservoir=50_000)
         report = run_batch(BENCH, cfg)
         assert len(report.sorted_times) == 50_000
-        assert report.histogram_counts.sum() + report.histogram_overflow == 150_000
         assert report.shock_count_histogram.sum() == 150_000
 
     def test_empirical_cdf_monotone_ends_at_one(self):
@@ -210,6 +179,16 @@ class TestReportShape:
         with pytest.raises(UnrealizableModelError):
             run_batch(slow, SimulationConfig(runs=100, seed=0, max_gaps_per_run=10))
 
+    def test_batch_never_reads_the_analytic_moments(self, monkeypatch):
+        # the simulator is the oracle of the analytic routes, so it must run
+        # without them
+        def refuse(self):
+            raise AssertionError("run_batch read the analytic moments")
+
+        monkeypatch.setattr(ShockModel, "failure_moments", refuse)
+        report = run_batch(BENCH, SimulationConfig(runs=CHUNK_SIZE + 7, seed=4))
+        assert report.runs == len(report.sorted_times) == CHUNK_SIZE + 7
+
 
 class TestKsStatistic:
     def test_self_distance_is_tiny(self):
@@ -235,7 +214,7 @@ class TestConfigValidation:
         dict(runs=10, seed=-1),
         dict(runs=10, seed=2**64),
         dict(runs=10, seed=0, workers=0),
-        dict(runs=10, seed=0, histogram_bins=0),
+        dict(runs=10, seed=0, sample_reservoir=0),
         dict(runs=1.5, seed=0),
     ])
     def test_rejects(self, kwargs):
