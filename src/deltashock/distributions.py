@@ -92,6 +92,17 @@ class ArrivalLaw(ProbabilityLaw):
         """The density as pieces (see Pieces), or None."""
         return None
 
+    def sample_failures(self, rng: np.random.Generator, k: int, tau: float, size: int):
+        """Failure times and gap counts of `size` runs under a constant
+        threshold tau, drawn without stepping gap by gap, or None.
+
+        A run fails at its k-th gap at or below tau.  The gap counts come
+        back as floats holding exact integers, so that a caller can compare
+        them with a cap before casting them.  A law that returns None (the
+        default) draws nothing from rng, and is simulated gap by gap.
+        """
+        return None
+
     @abstractmethod
     def density(self, t):
         """Density f(t); 0 outside the support. Rejects t < 0."""
@@ -135,6 +146,22 @@ class Exponential(ArrivalLaw):
 
     def sample(self, rng, size=None):
         return rng.exponential(scale=1.0 / self.rate, size=size)
+
+    def sample_failures(self, rng, k, tau, size):
+        # By memorylessness a segment's lethal-gap draw E splits as
+        # E = M tau + R: M = floor(E / tau) is Geometric(p), the segment's
+        # non-lethal count, and R, independent of M, has the law of a gap
+        # given gap <= tau.  Each non-lethal gap is tau plus an Exp(rate)
+        # excess, so the segment lasts E + Gamma(M, 1/rate), and a run
+        # E_1 + ... + E_k + Gamma(N, 1/rate) with N = M_1 + ... + M_k.
+        # Nothing is subtracted, so no digits are lost as p -> 0.
+        draws = self.sample(rng, size=(k, size))
+        with np.errstate(over="ignore"):  # a subnormal tau: counts of inf, which no cap admits
+            nonlethal = np.floor(draws / tau).sum(axis=0)
+        times = draws.sum(axis=0)
+        some = nonlethal > 0
+        times[some] += rng.standard_gamma(nonlethal[some]) / self.rate
+        return times, nonlethal + k
 
     def raw_moment(self, order):
         self._check_order(order)

@@ -7,6 +7,15 @@ stream through a single-pass accumulator (merged with the parallel
 central-moment formulas up to fourth order, which the variance standard
 error needs); failure times are retained up to a reservoir cap for the
 empirical cdf.  The batch reads nothing of the analytic routes it checks.
+
+A chunk is sampled in one of two ways.  With a constant threshold, an
+arrival law may draw whole runs at once (ArrivalLaw.sample_failures).
+Exponential gaps do, exactly: by memorylessness each segment's lethal draw
+splits into a geometric count of non-lethal gaps and an independent
+remainder, so a run costs k exponentials and at most one gamma instead of
+about k/p gap draws.  Every other model steps through the wave kernel
+(_waves), which the tests also use as the reference.  Either way a run that
+needs more than max_gaps_per_run gaps raises UnrealizableModelError.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .distributions import Constant
 from .model import ShockModel, UnrealizableModelError
 
 __all__ = [
@@ -73,7 +83,8 @@ class _Moments:
         n = len(x)
         mean = float(x.mean())
         d = x - mean
-        return cls(n, mean, float((d**2).sum()), float((d**3).sum()), float((d**4).sum()))
+        d2 = d * d  # products, not d**3 and d**4, which go through the generic pow
+        return cls(n, mean, float(d2.sum()), float((d2 * d).sum()), float((d2 * d2).sum()))
 
     def merge(self, other: "_Moments") -> "_Moments":
         if self.n == 0:
@@ -166,13 +177,38 @@ def _waves(model, rng, n_runs, max_gaps):
         active = active[lethal_counts[active] < model.k]
 
 
-def _simulate_chunk(model, n_runs, seed, chunk_index, max_gaps):
-    """Failure times and summaries of one chunk, drawn from its own stream."""
+def _split_times(model, rng, n_runs, max_gaps):
+    """(times, gap counts) from the arrival law's split sampler, or None
+    when the threshold is not constant or the law has no such sampler."""
+    if not isinstance(model.threshold, Constant):
+        return None
+    split = model.arrivals.sample_failures(rng, model.k, model.threshold.tau, n_runs)
+    if split is None:
+        return None
+    times, gap_counts = split
+    # compared as floats, before a count too large for int64 could wrap
+    if gap_counts.max() > max_gaps:
+        raise UnrealizableModelError(
+            f"{int((gap_counts > max_gaps).sum())} runs need more than {max_gaps} gaps each"
+        )
+    return times, gap_counts.astype(np.int64)
+
+
+def _wave_times(model, rng, n_runs, max_gaps):
+    """(times, gap counts) summed over the waves of the kernel."""
     times = np.zeros(n_runs)
     gap_counts = np.zeros(n_runs, dtype=np.int64)
-    for wave, active, z, _, _ in _waves(model, _chunk_rng(seed, chunk_index), n_runs, max_gaps):
+    for wave, active, z, _, _ in _waves(model, rng, n_runs, max_gaps):
         times[active] += z
         gap_counts[active] = wave
+    return times, gap_counts
+
+
+def _simulate_chunk(model, n_runs, seed, chunk_index, max_gaps):
+    """Failure times and summaries of one chunk, drawn from its own stream."""
+    rng = _chunk_rng(seed, chunk_index)
+    split = _split_times(model, rng, n_runs, max_gaps)
+    times, gap_counts = split if split is not None else _wave_times(model, rng, n_runs, max_gaps)
     return {
         "moments": _Moments.from_array(times),
         "times": times,

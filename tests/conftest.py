@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from deltashock.simulate import CHUNK_SIZE, _chunk_rng, _waves
+from deltashock.simulate import CHUNK_SIZE, _chunk_rng, _wave_times, _waves
 
 
 def _kernel_gaps(model, runs, seed, count):
@@ -27,3 +27,17 @@ def _kernel_gaps(model, runs, seed, count):
 @pytest.fixture
 def kernel_gaps():
     return _kernel_gaps
+
+
+def _kernel_times(model, runs, seed):
+    """Failure times of `runs` runs summed from the wave kernel's gaps, one
+    stream per chunk as in run_batch: the reference for the split sampler."""
+    return np.concatenate([
+        _wave_times(model, _chunk_rng(seed, index), min(CHUNK_SIZE, runs - index * CHUNK_SIZE), 10**9)[0]
+        for index in range(-(-runs // CHUNK_SIZE))
+    ])
+
+
+@pytest.fixture
+def kernel_times():
+    return _kernel_times

@@ -8,8 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from deltashock import Constant, Exponential, ShockModel, SimulationConfig
+from deltashock import Constant, Exponential, ShockModel, SimulationConfig, run_batch
 from deltashock.cli import (
+    CSV_BLOCK_ROWS,
     EXIT_COMPARE,
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -238,6 +239,17 @@ class TestSimulate:
         assert rows[0] == ["t", "ecdf"]
         assert len(rows) == 1 + 50_000
         assert float(rows[-1][1]) == 1.0
+
+    def test_ecdf_rows_are_the_sorted_times_and_their_ranks(self, tmp_path):
+        # two full write blocks and a short one, against one format per cell
+        runs = 2 * CSV_BLOCK_ROWS + 3
+        cfg = parse_config(exp_config(tmp_path / "out", runs=runs))
+        assert cmd_simulate(cfg) == EXIT_OK
+        times = run_batch(cfg.model, cfg.simulation).sorted_times
+        lines = (tmp_path / "out" / "ecdf.csv").read_bytes().decode().split("\n")
+        assert lines[0] == "t,ecdf" and lines[-1] == "" and len(lines) == runs + 2
+        for i, (line, t) in enumerate(zip(lines[1:], times)):
+            assert line == f"{float(t):.17g},{(i + 1) / runs:.17g}"
 
     def test_report_counts_retained_samples(self, tmp_path):
         cfg = parse_config(exp_config(tmp_path / "out"))

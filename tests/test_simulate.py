@@ -21,6 +21,7 @@ from deltashock import (
 
 LN2 = math.log(2.0)
 BENCH = ShockModel(3, Exponential(1.0), Constant(LN2))
+RARE = ShockModel(3, Exponential(1.0), Constant(-math.log(0.99)))  # p = 0.01
 
 
 class TestDeterminism:
@@ -119,6 +120,82 @@ class TestConditionalGapLaws:
         assert ks_statistic(nonlethal, nonlethal_cdf) < critical
 
 
+class TestSplitSampler:
+    """Exponential gaps with a constant threshold skip the wave kernel: each
+    segment's lethal draw splits into a geometric non-lethal count and a
+    remainder, plus a gamma for the non-lethal excesses."""
+
+    def test_takes_the_split_and_nothing_else_does(self, monkeypatch):
+        from deltashock import simulate
+
+        def refuse(*args):
+            raise AssertionError("stepped through the wave kernel")
+
+        monkeypatch.setattr(simulate, "_waves", refuse)
+        assert run_batch(RARE, SimulationConfig(runs=1000, seed=0)).runs == 1000
+        with pytest.raises(AssertionError, match="wave kernel"):
+            run_batch(ShockModel(2, Exponential(1.0), Exponential(1.0)),
+                      SimulationConfig(runs=10, seed=0))
+        with pytest.raises(AssertionError, match="wave kernel"):
+            run_batch(ShockModel(2, Uniform(0.0, 2.0), Constant(1.0)),
+                      SimulationConfig(runs=10, seed=0))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [0.5, 0.01])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_times_match_the_wave_kernel(self, kernel_times, k, p, seed):
+        # two-sample KS at alpha = 0.001 against the kernel on its own seed
+        from scipy.stats import ks_2samp
+        model = ShockModel(k, Exponential(1.0), Constant(-math.log1p(-p)))
+        n = 20_000
+        split = run_batch(model, SimulationConfig(runs=n, seed=seed)).sorted_times
+        kernel = kernel_times(model, n, seed + 1000)
+        assert ks_2samp(split, kernel).statistic < 1.95 * math.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize("model", [BENCH, RARE], ids=["p05", "p01"])
+    def test_shock_counts_follow_the_negative_binomial(self, model):
+        # chi-square over cells holding at least 50 expected runs each; the
+        # tail beyond the last cell is one more cell
+        from scipy.stats import chi2
+        runs = 200_000
+        report = run_batch(model, SimulationConfig(runs=runs, seed=5))
+        observed = report.shock_count_histogram
+        cells, expected, lo, mass = [], [], 0, 0.0
+        for n in range(len(observed)):
+            mass += model.shock_count_pmf(n)
+            if mass * runs >= 50:
+                cells.append(observed[lo:n + 1].sum())
+                expected.append(mass * runs)
+                lo, mass = n + 1, 0.0
+        cells.append(observed[lo:].sum())
+        expected.append(runs - sum(expected))
+        cells, expected = np.array(cells), np.array(expected)
+        statistic = float(((cells - expected) ** 2 / expected).sum())
+        assert statistic < chi2.ppf(0.999, len(cells) - 1)
+
+    def test_tiny_threshold_hits_the_cap_instead_of_wrapping(self):
+        # about 1e300 non-lethal gaps per run, beyond any int64
+        model = ShockModel(3, Exponential(1.0), Constant(1e-300))
+        with pytest.raises(UnrealizableModelError):
+            run_batch(model, SimulationConfig(runs=100, seed=0))
+
+    def test_cap_counts_every_gap_as_the_kernel_does(self):
+        # every gap lethal: each run takes exactly k = 4 gaps
+        model = ShockModel(4, Exponential(2.0), Constant(1e9))
+        assert run_batch(model, SimulationConfig(runs=10, seed=0, max_gaps_per_run=4)).runs == 10
+        with pytest.raises(UnrealizableModelError):
+            run_batch(model, SimulationConfig(runs=10, seed=0, max_gaps_per_run=3))
+
+    def test_worker_count_never_changes_rare_results(self):
+        runs = 2 * CHUNK_SIZE + 5
+        base = run_batch(RARE, SimulationConfig(runs=runs, seed=13, workers=1))
+        pooled = run_batch(RARE, SimulationConfig(runs=runs, seed=13, workers=2))
+        assert (base.mean, base.variance, base.se_variance) == (
+            pooled.mean, pooled.variance, pooled.se_variance)
+        assert np.array_equal(base.sorted_times, pooled.sorted_times)
+        assert np.array_equal(base.shock_count_histogram, pooled.shock_count_histogram)
+
+
 class TestSegments:
     def test_segments_are_uncorrelated_and_on_the_moments(self):
         model = ShockModel(3, Exponential(1.0), Constant(1.0))
@@ -160,8 +237,8 @@ class TestReportShape:
         assert values[-1] == 1.0
 
     def test_memory_does_not_grow_with_chunks(self):
-        # every gap lethal: one wave per chunk, so what the batch keeps of
-        # each chunk dominates its memory
+        # every gap lethal: one draw of k gaps per run and no gamma, so what
+        # the batch keeps of each chunk dominates its memory
         model = ShockModel(1, Exponential(1.0), Constant(1e9))
         peaks = {}
         for chunks in (4, 16):
@@ -188,6 +265,21 @@ class TestReportShape:
         monkeypatch.setattr(ShockModel, "failure_moments", refuse)
         report = run_batch(BENCH, SimulationConfig(runs=CHUNK_SIZE + 7, seed=4))
         assert report.runs == len(report.sorted_times) == CHUNK_SIZE + 7
+
+
+class TestMoments:
+    def test_central_sums_match_an_exactly_rounded_reference(self):
+        from deltashock.simulate import _Moments
+        x = 50.0 + np.random.default_rng(3).exponential(scale=4.0, size=10_001)
+        moments = _Moments.from_array(x)
+        values = x.tolist()
+        mean = math.fsum(values) / len(values)
+        assert moments.n == len(values)
+        assert moments.mean == pytest.approx(mean, rel=1e-15)
+        for order, value in ((2, moments.m2), (3, moments.m3), (4, moments.m4)):
+            reference = math.fsum((v - mean) ** order for v in values)
+            scale = math.fsum(abs(v - mean) ** order for v in values)
+            assert abs(value - reference) <= 1e-12 * scale
 
 
 class TestKsStatistic:
