@@ -32,10 +32,9 @@ def kernel_gaps():
 def _kernel_times(model, runs, seed):
     """Failure times of `runs` runs summed from the wave kernel's gaps, one
     stream per chunk as in run_batch: the reference for the split sampler."""
-    return np.concatenate([
-        _wave_times(model, _chunk_rng(seed, index), min(CHUNK_SIZE, runs - index * CHUNK_SIZE), 10**9)[0]
-        for index in range(-(-runs // CHUNK_SIZE))
-    ])
+    sizes = [min(CHUNK_SIZE, runs - start) for start in range(0, runs, CHUNK_SIZE)]
+    return np.concatenate([_wave_times(model, _chunk_rng(seed, index), size, 10**9)[0]
+                           for index, size in enumerate(sizes)])
 
 
 @pytest.fixture
