@@ -9,15 +9,11 @@ cross-validates every analytic result.
 """
 
 from .closedform import (
-    ExpConstParams,
-    UnifConstParams,
-    VarianceComparison,
+    closed_form_family,
     exp_const_cdf,
     exp_const_moments,
     exp_const_pdf,
     unif_const_mean,
-    unif_const_variance_comparison,
-    unif_const_variance_general,
     unif_const_variance_published,
 )
 from .distributions import (

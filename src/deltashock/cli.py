@@ -23,12 +23,11 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 
 from .closedform import (
-    ExpConstParams,
-    UnifConstParams,
+    closed_form_family,
     exp_const_moments,
     exp_const_pdf,
     unif_const_mean,
-    unif_const_variance_comparison,
+    unif_const_variance_published,
 )
 from .distributions import (
     ArrivalLaw,
@@ -47,7 +46,7 @@ from .laplace import (
     invert_grid,
     moments_from_transform,
 )
-from .model import ShockModel, UnrealizableModelError
+from .model import MomentSummary, ShockModel, UnrealizableModelError
 from .simulate import KS_CRITICAL_001, SimulationConfig, ks_statistic, run_batch
 
 __all__ = [
@@ -330,35 +329,50 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _moments_dict(moments) -> dict:
-    return {
-        "mean": moments.mean,
-        "variance": moments.variance,
-        "segment_mean": moments.segment_mean,
-        "segment_variance": moments.segment_variance,
+def _closed_form_block(model: ShockModel, general: MomentSummary):
+    """The model's closed-form family and its moments block, or (None, None).
+
+    The uniform case reports general.variance, the authoritative value, next
+    to the published one.
+    """
+    family = closed_form_family(model)
+    if family == "exponential_constant":
+        return family, asdict(exp_const_moments(model))
+    if family == "uniform_constant":
+        published = unif_const_variance_published(model)
+        return family, {
+            "mean": unif_const_mean(model),
+            "variance": general.variance,
+            "variance_published": published,
+            "variance_absolute_difference": abs(general.variance - published),
+            "variance_note": PUBLISHED_VARIANCE_NOTE,
+        }
+    return None, None
+
+
+def _analytic(model: ShockModel):
+    """The analytic side of analyze and compare: the general moments, the
+    closed-form family and block, the normal approximation, and the
+    summary's "moments" block, which holds every moment route."""
+    general = model.failure_moments()
+    transform = moments_from_transform(model)
+    family, closed = _closed_form_block(model, general)
+    moments = {
+        "general": asdict(general),
+        "transform": asdict(transform),
+        "closed_form": closed,
+        "closed_form_family": family,
     }
+    return general, family, NormalApprox.from_moments(general), moments
 
 
-def _closed_form_block(model: ShockModel):
-    """Closed-form moments when the model is one of the tractable families."""
-    if isinstance(model.threshold, Constant):
-        if isinstance(model.arrivals, Exponential):
-            params = ExpConstParams(model.arrivals.rate, model.threshold.tau, model.k)
-            return "exponential_constant", params, _moments_dict(exp_const_moments(params))
-        if isinstance(model.arrivals, Uniform):
-            a, b = model.arrivals.lower, model.arrivals.upper
-            if a < model.threshold.tau < b:
-                params = UnifConstParams(a, b, model.threshold.tau, model.k)
-                comparison = unif_const_variance_comparison(params)
-                block = {
-                    "mean": unif_const_mean(params),
-                    "variance": comparison.general,
-                    "variance_published": comparison.published,
-                    "variance_absolute_difference": comparison.absolute_difference,
-                    "variance_note": PUBLISHED_VARIANCE_NOTE,
-                }
-                return "uniform_constant", params, block
-    return None, None, None
+def _delta_se(observed: float, expected: float, se: float):
+    """(observed - expected) / se and whether it lies within 3, or (None, None)
+    when se is 0 or None."""
+    if not se:
+        return None, None
+    delta = (observed - expected) / se
+    return delta, bool(abs(delta) <= 3.0)
 
 
 def _resolve_grid(cfg: RunConfig, moments) -> np.ndarray:
@@ -385,10 +399,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 def cmd_analyze(cfg: RunConfig) -> int:
     """Analytic pipeline: moments by every available method plus curve files."""
     model = cfg.model
-    general = model.failure_moments()
-    transform = moments_from_transform(model)
-    family, params, closed_block = _closed_form_block(model)
-    approx = NormalApprox.from_moments(general)
+    general, family, approx, moments = _analytic(model)
 
     grid = _resolve_grid(cfg, general)
     inverted = invert_grid(model, grid, cfg.analysis.inversion)
@@ -396,27 +407,20 @@ def cmd_analyze(cfg: RunConfig) -> int:
     failures = []
     for t, pdf_inv, cdf_inv, error in zip(grid.tolist(), inverted.pdf.tolist(),
                                           inverted.cdf.tolist(), inverted.errors):
-        pdf_closed = exp_const_pdf(params, t) if family == "exponential_constant" else None
+        pdf_closed = exp_const_pdf(model, t) if family == "exponential_constant" else None
         if error is not None:
             pdf_inv = cdf_inv = None
             failures.append({"t": t, "error_estimate": error.error_estimate})
         rows.append((t, pdf_closed, pdf_inv, float(approx.pdf(t)), cdf_inv))
 
-    means = [general.mean, transform.mean]
-    variances = [general.variance, transform.variance]
-    if closed_block is not None:
-        means.append(closed_block["mean"])
-        variances.append(closed_block["variance"])
+    routes = [moments[key] for key in ("general", "transform", "closed_form") if moments[key]]
+    means = [route["mean"] for route in routes]
+    variances = [route["variance"] for route in routes]
     summary = {
         "command": "analyze",
         "config": serialize_config(cfg),
         "lethal_prob": model.lethal_prob,
-        "moments": {
-            "general": _moments_dict(general),
-            "transform": _moments_dict(transform),
-            "closed_form": closed_block,
-            "closed_form_family": family,
-        },
+        "moments": moments,
         "method_agreement": {
             "mean_relative_spread": (max(means) - min(means)) / abs(general.mean),
             "variance_relative_spread": (max(variances) - min(variances)) / abs(general.variance),
@@ -445,12 +449,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     report = run_batch(model, cfg.simulation)
     analytic = model.failure_moments()
 
-    mean_delta_se = None
-    if report.se_mean:
-        mean_delta_se = (report.mean - analytic.mean) / report.se_mean
-    checks = {
-        "mean_within_3se": None if mean_delta_se is None else bool(abs(mean_delta_se) <= 3.0),
-    }
+    mean_delta_se, mean_ok = _delta_se(report.mean, analytic.mean, report.se_mean)
+    checks = {"mean_within_3se": mean_ok}
     failed = [name for name, ok in checks.items() if ok is False]
 
     summary = {
@@ -528,11 +528,7 @@ def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int
     sim_model = cfg.model
     analytic = analytic_model if analytic_model is not None else sim_model
     report = run_batch(sim_model, cfg.simulation)
-
-    general = analytic.failure_moments()
-    transform = moments_from_transform(analytic)
-    family, params, closed_block = _closed_form_block(analytic)
-    approx = NormalApprox.from_moments(general)
+    general, family, approx, moments = _analytic(analytic)
     inv_cfg = cfg.analysis.inversion
 
     t_hi = max(report.max_time, general.mean + 8.0 * math.sqrt(general.variance))
@@ -543,47 +539,40 @@ def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int
     samples = len(report.sorted_times)
     critical = KS_CRITICAL_001 / math.sqrt(samples)
 
-    mean_delta_se = (report.mean - general.mean) / report.se_mean if report.se_mean else None
-    var_delta_se = None
-    if report.se_variance:
-        var_delta_se = (report.variance - general.variance) / report.se_variance
-
+    mean_delta_se, mean_ok = _delta_se(report.mean, general.mean, report.se_mean)
+    var_delta_se, var_ok = _delta_se(report.variance, general.variance, report.se_variance)
     checks = {
-        "mean_within_3se": None if mean_delta_se is None else bool(abs(mean_delta_se) <= 3.0),
-        "variance_within_3se": None if var_delta_se is None else bool(abs(var_delta_se) <= 3.0),
+        "mean_within_3se": mean_ok,
+        "variance_within_3se": var_ok,
         "ks_exact_below_critical": bool(ks_exact < critical),
     }
     failed = [name for name, ok in checks.items() if ok is False]
 
     published_check = None
     if family == "uniform_constant" and var_delta_se is not None:
-        published = closed_block["variance_published"]
-        delta = (report.variance - published) / report.se_variance
+        closed = moments["closed_form"]
+        delta, published_ok = _delta_se(report.variance, closed["variance_published"],
+                                        report.se_variance)
         published_check = {
-            "published_variance": published,
-            "general_variance": closed_block["variance"],
+            "published_variance": closed["variance_published"],
+            "general_variance": closed["variance"],
             "simulation_variance": report.variance,
             "published_delta_se": delta,
-            "published_within_3se": bool(abs(delta) <= 3.0),
-            "general_within_3se": checks["variance_within_3se"],
+            "published_within_3se": published_ok,
+            "general_within_3se": var_ok,
             "note": PUBLISHED_VARIANCE_NOTE,
         }
 
+    moments["simulation"] = {
+        "mean": report.mean,
+        "variance": report.variance,
+        "se_mean": report.se_mean,
+        "se_variance": report.se_variance,
+    }
     payload = {
         "command": "compare",
         "config": serialize_config(cfg),
-        "moments": {
-            "general": _moments_dict(general),
-            "transform": _moments_dict(transform),
-            "closed_form": closed_block,
-            "closed_form_family": family,
-            "simulation": {
-                "mean": report.mean,
-                "variance": report.variance,
-                "se_mean": report.se_mean,
-                "se_variance": report.se_variance,
-            },
-        },
+        "moments": moments,
         "deltas_se": {"mean": mean_delta_se, "variance": var_delta_se},
         "ks": {
             "empirical_vs_inverted": ks_exact,

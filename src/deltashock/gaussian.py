@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erf
 
-from .closedform import ExpConstParams, exp_const_cdf, exp_const_pdf
-from .distributions import Constant, Exponential
+from .closedform import closed_form_family, exp_const_cdf, exp_const_pdf
 from .laplace import InversionConfig, invert_grid
 from .model import MomentSummary, ShockModel
 
@@ -92,11 +91,10 @@ def approx_error(model: ShockModel, approx: NormalApprox, reference="inversion",
         ref_cdf = np.array([float(ref_cdf_fn(t)) for t in grid])
         ref_name = "callables"
     elif reference == "series":
-        if not (isinstance(model.arrivals, Exponential) and isinstance(model.threshold, Constant)):
+        if closed_form_family(model) != "exponential_constant":
             raise ValueError("series reference needs exponential gaps and a constant threshold")
-        params = ExpConstParams(model.arrivals.rate, model.threshold.tau, model.k)
-        ref_pdf = np.array([exp_const_pdf(params, t) for t in grid])
-        ref_cdf = np.array([exp_const_cdf(params, t) for t in grid])
+        ref_pdf = np.array([exp_const_pdf(model, t) for t in grid])
+        ref_cdf = np.array([exp_const_cdf(model, t) for t in grid])
         ref_name = "series"
     elif reference == "inversion":
         inverted = invert_grid(model, grid, config or InversionConfig(target_error=1e-4))

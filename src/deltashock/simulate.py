@@ -66,6 +66,8 @@ class SimulationConfig:
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
         if not (isinstance(self.sample_reservoir, int) and self.sample_reservoir >= 1):
             raise ValueError(f"sample_reservoir must be an integer >= 1, got {self.sample_reservoir!r}")
+        if not (isinstance(self.max_gaps_per_run, int) and self.max_gaps_per_run >= 1):
+            raise ValueError(f"max_gaps_per_run must be an integer >= 1, got {self.max_gaps_per_run!r}")
 
 
 @dataclass

@@ -13,12 +13,10 @@ import pytest
 from deltashock import (
     Constant,
     Exponential,
-    ExpConstParams,
     InversionConfig,
     NormalApprox,
     ShockModel,
     SimulationConfig,
-    UnifConstParams,
     Uniform,
     approx_error,
     exp_const_moments,
@@ -28,7 +26,6 @@ from deltashock import (
     moments_from_transform,
     run_batch,
     unif_const_mean,
-    unif_const_variance_general,
     unif_const_variance_published,
 )
 from deltashock.cli import EXIT_OK, cmd_compare, cmd_simulate, parse_config
@@ -48,7 +45,7 @@ def test_acceptance_1_moment_triple_agreement():
         model = ShockModel(k, Exponential(1.0), Constant(LN2))
         routes = {
             "general": model.failure_moments(),
-            "closed": exp_const_moments(ExpConstParams(1.0, LN2, k)),
+            "closed": exp_const_moments(model),
             "transform": moments_from_transform(model),
         }
         means = [m.mean for m in routes.values()]
@@ -90,15 +87,14 @@ def test_acceptance_3_series_inversion_equivalence():
     worst = 0.0
     for k in (1, 2, 5):
         model = ShockModel(k, Exponential(1.0), Constant(1.0))
-        params = ExpConstParams(1.0, 1.0, k)
         mean = model.failure_moments().mean
         for t in np.linspace(0.1, 10.0 * mean, 20):
-            gap = abs(invert_density(model, float(t), cfg) - exp_const_pdf(params, float(t)))
+            gap = abs(invert_density(model, float(t), cfg) - exp_const_pdf(model, float(t)))
             worst = max(worst, gap)
             assert gap <= 1e-6
-    params = ExpConstParams(1.0, 1.0, 2)
-    moments = exp_const_moments(params)
-    mass = integrate_series_pdf(params, moments.mean + 45 * math.sqrt(moments.variance))
+    model = ShockModel(2, Exponential(1.0), Constant(1.0))
+    moments = exp_const_moments(model)
+    mass = integrate_series_pdf(model, moments.mean + 45 * math.sqrt(moments.variance))
     assert mass == pytest.approx(1.0, abs=1e-6)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -124,16 +120,15 @@ def test_acceptance_4_single_hit_reduction():
 def test_acceptance_5_uniform_case_audit(tmp_path):
     """The uniform-case mean checks out; only the general variance survives
     simulation, and the compare report flags the published formula."""
-    params = UnifConstParams(0.0, 2.0, 1.0, 1)
-    model = params.to_model()
-    assert unif_const_mean(params) == pytest.approx(2.0, abs=1e-12)
+    model = ShockModel(1, Uniform(0.0, 2.0), Constant(1.0))
+    assert unif_const_mean(model) == pytest.approx(2.0, abs=1e-12)
     assert model.failure_moments().mean == pytest.approx(2.0, abs=1e-12)
 
     batch = run_batch(model, SimulationConfig(runs=1_000_000, seed=555))
     mean_z = abs(batch.mean - 2.0) / batch.se_mean
     assert mean_z <= 3.0
-    general = unif_const_variance_general(params)
-    published = unif_const_variance_published(params)
+    general = model.failure_moments().variance
+    published = unif_const_variance_published(model)
     assert general == pytest.approx(14.0 / 3.0, abs=1e-10)
     assert published == pytest.approx(7.0 / 3.0, abs=1e-12)
     general_z = abs(batch.variance - general) / batch.se_variance

@@ -210,6 +210,23 @@ class TestAnalyze:
         assert closed["variance_published"] == pytest.approx(7.0 / 3.0, abs=1e-12)
         assert closed["variance_absolute_difference"] == pytest.approx(7.0 / 3.0, abs=1e-9)
         assert "authoritative" in closed["variance_note"]
+        assert summary["moments"]["closed_form_family"] == "uniform_constant"
+
+    def test_uniform_with_every_gap_lethal_has_no_closed_form(self, tmp_path):
+        # tau = 3 lies above the gaps' support (0, 2), so p = 1
+        config = exp_config(tmp_path / "out")
+        config["model"] = {
+            "k": 2,
+            "arrivals": {"type": "uniform", "lower": 0.0, "upper": 2.0},
+            "threshold": {"type": "constant", "value": 3.0},
+        }
+        assert cmd_analyze(parse_config(config)) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["lethal_prob"] == 1.0
+        assert summary["moments"]["closed_form"] is None
+        assert summary["moments"]["closed_form_family"] is None
+        rows = read_rows(tmp_path / "out" / "curves.csv")[1:]
+        assert all(row[1] == "" for row in rows)
 
     def test_unreachable_inversion_reported_per_row(self, tmp_path):
         config = exp_config(tmp_path / "out")
@@ -322,8 +339,8 @@ class TestInvert:
         cfg = parse_config(exp_config(tmp_path / "out"))
         assert cmd_invert(cfg, 0.3, "density") == EXIT_OK
         printed = float(capsys.readouterr().out.strip())
-        from deltashock.closedform import ExpConstParams, exp_const_pdf
-        assert printed == pytest.approx(exp_const_pdf(ExpConstParams(1.0, LN2, 3), 0.3), abs=1e-8)
+        from deltashock.closedform import exp_const_pdf
+        assert printed == pytest.approx(exp_const_pdf(cfg.model, 0.3), abs=1e-8)
 
     def test_cdf_mode(self, tmp_path, capsys):
         cfg = parse_config(exp_config(tmp_path / "out", k=1, tau=1.0))

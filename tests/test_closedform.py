@@ -11,16 +11,13 @@ from scipy.special import gammainc, gammaln
 from deltashock import (
     Constant,
     Exponential,
-    ExpConstParams,
     ShockModel,
-    UnifConstParams,
     Uniform,
+    closed_form_family,
     exp_const_cdf,
     exp_const_moments,
     exp_const_pdf,
     unif_const_mean,
-    unif_const_variance_comparison,
-    unif_const_variance_general,
     unif_const_variance_published,
 )
 from deltashock.closedform import _exp_const_pdf_naive
@@ -28,12 +25,20 @@ from deltashock.closedform import _exp_const_pdf_naive
 LN2 = math.log(2.0)
 
 
-def exp_const_pdf_loop(params, t):
+def exp_const(lam, tau, k):
+    return ShockModel(k, Exponential(lam), Constant(tau))
+
+
+def unif_const(a, b, tau, k):
+    return ShockModel(k, Uniform(a, b), Constant(tau))
+
+
+def exp_const_pdf_loop(model, t):
     """The series density term by term with Kahan summation: the reference
     the vectorized exp_const_pdf replaced."""
     if t <= 0.0:
         return 0.0
-    lam, tau, k = params.rate, params.tau, params.k
+    lam, tau, k = model.arrivals.rate, model.threshold.tau, model.k
     base_log = k * math.log(lam) - lam * t - math.lgamma(k)
     choose_log = [math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1)
                   for i in range(k + 1)]
@@ -58,12 +63,12 @@ def exp_const_pdf_loop(params, t):
     return max(total, 0.0)
 
 
-def exp_const_cdf_loop(params, t):
+def exp_const_cdf_loop(model, t):
     """The series cdf term by term with Kahan summation: the reference the
     block sum of exp_const_cdf replaced."""
     if t <= 0.0:
         return 0.0
-    lam, tau, k = params.rate, params.tau, params.k
+    lam, tau, k = model.arrivals.rate, model.threshold.tau, model.k
     choose_log = [math.lgamma(k + 1) - math.lgamma(i + 1) - math.lgamma(k - i + 1)
                   for i in range(k + 1)]
     total = compensation = 0.0
@@ -85,13 +90,14 @@ def exp_const_cdf_loop(params, t):
     return min(max(total, 0.0), 1.0)
 
 
-def integrate_series_pdf(params, upper):
+def integrate_series_pdf(model, upper):
     """Piecewise quadrature of the series density between its kinks."""
-    edges = [j * params.tau for j in range(int(upper / params.tau) + 1)] + [upper]
+    tau = model.threshold.tau
+    edges = [j * tau for j in range(int(upper / tau) + 1)] + [upper]
     total = 0.0
     for lo, hi in zip(edges, edges[1:]):
         if hi > lo:
-            val, _ = integrate.quad(lambda t: exp_const_pdf(params, t), lo, hi,
+            val, _ = integrate.quad(lambda t: exp_const_pdf(model, t), lo, hi,
                                     epsabs=1e-12, epsrel=1e-11, limit=300)
             total += val
     return total
@@ -99,28 +105,28 @@ def integrate_series_pdf(params, upper):
 
 class TestSeriesPdf:
     def test_head_is_pure_exponential(self):
-        params = ExpConstParams(1.0, 1.0, 1)
+        model = exp_const(1.0, 1.0, 1)
         for t in (0.1, 0.5, 0.999):
-            assert exp_const_pdf(params, t) == pytest.approx(math.exp(-t), abs=1e-13)
+            assert exp_const_pdf(model, t) == pytest.approx(math.exp(-t), abs=1e-13)
 
     def test_zero_below_origin(self):
-        params = ExpConstParams(1.0, 1.0, 2)
-        assert exp_const_pdf(params, 0.0) == 0.0
-        assert exp_const_pdf(params, -1.0) == 0.0
+        model = exp_const(1.0, 1.0, 2)
+        assert exp_const_pdf(model, 0.0) == 0.0
+        assert exp_const_pdf(model, -1.0) == 0.0
 
     def test_step_convention_at_threshold(self):
         # at t = tau the two zero-exponent step terms cancel exactly
-        params = ExpConstParams(1.0, 1.0, 1)
-        assert exp_const_pdf(params, 1.0) == 0.0
+        model = exp_const(1.0, 1.0, 1)
+        assert exp_const_pdf(model, 1.0) == 0.0
 
     @pytest.mark.parametrize("lam,tau,k", [
         (0.7, 0.5, 1), (1.0, 1.0, 1), (1.0, 0.5, 2), (2.0, 0.4, 3), (1.0, 1.0, 5), (1.0, LN2, 3),
     ])
     def test_log_space_matches_naive_for_moderate_arguments(self, lam, tau, k):
-        params = ExpConstParams(lam, tau, k)
+        model = exp_const(lam, tau, k)
         for t in np.linspace(0.05, 30.0 / lam, 40):
-            naive = _exp_const_pdf_naive(params, float(t))
-            stable = exp_const_pdf(params, float(t))
+            naive = _exp_const_pdf_naive(model, float(t))
+            stable = exp_const_pdf(model, float(t))
             assert abs(stable - naive) < 1e-12 * max(1.0, abs(naive))
 
     def test_many_steps_against_high_precision_sum(self):
@@ -132,7 +138,7 @@ class TestSeriesPdf:
         """
         mpmath = pytest.importorskip("mpmath")
         tau, k, t = -math.log(0.99), 3, 404.8559153597423
-        params = ExpConstParams(1.0, tau, k)
+        model = exp_const(1.0, tau, k)
         # the 60-digit sum skips j whose terms lie e^150 below the largest
         j = np.arange(int(t / tau) + 1)
         log_size = (j + k - 1) * np.log(np.maximum(t - j * tau, 1e-300)) - gammaln(j + 1)
@@ -146,51 +152,51 @@ class TestSeriesPdf:
                         total += ((-1) ** i * mpmath.binomial(k, i) * x ** (jj + k - 1)
                                   / mpmath.factorial(jj))
             exact = float(total * mpmath.exp(-T) / mpmath.factorial(k - 1))
-        loop_error = abs(exp_const_pdf_loop(params, t) - exact)
+        loop_error = abs(exp_const_pdf_loop(model, t) - exact)
         assert 0.0 < loop_error < 1e-7 * exact
-        assert abs(exp_const_pdf(params, t) - exact) <= 2.0 * loop_error
+        assert abs(exp_const_pdf(model, t) - exact) <= 2.0 * loop_error
 
     @pytest.mark.parametrize("lam,tau,k", [(1.0, 1.0, 1), (1.0, 1.0, 2), (1.0, 0.5, 2)])
     def test_integrates_to_one(self, lam, tau, k):
-        params = ExpConstParams(lam, tau, k)
-        model = ShockModel(k, Exponential(lam), Constant(tau))
+        model = exp_const(lam, tau, k)
         moments = model.failure_moments()
         upper = moments.mean + 45 * math.sqrt(moments.variance)
-        assert integrate_series_pdf(params, upper) == pytest.approx(1.0, abs=1e-6)
+        assert integrate_series_pdf(model, upper) == pytest.approx(1.0, abs=1e-6)
 
     def test_first_moment_matches_closed_mean(self):
-        params = ExpConstParams(1.0, 1.0, 2)
-        moments = exp_const_moments(params)
+        model = exp_const(1.0, 1.0, 2)
+        moments = exp_const_moments(model)
         upper = moments.mean + 45 * math.sqrt(moments.variance)
-        edges = [j * params.tau for j in range(int(upper / params.tau) + 1)] + [upper]
+        tau = model.threshold.tau
+        edges = [j * tau for j in range(int(upper / tau) + 1)] + [upper]
         total = 0.0
         for lo, hi in zip(edges, edges[1:]):
-            val, _ = integrate.quad(lambda t: t * exp_const_pdf(params, t), lo, hi,
+            val, _ = integrate.quad(lambda t: t * exp_const_pdf(model, t), lo, hi,
                                     epsabs=1e-12, epsrel=1e-11, limit=300)
             total += val
         assert total == pytest.approx(moments.mean, abs=1e-6)
 
     def test_every_gap_lethal_reduces_to_erlang(self):
-        params = ExpConstParams(2.0, 1e6, 3)
+        model = exp_const(2.0, 1e6, 3)
         for t in (0.2, 1.3, 4.0):
             erlang = 2.0**3 * t**2 * math.exp(-2.0 * t) / math.factorial(2)
-            assert exp_const_pdf(params, t) == pytest.approx(erlang, rel=1e-12)
+            assert exp_const_pdf(model, t) == pytest.approx(erlang, rel=1e-12)
 
 
 class TestSeriesCdf:
     @pytest.mark.parametrize("lam,tau,k", [(1.0, 1.0, 1), (1.0, 1.0, 2), (1.0, 0.5, 2), (2.0, 0.4, 3)])
     def test_matches_quadrature_of_pdf(self, lam, tau, k):
-        params = ExpConstParams(lam, tau, k)
+        model = exp_const(lam, tau, k)
         for t in (0.3, tau, 2.2, 5.7):
-            assert exp_const_cdf(params, t) == pytest.approx(
-                integrate_series_pdf(params, t), abs=1e-10)
+            assert exp_const_cdf(model, t) == pytest.approx(
+                integrate_series_pdf(model, t), abs=1e-10)
 
     def test_many_steps_against_high_precision_sum(self):
         """Up to 600 steps per threshold at p = 0.095, where the alternating
         terms reach about 1e3 and the sum loses three digits."""
         mpmath = pytest.importorskip("mpmath")
         lam, tau, k = 1.0, 0.1, 3
-        params = ExpConstParams(lam, tau, k)
+        model = exp_const(lam, tau, k)
         loop_errors, errors = [], []
         for t in (10.0, 30.0, 60.0):
             with mpmath.workdps(40):
@@ -201,25 +207,25 @@ class TestSeriesCdf:
                     * mpmath.gammainc(j + k, 0, T - (j + i) * TAU, regularized=True)
                     for j in range(int(t / tau) + 1) for i in range(k + 1)
                     if (j + i) * TAU < T))
-            loop_errors.append(abs(exp_const_cdf_loop(params, t) - exact))
-            errors.append(abs(exp_const_cdf(params, t) - exact))
+            loop_errors.append(abs(exp_const_cdf_loop(model, t) - exact))
+            errors.append(abs(exp_const_cdf(model, t) - exact))
         assert 0.0 < max(loop_errors) < 1e-11
         assert max(errors) <= max(loop_errors)
 
     def test_limits(self):
-        params = ExpConstParams(1.0, 1.0, 2)
-        assert exp_const_cdf(params, 0.0) == 0.0
-        assert exp_const_cdf(params, 200.0) == pytest.approx(1.0, abs=1e-12)
+        model = exp_const(1.0, 1.0, 2)
+        assert exp_const_cdf(model, 0.0) == 0.0
+        assert exp_const_cdf(model, 200.0) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestExpConstMoments:
     def test_benchmark_values(self):
-        assert exp_const_moments(ExpConstParams(1.0, LN2, 3)).mean == pytest.approx(6.0, abs=1e-12)
-        assert exp_const_moments(ExpConstParams(1.0, LN2, 1)).variance == pytest.approx(
+        assert exp_const_moments(exp_const(1.0, LN2, 3)).mean == pytest.approx(6.0, abs=1e-12)
+        assert exp_const_moments(exp_const(1.0, LN2, 1)).variance == pytest.approx(
             4.0 * (1.0 + LN2), abs=1e-12)
 
     def test_every_gap_lethal_limit(self):
-        moments = exp_const_moments(ExpConstParams(1.5, 1e6, 4))
+        moments = exp_const_moments(exp_const(1.5, 1e6, 4))
         assert moments.mean == pytest.approx(4.0 / 1.5, rel=1e-12)
         assert moments.variance == pytest.approx(4.0 / 1.5**2, rel=1e-12)
 
@@ -227,9 +233,9 @@ class TestExpConstMoments:
         (1.0, LN2, 3), (0.7, 0.4, 1), (2.2, 1.5, 6), (1.0, 3.0, 2),
     ])
     def test_agrees_with_general_formula(self, lam, tau, k):
-        params = ExpConstParams(lam, tau, k)
-        closed = exp_const_moments(params)
-        general = params.to_model().failure_moments()
+        model = exp_const(lam, tau, k)
+        closed = exp_const_moments(model)
+        general = model.failure_moments()
         assert closed.mean == pytest.approx(general.mean, abs=1e-10 * closed.mean)
         assert closed.variance == pytest.approx(general.variance, abs=1e-10 * closed.variance)
 
@@ -249,57 +255,84 @@ class TestExpConstMoments:
 
 class TestUniformConst:
     def test_mean_benchmarks(self):
-        assert unif_const_mean(UnifConstParams(0.0, 2.0, 1.0, 2)) == pytest.approx(4.0, abs=1e-12)
-        assert unif_const_mean(UnifConstParams(1.0, 3.0, 2.0, 1)) == pytest.approx(4.0, abs=1e-12)
+        assert unif_const_mean(unif_const(0.0, 2.0, 1.0, 2)) == pytest.approx(4.0, abs=1e-12)
+        assert unif_const_mean(unif_const(1.0, 3.0, 2.0, 1)) == pytest.approx(4.0, abs=1e-12)
 
     def test_mean_matches_general_formula(self):
-        for params in (UnifConstParams(0.0, 2.0, 1.0, 2), UnifConstParams(0.5, 2.5, 1.1, 3)):
-            general = params.to_model().failure_moments().mean
-            assert unif_const_mean(params) == pytest.approx(general, rel=1e-10)
+        for model in (unif_const(0.0, 2.0, 1.0, 2), unif_const(0.5, 2.5, 1.1, 3)):
+            general = model.failure_moments().mean
+            assert unif_const_mean(model) == pytest.approx(general, rel=1e-10)
 
     def test_threshold_near_upper_gives_plain_sum(self):
-        params = UnifConstParams(0.0, 2.0, 2.0 - 1e-9, 3)
-        assert unif_const_mean(params) == pytest.approx(3.0 * 1.0, rel=1e-8)
+        model = unif_const(0.0, 2.0, 2.0 - 1e-9, 3)
+        assert unif_const_mean(model) == pytest.approx(3.0 * 1.0, rel=1e-8)
 
     def test_variance_disagreement_on_benchmark(self):
-        params = UnifConstParams(0.0, 2.0, 1.0, 1)
-        assert unif_const_variance_general(params) == pytest.approx(14.0 / 3.0, abs=1e-10)
-        assert unif_const_variance_published(params) == pytest.approx(7.0 / 3.0, abs=1e-12)
-        comparison = unif_const_variance_comparison(params)
-        assert comparison.absolute_difference == pytest.approx(7.0 / 3.0, abs=1e-9)
+        model = unif_const(0.0, 2.0, 1.0, 1)
+        general = model.failure_moments().variance
+        published = unif_const_variance_published(model)
+        assert general == pytest.approx(14.0 / 3.0, abs=1e-10)
+        assert published == pytest.approx(7.0 / 3.0, abs=1e-12)
+        assert general - published == pytest.approx(7.0 / 3.0, abs=1e-9)
 
     def test_general_variance_linear_in_hit_count(self):
-        one = unif_const_variance_general(UnifConstParams(0.0, 2.0, 1.0, 1))
-        five = unif_const_variance_general(UnifConstParams(0.0, 2.0, 1.0, 5))
+        one = unif_const(0.0, 2.0, 1.0, 1).failure_moments().variance
+        five = unif_const(0.0, 2.0, 1.0, 5).failure_moments().variance
         assert five == pytest.approx(5.0 * one, rel=1e-12)
 
     def test_published_formula_arithmetic(self):
         # mu1 = 1, mu2 = 4/3: k (2*mu2*1 + 1*(4 - 2)) / (2*1*1) = (8/3 + 2)/2
-        assert unif_const_variance_published(UnifConstParams(0.0, 2.0, 1.0, 1)) == pytest.approx(
+        assert unif_const_variance_published(unif_const(0.0, 2.0, 1.0, 1)) == pytest.approx(
             (8.0 / 3.0 + 2.0) / 2.0, abs=1e-14)
 
     @pytest.mark.parametrize("build", [
-        lambda: UnifConstParams(0.0, 2.0, 0.0, 1),
-        lambda: UnifConstParams(0.0, 2.0, 2.0, 1),
-        lambda: UnifConstParams(0.0, 2.0, 2.5, 1),
-        lambda: UnifConstParams(1.0, 0.5, 0.7, 1),
-        lambda: UnifConstParams(0.0, 2.0, 1.0, 0),
+        lambda: unif_const_mean(unif_const(0.0, 2.0, 0.0, 1)),
+        lambda: unif_const_mean(unif_const(0.0, 2.0, 2.0, 1)),
+        lambda: unif_const_mean(unif_const(0.0, 2.0, 2.5, 1)),
+        lambda: unif_const_mean(unif_const(1.0, 0.5, 0.7, 1)),
+        lambda: unif_const_mean(unif_const(0.0, 2.0, 1.0, 0)),
+        lambda: exp_const_moments(exp_const(0.0, 1.0, 1)),
+        lambda: exp_const_moments(exp_const(1.0, 0.0, 1)),
+        lambda: exp_const_moments(exp_const(1.0, 1.0, 0)),
+        lambda: exp_const_moments(exp_const(1.0, 1.0, 1.5)),
     ])
     def test_validation(self, build):
+        """Bad inputs of both families, the uniform ones first: each fails
+        when its law or model is built, or else in the closed form."""
         with pytest.raises(ValueError):
             build()
 
 
 class TestExpConstValidation:
-    @pytest.mark.parametrize("build", [
-        lambda: ExpConstParams(0.0, 1.0, 1),
-        lambda: ExpConstParams(1.0, 0.0, 1),
-        lambda: ExpConstParams(1.0, 1.0, 0),
-        lambda: ExpConstParams(1.0, 1.0, 1.5),
-    ])
-    def test_validation(self, build):
-        with pytest.raises(ValueError):
-            build()
-
     def test_lethal_prob(self):
-        assert ExpConstParams(1.0, LN2, 1).lethal_prob == pytest.approx(0.5, abs=1e-15)
+        # the closed form's own p = 1 - e^(-lam tau) is 1/2, so a segment lasts 1/(lam p) = 2
+        assert exp_const_moments(exp_const(1.0, LN2, 1)).segment_mean == pytest.approx(2.0, abs=1e-15)
+
+
+class TestClosedFormFamily:
+    @pytest.mark.parametrize("model,family", [
+        (exp_const(1.0, LN2, 3), "exponential_constant"),
+        (unif_const(0.0, 2.0, 1.0, 1), "uniform_constant"),
+        (unif_const(0.5, 2.5, 1.1, 3), "uniform_constant"),
+        (unif_const(0.0, 2.0, 3.0, 2), None),  # p = 1: every gap is lethal
+        (unif_const(0.0, 2.0, 2.0, 1), None),  # tau at the upper end, p = 1 as well
+        (ShockModel(2, Exponential(1.0), Exponential(1.0)), None),
+        (ShockModel(2, Uniform(0.0, 2.0), Uniform(0.0, 1.0)), None),
+    ])
+    def test_family(self, model, family):
+        assert closed_form_family(model) == family
+
+    @pytest.mark.parametrize("closed_form,model", [
+        (closed_form, model)
+        for forms, own in [
+            ((lambda m: exp_const_pdf(m, 1.0), lambda m: exp_const_cdf(m, 1.0), exp_const_moments),
+             unif_const(0.0, 2.0, 1.0, 1)),
+            ((unif_const_mean, unif_const_variance_published), exp_const(1.0, LN2, 3)),
+        ]
+        for closed_form in forms
+        for model in (own, unif_const(0.0, 2.0, 3.0, 2),
+                      ShockModel(2, Exponential(1.0), Exponential(1.0)))
+    ])
+    def test_closed_forms_refuse_other_families(self, closed_form, model):
+        with pytest.raises(ValueError, match="closed form"):
+            closed_form(model)

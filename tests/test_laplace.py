@@ -20,7 +20,7 @@ from deltashock import (
     laplace_h,
     moments_from_transform,
 )
-from deltashock.closedform import ExpConstParams, exp_const_cdf, exp_const_pdf
+from deltashock.closedform import exp_const_cdf, exp_const_pdf
 from deltashock import laplace
 from deltashock.laplace import _fractions, _invert_series
 
@@ -185,7 +185,6 @@ class TestInvertGrid:
 
     def test_single_hit_against_closed_forms(self):
         model = ShockModel(1, Exponential(1.0), Constant(1.0))
-        params = ExpConstParams(1.0, 1.0, 1)
         grid = np.linspace(0.05, 8.0, 50)
         inverted = invert_grid(model, grid)
         settled = [error is None for error in inverted.errors]
@@ -194,8 +193,8 @@ class TestInvertGrid:
         assert sum(settled) >= 45
         for t, pdf, cdf, ok in zip(grid.tolist(), inverted.pdf, inverted.cdf, settled):
             if ok:
-                assert pdf == pytest.approx(exp_const_pdf(params, t), abs=2e-8)
-                assert cdf == pytest.approx(exp_const_cdf(params, t), abs=2e-8)
+                assert pdf == pytest.approx(exp_const_pdf(model, t), abs=2e-8)
+                assert cdf == pytest.approx(exp_const_cdf(model, t), abs=2e-8)
             else:
                 assert math.isnan(pdf) or math.isnan(cdf)
 
@@ -273,14 +272,13 @@ class TestInvertDensity:
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_matches_series_on_grid(self, k):
         model = ShockModel(k, Exponential(1.0), Constant(1.0))
-        params = ExpConstParams(1.0, 1.0, k)
         mean = model.failure_moments().mean
         cfg = InversionConfig(target_error=1e-6)
         ts = np.linspace(0.1, 10 * mean, 20)
         inverted = invert_grid(model, ts, cfg, cdf=False)
         assert not any(inverted.errors)
         for t, value in zip(ts.tolist(), inverted.pdf.tolist()):
-            assert value == pytest.approx(exp_const_pdf(params, t), abs=1e-6)
+            assert value == pytest.approx(exp_const_pdf(model, t), abs=1e-6)
 
     def test_far_tail_clamps_to_zero(self):
         model = ShockModel(2, Exponential(1.0), Constant(1.0))
@@ -326,12 +324,11 @@ class TestInvertCdf:
     @pytest.mark.parametrize("k", [1, 2, 5])
     def test_matches_series_cdf(self, k):
         model = ShockModel(k, Exponential(1.0), Constant(1.0))
-        params = ExpConstParams(1.0, 1.0, k)
         mean = model.failure_moments().mean
         cfg = InversionConfig(target_error=1e-6)
         for t in np.linspace(0.2, 6 * mean, 15):
             assert invert_cdf(model, float(t), cfg) == pytest.approx(
-                exp_const_cdf(params, float(t)), abs=2e-6)
+                exp_const_cdf(model, float(t)), abs=2e-6)
 
     def test_monotone_on_grid(self):
         model = ShockModel(2, Uniform(0.0, 2.0), Constant(1.0))

@@ -78,13 +78,12 @@ class TestStatistics:
 
     def test_ks_against_series_cdf(self):
         from scipy.interpolate import PchipInterpolator
-        from deltashock.closedform import ExpConstParams, exp_const_cdf
+        from deltashock.closedform import exp_const_cdf
         model = ShockModel(2, Exponential(1.0), Constant(1.0))
-        params = ExpConstParams(1.0, 1.0, 2)
         report = run_batch(model, SimulationConfig(runs=100_000, seed=6))
         hi = float(report.max_time) * 1.01
         nodes = np.linspace(0.0, hi, 2048)
-        interp = PchipInterpolator(nodes, [exp_const_cdf(params, float(t)) for t in nodes])
+        interp = PchipInterpolator(nodes, [exp_const_cdf(model, float(t)) for t in nodes])
         d = ks_statistic(report, lambda x: np.clip(interp(np.clip(x, 0, hi)), 0, 1))
         assert d < 1.63 / math.sqrt(report.runs)
 
@@ -308,6 +307,9 @@ class TestConfigValidation:
         dict(runs=10, seed=0, workers=0),
         dict(runs=10, seed=0, sample_reservoir=0),
         dict(runs=1.5, seed=0),
+        dict(runs=10, seed=0, max_gaps_per_run=1.5),
+        dict(runs=10, seed=0, max_gaps_per_run=0),
+        dict(runs=10, seed=0, max_gaps_per_run=-3),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
