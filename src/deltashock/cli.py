@@ -170,6 +170,23 @@ def _section(config: dict, path: str, key: str, keys) -> dict:
     return _known(value, f"{path}{key}.", keys)
 
 
+def _given(config: dict, path: str, key: str, checks: dict) -> dict:
+    """The keys that section config[key] gives, each through its JSON type check.
+
+    checks maps every known key to check(value, key_path); a key the file
+    omits takes its default from the spec the section builds.
+    """
+    section = _section(config, path, key, checks)
+    return {name: check(section[name], f"{path}{key}.{name}")
+            for name, check in checks.items() if name in section}
+
+
+def _list(value, path: str) -> tuple:
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    return tuple(value)
+
+
 # Each law type of the config: its class and its {JSON key: attribute}.
 _LAWS = {
     "exponential": (Exponential, {"rate": "rate"}),
@@ -221,37 +238,17 @@ def parse_config(config: dict) -> RunConfig:
     )
 
     analysis_sec = _section(config, "", "analysis", ("grid", "inversion"))
-    grid_sec = _section(analysis_sec, "analysis.", "grid", ("t_min", "t_max", "points"))
-    grid = _checked(
-        "analysis.grid", GridSpec,
-        t_min=_number_or_none(grid_sec.get("t_min"), "analysis.grid.t_min"),
-        t_max=_number_or_none(grid_sec.get("t_max"), "analysis.grid.t_max"),
-        points=_integer(grid_sec.get("points", 200), "analysis.grid.points"),
-    )
-    inv_sec = _section(analysis_sec, "analysis.", "inversion",
-                       ("target_error", "euler_depth", "discretization"))
-    inversion = _checked(
-        "analysis.inversion", InversionConfig,
-        target_error=_number(inv_sec.get("target_error", 1e-8), "analysis.inversion.target_error"),
-        euler_depth=_integer(inv_sec.get("euler_depth", 12), "analysis.inversion.euler_depth"),
-        discretization=_number_or_none(inv_sec.get("discretization"),
-                                       "analysis.inversion.discretization"),
-    )
-
-    sim_sec = _section(config, "", "simulation", ("runs", "seed", "workers"))
-    simulation = _checked(
-        "simulation", SimulationConfig,
-        runs=_integer(sim_sec.get("runs", 100_000), "simulation.runs"),
-        seed=_integer(sim_sec.get("seed", 0), "simulation.seed"),
-        workers=_integer(sim_sec.get("workers", 1), "simulation.workers"),
-    )
-
-    out_sec = _section(config, "", "output", ("directory", "formats"))
-    formats = out_sec.get("formats", ["csv", "json"])
-    if not isinstance(formats, list):
-        raise ConfigError(f"output.formats: expected a list, got {formats!r}")
-    output = _checked("output", OutputSpec, directory=out_sec.get("directory", "out"),
-                      formats=tuple(formats))
+    grid = _checked("analysis.grid", GridSpec, **_given(
+        analysis_sec, "analysis.", "grid",
+        {"t_min": _number_or_none, "t_max": _number_or_none, "points": _integer}))
+    inversion = _checked("analysis.inversion", InversionConfig, **_given(
+        analysis_sec, "analysis.", "inversion",
+        {"target_error": _number, "euler_depth": _integer, "discretization": _number_or_none}))
+    simulation = _checked("simulation", replace, RunConfig.simulation, **_given(
+        config, "", "simulation", {"runs": _integer, "seed": _integer, "workers": _integer}))
+    # OutputSpec checks the directory's type itself
+    output = _checked("output", OutputSpec, **_given(
+        config, "", "output", {"directory": lambda value, path: value, "formats": _list}))
 
     return RunConfig(
         model=model,

@@ -90,8 +90,8 @@ class InversionConfig:
     def __post_init__(self):
         if not 0 < self.target_error < math.inf:
             raise ValueError(f"target_error must be finite and > 0, got {self.target_error}")
-        if self.euler_depth < 8:
-            raise ValueError(f"euler_depth must be >= 8, got {self.euler_depth}")
+        if not (isinstance(self.euler_depth, int) and self.euler_depth >= 8):
+            raise ValueError(f"euler_depth must be an integer >= 8, got {self.euler_depth!r}")
         floor = math.log(2.0 / self.target_error)
         if self.discretization is not None and not (
                 0 < self.discretization < math.inf and self.discretization >= floor):

@@ -389,6 +389,9 @@ class TestInversionConfig:
         # alias bias, 5e-7 at A = 5 on exp+constant k = 3 at t = 6.609
         dict(discretization=0.5),
         dict(discretization=5.0),
+        # the acceleration depth counts series terms
+        dict(euler_depth=12.5),
+        dict(euler_depth=9.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
