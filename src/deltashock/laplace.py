@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import weighted_laplace, weighted_time_integral
-from .model import MomentSummary, ShockModel
+from .model import MomentSummary, ShockModel, is_integer
 
 __all__ = [
     "InversionConfig",
@@ -90,7 +90,7 @@ class InversionConfig:
     def __post_init__(self):
         if not 0 < self.target_error < math.inf:
             raise ValueError(f"target_error must be finite and > 0, got {self.target_error}")
-        if not (isinstance(self.euler_depth, int) and self.euler_depth >= 8):
+        if not (is_integer(self.euler_depth) and self.euler_depth >= 8):
             raise ValueError(f"euler_depth must be an integer >= 8, got {self.euler_depth!r}")
         floor = math.log(2.0 / self.target_error)
         if self.discretization is not None and not (

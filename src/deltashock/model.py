@@ -26,6 +26,11 @@ class UnrealizableModelError(ValueError):
     """The model cannot fail (p = 0) or a simulation run cap was exceeded."""
 
 
+def is_integer(value) -> bool:
+    """Whether value is an int; a bool, which subclasses int, is not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """Failure-time mean/variance with the per-segment pieces.
@@ -49,7 +54,7 @@ class ShockModel:
     threshold: ThresholdLaw
 
     def __post_init__(self):
-        if not (isinstance(self.k, int) and self.k >= 1):
+        if not (is_integer(self.k) and self.k >= 1):
             raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
         # materializes the cached probability and rejects p = 0 up front
         self.lethal_prob

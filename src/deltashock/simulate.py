@@ -29,7 +29,7 @@ from itertools import repeat
 import numpy as np
 
 from .distributions import Constant
-from .model import ShockModel, UnrealizableModelError
+from .model import ShockModel, UnrealizableModelError, is_integer
 
 __all__ = [
     "CHUNK_SIZE",
@@ -58,15 +58,15 @@ class SimulationConfig:
     max_gaps_per_run: int = 10**9
 
     def __post_init__(self):
-        if not (isinstance(self.runs, int) and self.runs >= 1):
+        if not (is_integer(self.runs) and self.runs >= 1):
             raise ValueError(f"runs must be an integer >= 1, got {self.runs!r}")
-        if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
+        if not (is_integer(self.seed) and 0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
-        if not (isinstance(self.workers, int) and self.workers >= 1):
+        if not (is_integer(self.workers) and self.workers >= 1):
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not (isinstance(self.sample_reservoir, int) and self.sample_reservoir >= 1):
+        if not (is_integer(self.sample_reservoir) and self.sample_reservoir >= 1):
             raise ValueError(f"sample_reservoir must be an integer >= 1, got {self.sample_reservoir!r}")
-        if not (isinstance(self.max_gaps_per_run, int) and self.max_gaps_per_run >= 1):
+        if not (is_integer(self.max_gaps_per_run) and self.max_gaps_per_run >= 1):
             raise ValueError(f"max_gaps_per_run must be an integer >= 1, got {self.max_gaps_per_run!r}")
 
 

@@ -16,6 +16,7 @@ from deltashock.cli import (
     EXIT_NUMERIC,
     EXIT_OK,
     ConfigError,
+    GridSpec,
     OutputSpec,
     RunConfig,
     cmd_analyze,
@@ -137,6 +138,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config(config)
         assert str(err.value) == f"{path}: unknown key"
+
+    # the config file and --grid give points as ints; a direct caller may not
+    @pytest.mark.parametrize("points", [12.5, 40.0, "40"])
+    def test_grid_spec_rejects(self, points):
+        with pytest.raises(ValueError, match="points must be an integer"):
+            GridSpec(points=points)
 
     def test_unrealizable_model_rejected_at_parse(self, tmp_path):
         config = exp_config(tmp_path)

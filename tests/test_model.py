@@ -198,7 +198,7 @@ class TestNonlethalGapMean:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("k", [0, -1, 1.5, "2"])
+    @pytest.mark.parametrize("k", [0, -1, 1.5, "2", True])
     def test_bad_hit_count(self, k):
         with pytest.raises(ValueError):
             ShockModel(k, Exponential(1.0), Constant(1.0))

@@ -310,6 +310,12 @@ class TestConfigValidation:
         dict(runs=10, seed=0, max_gaps_per_run=1.5),
         dict(runs=10, seed=0, max_gaps_per_run=0),
         dict(runs=10, seed=0, max_gaps_per_run=-3),
+        # bools are ints to isinstance, but no count or seed
+        dict(runs=True, seed=0),
+        dict(runs=10, seed=False),
+        dict(runs=10, seed=0, workers=True),
+        dict(runs=10, seed=0, sample_reservoir=True),
+        dict(runs=10, seed=0, max_gaps_per_run=True),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
