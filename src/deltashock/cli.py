@@ -104,13 +104,10 @@ class AnalysisSpec:
 @dataclass(frozen=True)
 class OutputSpec:
     directory: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
 
     def __post_init__(self):
         if not isinstance(self.directory, str):
             raise ValueError(f"directory must be a string, got {self.directory!r}")
-        if not all(f in ("csv", "json") for f in self.formats):
-            raise ValueError(f"formats must be drawn from ['csv', 'json'], got {list(self.formats)!r}")
 
 
 @dataclass(frozen=True)
@@ -181,12 +178,6 @@ def _given(config: dict, path: str, key: str, checks: dict) -> dict:
             for name, check in checks.items() if name in section}
 
 
-def _list(value, path: str) -> tuple:
-    if not isinstance(value, list):
-        raise ConfigError(f"{path}: expected a list, got {value!r}")
-    return tuple(value)
-
-
 # Each law type of the config: its class and its {JSON key: attribute}.
 _LAWS = {
     "exponential": (Exponential, {"rate": "rate"}),
@@ -243,12 +234,12 @@ def parse_config(config: dict) -> RunConfig:
         {"t_min": _number_or_none, "t_max": _number_or_none, "points": _integer}))
     inversion = _checked("analysis.inversion", InversionConfig, **_given(
         analysis_sec, "analysis.", "inversion",
-        {"target_error": _number, "euler_depth": _integer, "discretization": _number_or_none}))
+        {"target_error": _number}))
     simulation = _checked("simulation", replace, RunConfig.simulation, **_given(
         config, "", "simulation", {"runs": _integer, "seed": _integer, "workers": _integer}))
     # OutputSpec checks the directory's type itself
     output = _checked("output", OutputSpec, **_given(
-        config, "", "output", {"directory": lambda value, path: value, "formats": _list}))
+        config, "", "output", {"directory": lambda value, path: value}))
 
     return RunConfig(
         model=model,
@@ -259,33 +250,28 @@ def parse_config(config: dict) -> RunConfig:
 
 
 def serialize_config(cfg: RunConfig) -> dict:
-    """Inverse of parse_config: parse(serialize(parse(x))) == parse(x)."""
+    """Inverse of parse_config: parse(serialize(parse(x))) == parse(x).
+
+    The fields of every spec outside the model are its config keys.
+    """
     return {
         "model": {
             "k": cfg.model.k,
             "arrivals": _law_to_spec(cfg.model.arrivals),
             "threshold": _law_to_spec(cfg.model.threshold),
         },
-        # the fields of these two specs are their config keys
-        "analysis": {"grid": asdict(cfg.analysis.grid), "inversion": asdict(cfg.analysis.inversion)},
-        "simulation": {
-            "runs": cfg.simulation.runs,
-            "seed": cfg.simulation.seed,
-            "workers": cfg.simulation.workers,
-        },
-        "output": {
-            "directory": cfg.output.directory,
-            "formats": list(cfg.output.formats),
-        },
+        "analysis": asdict(cfg.analysis),
+        "simulation": asdict(cfg.simulation),
+        "output": asdict(cfg.output),
     }
 
 
 def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     return parse_config(raw)
@@ -493,7 +479,10 @@ def _resolve_grid(cfg: RunConfig, moments) -> np.ndarray:
 
 def _out_dir(cfg: RunConfig) -> Path:
     directory = Path(cfg.output.directory)
-    directory.mkdir(parents=True, exist_ok=True)
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output.directory: cannot create {str(directory)!r}: {exc}") from exc
     return directory
 
 
@@ -541,15 +530,13 @@ def cmd_analyze(cfg: RunConfig) -> int:
     }
 
     out = _out_dir(cfg)
-    if "csv" in cfg.output.formats:
-        _write_csv(
-            out / "curves.csv",
-            ["t", "pdf_closed_form", "pdf_inverted", "pdf_normal_approx", "cdf_inverted"],
-            len(cells),
-            lambda lo, hi: (cells[lo:hi], empty[lo:hi]),
-        )
-    if "json" in cfg.output.formats:
-        _write_json(out / "summary.json", summary)
+    _write_csv(
+        out / "curves.csv",
+        ["t", "pdf_closed_form", "pdf_inverted", "pdf_normal_approx", "cdf_inverted"],
+        len(cells),
+        lambda lo, hi: (cells[lo:hi], empty[lo:hi]),
+    )
+    _write_json(out / "summary.json", summary)
     return EXIT_OK
 
 
@@ -585,13 +572,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
     }
 
     out = _out_dir(cfg)
-    if "csv" in cfg.output.formats:
-        times = report.sorted_times
-        n = len(times)
-        _write_csv(out / "ecdf.csv", ["t", "ecdf"], n,
-                   lambda lo, hi: (np.column_stack((times[lo:hi], np.arange(lo + 1, hi + 1) / n)), None))
-    if "json" in cfg.output.formats:
-        _write_json(out / "summary.json", summary)
+    times = report.sorted_times
+    n = len(times)
+    _write_csv(out / "ecdf.csv", ["t", "ecdf"], n,
+               lambda lo, hi: (np.column_stack((times[lo:hi], np.arange(lo + 1, hi + 1) / n)), None))
+    _write_json(out / "summary.json", summary)
     return EXIT_OK
 
 
@@ -695,14 +680,14 @@ def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int
         "verdict": "FAIL" if failed else "PASS",
     }
 
-    out = _out_dir(cfg)
-    if "json" in cfg.output.formats:
-        _write_json(out / "compare.json", payload)
+    _write_json(_out_dir(cfg) / "compare.json", payload)
     return EXIT_COMPARE if failed else EXIT_OK
 
 
 def cmd_invert(cfg: RunConfig, time: float, what: str = "density") -> int:
     """Single-point inversion, for debugging transform behaviour."""
+    if not 0 < time < math.inf:
+        raise ConfigError(f"--time: expected a finite time > 0, got {time}")
     if what == "density":
         value = invert_density(cfg.model, time, cfg.analysis.inversion)
     elif what == "cdf":

@@ -133,8 +133,8 @@ class Exponential(ArrivalLaw):
     rate: float
 
     def __post_init__(self):
-        if not self.rate > 0:
-            raise ValueError(f"rate must be > 0, got {self.rate}")
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be finite and > 0, got {self.rate}")
 
     def density(self, t):
         self._check_nonnegative(t)
@@ -187,8 +187,8 @@ class Uniform(ArrivalLaw):
     def __post_init__(self):
         if not self.lower >= 0:
             raise ValueError(f"lower must be >= 0, got {self.lower}")
-        if not self.upper > self.lower:
-            raise ValueError(f"upper must exceed lower, got ({self.lower}, {self.upper})")
+        if not self.lower < self.upper < math.inf:
+            raise ValueError(f"upper must be finite and exceed lower, got ({self.lower}, {self.upper})")
 
     def density(self, t):
         self._check_nonnegative(t)
@@ -232,8 +232,8 @@ class Constant(ProbabilityLaw):
     tau: float
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ValueError(f"tau must be > 0, got {self.tau}")
+        if not 0 < self.tau < math.inf:
+            raise ValueError(f"tau must be finite and > 0, got {self.tau}")
 
     def cdf(self, t):
         t = np.asarray(t, dtype=float)

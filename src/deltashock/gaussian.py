@@ -64,21 +64,21 @@ class ApproxErrorReport:
     points: int
 
 
-def approx_error(model: ShockModel, approx: NormalApprox,
-                 config: InversionConfig | None = None,
-                 points: int = 400) -> ApproxErrorReport:
-    """Quantify the Gaussian approximation error against the inverted transform.
+def approx_error(model: ShockModel) -> ApproxErrorReport:
+    """Quantify the model's Gaussian approximation error against the
+    inverted transform.
 
-    The grid spans center +/- 5 scale, 400 points by default, clipped to
-    strictly positive times.  The default inversion tolerance is relaxed to
-    1e-4: ample for these diagnostics, and it keeps kink-adjacent grid
-    points from aborting the sweep.  The first point that fails to invert
-    raises its InversionError.
+    The approximation is NormalApprox.from_model(model).  The grid spans
+    center +/- 5 scale in 400 points, clipped to strictly positive times.
+    The inversion target is 1e-4: ample for these diagnostics, and it keeps
+    kink-adjacent grid points from aborting the sweep.  The first point that
+    fails to invert raises its InversionError.
     """
+    approx = NormalApprox.from_model(model)
     lo = max(approx.center - 5.0 * approx.scale, 1e-9 * approx.scale)
     hi = approx.center + 5.0 * approx.scale
-    grid = np.linspace(lo, hi, points)
-    inverted = invert_grid(model, grid, config or InversionConfig(target_error=1e-4))
+    grid = np.linspace(lo, hi, 400)
+    inverted = invert_grid(model, grid, InversionConfig(target_error=1e-4))
     error = next((e for e in inverted.errors if e is not None), None)
     if error is not None:
         raise error
@@ -87,5 +87,5 @@ def approx_error(model: ShockModel, approx: NormalApprox,
         ks_distance=float(np.max(np.abs(approx.cdf(grid) - inverted.cdf))),
         grid_lo=float(lo),
         grid_hi=float(hi),
-        points=points,
+        points=len(grid),
     )

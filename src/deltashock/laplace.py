@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from .distributions import weighted_laplace, weighted_time_integral
-from .model import MomentSummary, ShockModel, is_integer
+from .model import MomentSummary, ShockModel
 
 __all__ = [
     "InversionConfig",
@@ -49,6 +49,9 @@ __all__ = [
 DENSITY_CLAMP = 1e-10
 # Period multiple for the series contour: aliasing samples f at t + 2*kappa*t*n.
 CONTOUR_PERIOD_RATIO = 2.0
+# Quotient-difference depth of the first attempt: its continued fraction
+# uses 2 * SERIES_DEPTH + 1 series terms.
+SERIES_DEPTH = 30
 # The retry ladder: (extra fraction depth, period multiple) of each attempt.
 ATTEMPTS = (
     (0, CONTOUR_PERIOD_RATIO),
@@ -71,42 +74,23 @@ class InversionError(RuntimeError):
 
 @dataclass(frozen=True)
 class InversionConfig:
-    """Tuning knobs for the Fourier-series inversion.
+    """The error target of the Fourier-series inversion.
 
-    discretization is the contour damping parameter A (the contour sits at
-    Re s = A / (2 T) for series period 2 T); the aliasing error is of order
-    exp(-A) times the sup of the inverted function, so the default
-    A = ln(2/target_error) keeps that bound at half the target for
-    functions of order one; a smaller A is refused, since the settle
-    estimate does not see that bias.  euler_depth sets the acceleration
-    depth: the continued fraction uses 2*(2*euler_depth + 6) + 1 series
-    terms.
+    The contour damping parameter is A = ln(2/target_error): the contour
+    sits at Re s = A / (2 T) for series period 2 T, and the aliasing error
+    is of order exp(-A) times the sup of the inverted function, so A keeps
+    that bound at half the target for functions of order one.
     """
 
     target_error: float = 1e-8
-    euler_depth: int = 12
-    discretization: float | None = None
 
     def __post_init__(self):
         if not 0 < self.target_error < math.inf:
             raise ValueError(f"target_error must be finite and > 0, got {self.target_error}")
-        if not (is_integer(self.euler_depth) and self.euler_depth >= 8):
-            raise ValueError(f"euler_depth must be an integer >= 8, got {self.euler_depth!r}")
-        floor = math.log(2.0 / self.target_error)
-        if self.discretization is not None and not (
-                0 < self.discretization < math.inf and self.discretization >= floor):
-            raise ValueError(f"discretization must be finite, > 0 and >= ln(2/target_error) "
-                             f"= {floor:.6g}, got {self.discretization}")
 
     @property
     def contour_parameter(self) -> float:
-        if self.discretization is not None:
-            return self.discretization
         return math.log(2.0 / self.target_error)
-
-    @property
-    def series_depth(self) -> int:
-        return 2 * self.euler_depth + 6
 
 
 class TransformEvaluator:
@@ -234,7 +218,7 @@ def _invert_series(transform, ts: np.ndarray, config: InversionConfig, tails):
     estimates = np.full(shape, np.nan)
     settled = np.zeros(shape, dtype=bool)
     for extra, kappa in ATTEMPTS:
-        depth = config.series_depth + extra
+        depth = SERIES_DEPTH + extra
         todo = np.flatnonzero(~settled.all(axis=0))
         block = max(1, BLOCK_NODES // (2 * depth + 1))
         for start in range(0, todo.size, block):

@@ -15,7 +15,7 @@ splits into a geometric count of non-lethal gaps and an independent
 remainder, so a run costs k exponentials and at most one gamma instead of
 about k/p gap draws.  Every other model steps through the wave kernel
 (_waves), which the tests also use as the reference.  Either way a run that
-needs more than max_gaps_per_run gaps raises UnrealizableModelError.
+needs more than MAX_GAPS_PER_RUN gaps raises UnrealizableModelError.
 """
 
 from __future__ import annotations
@@ -42,20 +42,24 @@ __all__ = [
 ]
 
 CHUNK_SIZE = 1 << 16
+# Failure times a batch retains for the empirical cdf; its moments and
+# counts cover every run.
+SAMPLE_RESERVOIR = 1_000_000
+# The runaway-run guard: a run that needs more gaps than this raises
+# UnrealizableModelError.
+MAX_GAPS_PER_RUN = 10**9
 # Asymptotic one-sample Kolmogorov-Smirnov critical constant at alpha = 0.01.
 KS_CRITICAL_001 = 1.63
 
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Batch size, stream seed, worker count, retained-sample cap and the
-    runaway-run guard."""
+    """Batch size, stream seed and worker count.  The retained-sample cap
+    and the runaway-run guard are SAMPLE_RESERVOIR and MAX_GAPS_PER_RUN."""
 
     runs: int
     seed: int
     workers: int = 1
-    sample_reservoir: int = 1_000_000
-    max_gaps_per_run: int = 10**9
 
     def __post_init__(self):
         if not (is_integer(self.runs) and self.runs >= 1):
@@ -64,10 +68,6 @@ class SimulationConfig:
             raise ValueError(f"seed must be an integer in [0, 2^64), got {self.seed!r}")
         if not (is_integer(self.workers) and self.workers >= 1):
             raise ValueError(f"workers must be an integer >= 1, got {self.workers!r}")
-        if not (is_integer(self.sample_reservoir) and self.sample_reservoir >= 1):
-            raise ValueError(f"sample_reservoir must be an integer >= 1, got {self.sample_reservoir!r}")
-        if not (is_integer(self.max_gaps_per_run) and self.max_gaps_per_run >= 1):
-            raise ValueError(f"max_gaps_per_run must be an integer >= 1, got {self.max_gaps_per_run!r}")
 
 
 @dataclass
@@ -229,14 +229,19 @@ def _merge_bincounts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
-    """Simulate config.runs failure times; deterministic given (seed, runs)."""
+    """Simulate config.runs failure times; deterministic given (seed, runs).
+
+    The report keeps the first SAMPLE_RESERVOIR failure times, and a run
+    that needs more than MAX_GAPS_PER_RUN gaps raises UnrealizableModelError.
+    """
+    reservoir = SAMPLE_RESERVOIR
     n_chunks = (config.runs + CHUNK_SIZE - 1) // CHUNK_SIZE
     columns = (
         repeat(model, n_chunks),
         [min(CHUNK_SIZE, config.runs - i * CHUNK_SIZE) for i in range(n_chunks)],
         repeat(config.seed, n_chunks),
         range(n_chunks),
-        repeat(config.max_gaps_per_run, n_chunks),
+        repeat(MAX_GAPS_PER_RUN, n_chunks),
     )
 
     moments = _Moments()
@@ -256,7 +261,7 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
             shock_counts = _merge_bincounts(shock_counts, r["shock_counts"])
             t_min = min(t_min, r["min"])
             t_max = max(t_max, r["max"])
-            room = config.sample_reservoir - sum(len(p) for p in times_parts)
+            room = reservoir - sum(len(p) for p in times_parts)
             if room > 0:
                 times_parts.append(r["times"][:room].copy())
 
@@ -284,18 +289,19 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
     )
 
 
-def simulate_segments(model: ShockModel, runs: int, seed: int,
-                      max_gaps: int = 10**9) -> np.ndarray:
+def simulate_segments(model: ShockModel, runs: int, seed: int) -> np.ndarray:
     """The k inter-lethal segment lengths of each run, shape (runs, k).
 
     Segment i is the elapsed time from the (i-1)-th lethal shock (or the
     start) to the i-th; the row sum is the failure time.  Used to check the
     segment decomposition empirically (i.i.d. segments with the per-segment
-    moments).
+    moments).  Like run_batch, it refuses a run that needs more than
+    MAX_GAPS_PER_RUN gaps.
     """
     segments = np.zeros((runs, model.k))
     acc = np.zeros(runs)
-    for _, active, z, lethal, lethal_counts in _waves(model, _chunk_rng(seed, 0), runs, max_gaps):
+    waves = _waves(model, _chunk_rng(seed, 0), runs, MAX_GAPS_PER_RUN)
+    for _, active, z, lethal, lethal_counts in waves:
         acc[active] += z
         newly = active[lethal]
         segments[newly, lethal_counts[newly]] = acc[newly]

@@ -14,7 +14,6 @@ from deltashock import (
     Constant,
     Exponential,
     InversionConfig,
-    NormalApprox,
     ShockModel,
     SimulationConfig,
     Uniform,
@@ -160,7 +159,7 @@ def test_acceptance_6_normal_approximation_ladder():
     distances = []
     for k in (1, 5, 20, 100):
         model = ShockModel(k, Exponential(1.0), Constant(1.0))
-        error = approx_error(model, NormalApprox.from_model(model))
+        error = approx_error(model)
         distances.append(error.ks_distance)
     assert all(a >= b for a, b in zip(distances, distances[1:]))
     assert distances[-1] < 0.05

@@ -3,12 +3,20 @@
 import csv
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from deltashock import Constant, Exponential, ShockModel, SimulationConfig, run_batch
+from deltashock import (
+    Constant,
+    Exponential,
+    InversionConfig,
+    ShockModel,
+    SimulationConfig,
+    run_batch,
+    simulate,
+)
 from deltashock.cli import (
     CSV_BLOCK_ROWS,
     EXIT_COMPARE,
@@ -74,10 +82,10 @@ class TestConfigParsing:
             },
             "analysis": {
                 "grid": {"t_min": 0.05, "t_max": 30.0, "points": 111},
-                "inversion": {"target_error": 1e-7, "euler_depth": 14, "discretization": 21.0},
+                "inversion": {"target_error": 1e-7},
             },
             "simulation": {"runs": 123, "seed": 9, "workers": 2},
-            "output": {"directory": "somewhere", "formats": ["json"]},
+            "output": {"directory": "somewhere"},
         }
         parsed = parse_config(config)
         assert parse_config(serialize_config(parsed)) == parsed
@@ -88,7 +96,15 @@ class TestConfigParsing:
                                          "arrivals": {"type": "exponential", "rate": 1.0},
                                          "threshold": {"type": "constant", "value": 1.0}}})
         assert parsed.simulation.runs == 100_000
-        assert parsed.output.formats == ("csv", "json")
+        assert parsed.output.directory == "out"
+
+    def test_each_section_writes_exactly_its_spec_fields(self, tmp_path):
+        written = serialize_config(parse_config(exp_config(tmp_path)))
+        for section, spec in ((written["analysis"]["grid"], GridSpec),
+                              (written["analysis"]["inversion"], InversionConfig),
+                              (written["simulation"], SimulationConfig),
+                              (written["output"], OutputSpec)):
+            assert set(section) == {field.name for field in fields(spec)}
 
     @pytest.mark.parametrize("mutate,needle", [
         (lambda c: c.pop("model"), "model"),
@@ -102,14 +118,14 @@ class TestConfigParsing:
         (lambda c: c["analysis"]["grid"].update(t_min=5.0, t_max=1.0), "analysis.grid"),
         (lambda c: c["simulation"].update(runs=0), "simulation"),
         (lambda c: c["simulation"].update(seed=-3), "simulation"),
-        (lambda c: c["output"].update(formats=["xml"]), "output.formats"),
         (lambda c: c["analysis"]["grid"].update(t_max=-2.0), "analysis.grid.t_max"),
         (lambda c: c["analysis"]["grid"].update(t_max=0.0), "analysis.grid.t_max"),
         (lambda c: c["analysis"].update(inversion={"target_error": math.inf}), "analysis.inversion"),
-        (lambda c: c["analysis"].update(inversion={"discretization": -5.0}), "analysis.inversion"),
-        (lambda c: c["analysis"].update(inversion={"discretization": 0.0}), "analysis.inversion"),
-        (lambda c: c["analysis"].update(inversion={"discretization": 5.0}),
-         "analysis.inversion.discretization"),
+        # JSON's Infinity reaches the laws as math.inf
+        (lambda c: c["model"]["arrivals"].update(rate=math.inf), "model.arrivals.rate"),
+        (lambda c: c["model"]["threshold"].update(value=math.inf), "model.threshold"),
+        (lambda c: c["model"].update(arrivals={"type": "uniform", "lower": 0.0, "upper": math.inf}),
+         "model.arrivals.upper"),
     ])
     def test_validation_messages_carry_key_paths(self, tmp_path, mutate, needle):
         config = exp_config(tmp_path)
@@ -131,6 +147,12 @@ class TestConfigParsing:
         (lambda c: c["model"].update(kk=3), "model.kk"),
         (lambda c: c["analysis"].update(grids={}), "analysis.grids"),
         (lambda c: c.update(simulaton={"runs": 10}), "simulaton"),
+        # the inversion depth and damping and the output formats are fixed
+        (lambda c: c["analysis"].update(inversion={"euler_depth": 12}),
+         "analysis.inversion.euler_depth"),
+        (lambda c: c["analysis"].update(inversion={"discretization": 21.0}),
+         "analysis.inversion.discretization"),
+        (lambda c: c["output"].update(formats=["csv", "json"]), "output.formats"),
     ])
     def test_unknown_keys_rejected(self, tmp_path, mutate, path):
         config = exp_config(tmp_path)
@@ -275,9 +297,10 @@ class TestSimulate:
         for i, (line, t) in enumerate(zip(lines[1:], times)):
             assert line == f"{float(t):.17g},{(i + 1) / runs:.17g}"
 
-    def test_report_counts_retained_samples(self, tmp_path):
+    def test_report_counts_retained_samples(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulate, "SAMPLE_RESERVOIR", 5_000)
         cfg = parse_config(exp_config(tmp_path / "out"))
-        cfg = replace(cfg, simulation=SimulationConfig(runs=20_000, seed=42, sample_reservoir=5_000))
+        cfg = replace(cfg, simulation=SimulationConfig(runs=20_000, seed=42))
         assert cmd_simulate(cfg) == EXIT_OK
         report = json.loads((tmp_path / "out" / "summary.json").read_text())["report"]
         rows = read_rows(tmp_path / "out" / "ecdf.csv")[1:]
@@ -329,10 +352,11 @@ class TestCompare:
             ks[k] = payload["ks"]["empirical_vs_normal"]
         assert ks[100] < ks[1]
 
-    def test_ks_critical_value_uses_retained_samples(self, tmp_path):
+    def test_ks_critical_value_uses_retained_samples(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(simulate, "SAMPLE_RESERVOIR", 5_000)
         cfg = RunConfig(
             model=ShockModel(3, Exponential(1.0), Constant(LN2)),
-            simulation=SimulationConfig(runs=20_000, seed=5, sample_reservoir=5_000),
+            simulation=SimulationConfig(runs=20_000, seed=5),
             output=OutputSpec(directory=str(tmp_path)),
         )
         cmd_compare(cfg)
@@ -368,6 +392,27 @@ class TestMain:
 
     def test_missing_config_exit_code(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "none.json")]) == EXIT_CONFIG
+
+    def test_unreadable_config_exit_code(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(b'{"model": "caf\xe9"}')
+        for path in (tmp_path, latin1):
+            assert main(["analyze", "--config", str(path)]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith("config error:") and str(path) in err
+
+    def test_out_naming_a_file_exit_code(self, tmp_path, capsys):
+        path = write_config(tmp_path, exp_config(tmp_path / "out", runs=100))
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert main(["simulate", "--config", str(path), "--out", str(taken)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: output.directory")
+
+    @pytest.mark.parametrize("time", ["-1", "0", "nan", "inf"])
+    def test_bad_time_flag(self, tmp_path, capsys, time):
+        path = write_config(tmp_path, exp_config(tmp_path / "out"))
+        assert main(["invert", "--config", str(path), "--time", time]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("config error: --time")
 
     def test_numeric_failure_exit_code(self, tmp_path):
         config = exp_config(tmp_path / "out", k=2, tau=1.0)

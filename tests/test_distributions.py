@@ -215,6 +215,10 @@ class TestValidation:
         lambda: Uniform(2.0, 1.0),
         lambda: Uniform(1.0, 1.0),
         lambda: Constant(0.0),
+        # JSON's Infinity: an infinite tau would make the closed-form density nan
+        lambda: Exponential(math.inf),
+        lambda: Uniform(0.0, math.inf),
+        lambda: Constant(math.inf),
     ])
     def test_bad_parameters_rejected(self, build):
         with pytest.raises(ValueError):

@@ -72,7 +72,7 @@ class TestApproxError:
     def test_inversion_and_series_references_agree(self):
         model = ShockModel(5, Exponential(1.0), Constant(1.0))
         approx = NormalApprox.from_model(model)
-        by_inversion = approx_error(model, approx)
+        by_inversion = approx_error(model)
         grid = np.linspace(by_inversion.grid_lo, by_inversion.grid_hi, by_inversion.points)
         series_pdf = np.array([exp_const_pdf(model, t) for t in grid])
         series_cdf = np.array([exp_const_cdf(model, t) for t in grid])
@@ -80,6 +80,15 @@ class TestApproxError:
         ks = np.max(np.abs(approx.cdf(grid) - series_cdf))
         assert by_inversion.ks_distance == pytest.approx(ks, abs=1e-3)
         assert by_inversion.sup_norm == pytest.approx(sup_norm, abs=1e-3)
+
+    def test_grid_spans_five_scales_above_zero(self):
+        model = ShockModel(5, Exponential(1.0), Constant(1.0))
+        approx = NormalApprox.from_model(model)
+        report = approx_error(model)
+        assert report.points == 400
+        # center - 5 scale < 0 here, so the grid starts just above 0
+        assert report.grid_lo == 1e-9 * approx.scale
+        assert report.grid_hi == approx.center + 5.0 * approx.scale
 
     @pytest.mark.parametrize("model", [
         ShockModel(1, Exponential(1.0), Constant(1.0)),
@@ -89,7 +98,7 @@ class TestApproxError:
     def test_tracks_simulation(self, model):
         approx = NormalApprox.from_model(model)
         report = run_batch(model, SimulationConfig(runs=100_000, seed=31))
-        by_inversion = approx_error(model, approx)
+        by_inversion = approx_error(model)
         # the grid holds the KS supremum to within the sampling noise
         assert by_inversion.ks_distance == pytest.approx(ks_statistic(report, approx.cdf),
                                                          abs=0.01)
@@ -105,5 +114,5 @@ class TestApproxError:
         distances = []
         for k in (1, 5, 20, 100):
             model = ShockModel(k, arrivals, threshold)
-            distances.append(approx_error(model, NormalApprox.from_model(model)).ks_distance)
+            distances.append(approx_error(model).ks_distance)
         assert all(a >= b for a, b in zip(distances, distances[1:]))

@@ -372,26 +372,13 @@ class TestInversionConfig:
     def test_defaults(self):
         cfg = InversionConfig()
         assert cfg.contour_parameter == pytest.approx(math.log(2e8))
-        assert cfg.series_depth == 30
-
-    def test_explicit_discretization_wins(self):
-        assert InversionConfig(discretization=25.0).contour_parameter == 25.0
-        assert InversionConfig(target_error=1e-7, discretization=21.0).contour_parameter == 21.0
+        assert laplace.SERIES_DEPTH == 30
+        assert InversionConfig(target_error=1e-4).contour_parameter == math.log(2e4)
 
     @pytest.mark.parametrize("kwargs", [
         dict(target_error=0.0),
         dict(target_error=-1e-9),
-        dict(euler_depth=7),
         dict(target_error=math.inf),
-        dict(discretization=-5.0),
-        dict(discretization=0.0),
-        # below ln(2/target_error): the settle check does not see the e^-A
-        # alias bias, 5e-7 at A = 5 on exp+constant k = 3 at t = 6.609
-        dict(discretization=0.5),
-        dict(discretization=5.0),
-        # the acceleration depth counts series terms
-        dict(euler_depth=12.5),
-        dict(euler_depth=9.0),
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):

@@ -18,6 +18,7 @@ from deltashock import (
     run_batch,
     simulate_segments,
 )
+from deltashock import simulate
 
 LN2 = math.log(2.0)
 BENCH = ShockModel(3, Exponential(1.0), Constant(LN2))
@@ -178,12 +179,14 @@ class TestSplitSampler:
         with pytest.raises(UnrealizableModelError):
             run_batch(model, SimulationConfig(runs=100, seed=0))
 
-    def test_cap_counts_every_gap_as_the_kernel_does(self):
+    def test_cap_counts_every_gap_as_the_kernel_does(self, monkeypatch):
         # every gap lethal: each run takes exactly k = 4 gaps
         model = ShockModel(4, Exponential(2.0), Constant(1e9))
-        assert run_batch(model, SimulationConfig(runs=10, seed=0, max_gaps_per_run=4)).runs == 10
+        monkeypatch.setattr(simulate, "MAX_GAPS_PER_RUN", 4)
+        assert run_batch(model, SimulationConfig(runs=10, seed=0)).runs == 10
+        monkeypatch.setattr(simulate, "MAX_GAPS_PER_RUN", 3)
         with pytest.raises(UnrealizableModelError):
-            run_batch(model, SimulationConfig(runs=10, seed=0, max_gaps_per_run=3))
+            run_batch(model, SimulationConfig(runs=10, seed=0))
 
     def test_worker_count_never_changes_rare_results(self):
         runs = 2 * CHUNK_SIZE + 5
@@ -207,6 +210,12 @@ class TestSegments:
         corr = np.corrcoef(first, second)[0, 1]
         assert abs(corr) < 4.0 / math.sqrt(len(first))
 
+    def test_run_cap_applies(self, monkeypatch):
+        slow = ShockModel(3, Exponential(1.0), Constant(0.01))
+        monkeypatch.setattr(simulate, "MAX_GAPS_PER_RUN", 10)
+        with pytest.raises(UnrealizableModelError):
+            simulate_segments(slow, 100, seed=0)
+
     def test_rows_sum_to_failure_times(self):
         model = ShockModel(2, Uniform(0.0, 2.0), Constant(1.0))
         segments = simulate_segments(model, 1000, seed=4)
@@ -222,9 +231,9 @@ class TestReportShape:
         assert report.se_variance is None
         assert report.runs == 1
 
-    def test_reservoir_caps_samples_but_not_counts(self):
-        cfg = SimulationConfig(runs=150_000, seed=21, sample_reservoir=50_000)
-        report = run_batch(BENCH, cfg)
+    def test_reservoir_caps_samples_but_not_counts(self, monkeypatch):
+        monkeypatch.setattr(simulate, "SAMPLE_RESERVOIR", 50_000)
+        report = run_batch(BENCH, SimulationConfig(runs=150_000, seed=21))
         assert len(report.sorted_times) == 50_000
         assert report.shock_count_histogram.sum() == 150_000
 
@@ -235,25 +244,26 @@ class TestReportShape:
         assert np.all(np.diff(values) >= 0.0)
         assert values[-1] == 1.0
 
-    def test_memory_does_not_grow_with_chunks(self):
+    def test_memory_does_not_grow_with_chunks(self, monkeypatch):
         # every gap lethal: one draw of k gaps per run and no gamma, so what
         # the batch keeps of each chunk dominates its memory
         model = ShockModel(1, Exponential(1.0), Constant(1e9))
+        monkeypatch.setattr(simulate, "SAMPLE_RESERVOIR", 1_000)
         peaks = {}
         for chunks in (4, 16):
             tracemalloc.start()
             try:
-                run_batch(model, SimulationConfig(runs=chunks * CHUNK_SIZE, seed=3,
-                                                  sample_reservoir=1_000))
+                run_batch(model, SimulationConfig(runs=chunks * CHUNK_SIZE, seed=3))
                 peaks[chunks] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert peaks[16] - peaks[4] < 1e6
 
-    def test_run_cap_propagates(self):
+    def test_run_cap_propagates(self, monkeypatch):
         slow = ShockModel(3, Exponential(1.0), Constant(0.01))
+        monkeypatch.setattr(simulate, "MAX_GAPS_PER_RUN", 10)
         with pytest.raises(UnrealizableModelError):
-            run_batch(slow, SimulationConfig(runs=100, seed=0, max_gaps_per_run=10))
+            run_batch(slow, SimulationConfig(runs=100, seed=0))
 
     def test_batch_never_reads_the_analytic_moments(self, monkeypatch):
         # the simulator is the oracle of the analytic routes, so it must run
@@ -305,17 +315,11 @@ class TestConfigValidation:
         dict(runs=10, seed=-1),
         dict(runs=10, seed=2**64),
         dict(runs=10, seed=0, workers=0),
-        dict(runs=10, seed=0, sample_reservoir=0),
         dict(runs=1.5, seed=0),
-        dict(runs=10, seed=0, max_gaps_per_run=1.5),
-        dict(runs=10, seed=0, max_gaps_per_run=0),
-        dict(runs=10, seed=0, max_gaps_per_run=-3),
         # bools are ints to isinstance, but no count or seed
         dict(runs=True, seed=0),
         dict(runs=10, seed=False),
         dict(runs=10, seed=0, workers=True),
-        dict(runs=10, seed=0, sample_reservoir=True),
-        dict(runs=10, seed=0, max_gaps_per_run=True),
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ValueError):
