@@ -121,8 +121,8 @@ class RunConfig:
 def _checked(path: str, build, *args, **fields):
     """build(*args, **fields), its ValueError as a ConfigError under path.
 
-    Every spec and law names the offending field first in its messages, so
-    the message continues the key path of its section.
+    Every spec names the offending field first in its messages, so the
+    message continues the key path of its section.
     """
     try:
         return build(*args, **fields)
@@ -196,8 +196,15 @@ def _law_from_spec(spec, path: str, *, arrival: bool):
         raise ConfigError(f"{path}.type: unknown law {kind!r}; expected one of {kinds}")
     cls, fields = _LAWS[kind]
     _known(spec, f"{path}.", ("type", *fields))
-    return _checked(path, cls, **{attr: _number(_require(spec, key, path), f"{path}.{key}")
-                                  for key, attr in fields.items()})
+    values = {attr: _number(_require(spec, key, path), f"{path}.{key}")
+              for key, attr in fields.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        # the law's message starts with its attribute, which the config may call otherwise
+        attr, _, rest = str(exc).partition(" ")
+        key = next((key for key, name in fields.items() if name == attr), attr)
+        raise ConfigError(f"{path}.{key} {rest}") from exc
 
 
 def _law_to_spec(law) -> dict:
@@ -492,6 +499,7 @@ def _out_dir(cfg: RunConfig) -> Path:
 
 def cmd_analyze(cfg: RunConfig) -> int:
     """Analytic pipeline: moments by every available method plus curve files."""
+    out = _out_dir(cfg)
     model = cfg.model
     general, family, approx, moments = _analytic(model)
 
@@ -529,7 +537,6 @@ def cmd_analyze(cfg: RunConfig) -> int:
         "inversion_failures": failures,
     }
 
-    out = _out_dir(cfg)
     _write_csv(
         out / "curves.csv",
         ["t", "pdf_closed_form", "pdf_inverted", "pdf_normal_approx", "cdf_inverted"],
@@ -542,6 +549,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     """Monte Carlo pipeline: batch report plus empirical-cdf CSV."""
+    out = _out_dir(cfg)
     model = cfg.model
     report = run_batch(model, cfg.simulation)
     analytic = model.failure_moments()
@@ -571,7 +579,6 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "verdict": "FAIL" if failed else "PASS",
     }
 
-    out = _out_dir(cfg)
     times = report.sorted_times
     n = len(times)
     _write_csv(out / "ecdf.csv", ["t", "ecdf"], n,
@@ -620,6 +627,7 @@ def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int
     analytic_model overrides the config's model on the analytic side only
     (a negative-control hook; the CLI always compares a model with itself).
     """
+    out = _out_dir(cfg)
     sim_model = cfg.model
     analytic = analytic_model if analytic_model is not None else sim_model
     report = run_batch(sim_model, cfg.simulation)
@@ -680,7 +688,7 @@ def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int
         "verdict": "FAIL" if failed else "PASS",
     }
 
-    _write_json(_out_dir(cfg) / "compare.json", payload)
+    _write_json(out / "compare.json", payload)
     return EXIT_COMPARE if failed else EXIT_OK
 
 
@@ -757,18 +765,27 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(load_config(args.config), args)
         if args.command == "analyze":
-            return cmd_analyze(cfg)
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "compare":
-            return cmd_compare(cfg)
-        return cmd_invert(cfg, args.time, args.what)
+            code = cmd_analyze(cfg)
+        elif args.command == "simulate":
+            code = cmd_simulate(cfg)
+        elif args.command == "compare":
+            code = cmd_compare(cfg)
+        else:
+            code = cmd_invert(cfg, args.time, args.what)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InversionError, QuadratureError, UnrealizableModelError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    # A command frees its arrays as it returns (over a millisecond for 10^6
+    # samples), and a Python signal handler that falls due meanwhile runs
+    # only at the next call.  Make that call here, so that the handler runs
+    # inside main.  bench/run.py times main with a SIGALRM probe that
+    # re-arms its timer; run after main returns, it would re-arm the timer
+    # that bench/run.py has just disarmed, and the next alarm would kill it.
+    sys.stdout.flush()
+    return code
 
 
 if __name__ == "__main__":

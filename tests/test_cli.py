@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import signal
 from dataclasses import fields, replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from deltashock import (
     run_batch,
     simulate,
 )
+from deltashock import cli
 from deltashock.cli import (
     CSV_BLOCK_ROWS,
     EXIT_COMPARE,
@@ -124,6 +126,8 @@ class TestConfigParsing:
         # JSON's Infinity reaches the laws as math.inf
         (lambda c: c["model"]["arrivals"].update(rate=math.inf), "model.arrivals.rate"),
         (lambda c: c["model"]["threshold"].update(value=math.inf), "model.threshold"),
+        # the law calls it tau; the config, value
+        (lambda c: c["model"]["threshold"].update(value=-1.0), "model.threshold.value must be"),
         (lambda c: c["model"].update(arrivals={"type": "uniform", "lower": 0.0, "upper": math.inf}),
          "model.arrivals.upper"),
     ])
@@ -401,12 +405,43 @@ class TestMain:
             err = capsys.readouterr().err
             assert err.startswith("config error:") and str(path) in err
 
-    def test_out_naming_a_file_exit_code(self, tmp_path, capsys):
+    def test_out_naming_a_file_exit_code(self, tmp_path, capsys, monkeypatch):
+        """The output directory is made first: a bad --out exits 1 before
+        any simulation run or inversion."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_batch", refuse)
+        monkeypatch.setattr(cli, "invert_grid", refuse)
         path = write_config(tmp_path, exp_config(tmp_path / "out", runs=100))
         taken = tmp_path / "taken"
         taken.write_text("")
-        assert main(["simulate", "--config", str(path), "--out", str(taken)]) == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("config error: output.directory")
+        for command in ("analyze", "simulate", "compare"):
+            assert main([command, "--config", str(path), "--out", str(taken)]) == EXIT_CONFIG
+            assert capsys.readouterr().err.startswith("config error: output.directory")
+
+    @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs POSIX interval timers")
+    def test_signal_due_as_a_command_returns_runs_inside_main(self, tmp_path, monkeypatch):
+        """A Python signal handler that falls due while a command's arrays
+        are freed at its return runs before main returns."""
+        ran = []
+
+        def command(cfg):
+            samples = np.ones(5_000_000)  # 40 MB, freed as the command returns
+            signal.setitimer(signal.ITIMER_REAL, 2e-5)
+            return EXIT_OK
+
+        monkeypatch.setattr(cli, "cmd_analyze", command)
+        path = write_config(tmp_path, exp_config(tmp_path / "out"))
+        previous = signal.signal(signal.SIGALRM, lambda signum, frame: ran.append(signum))
+        try:
+            code = main(["analyze", "--config", str(path)])
+            seen = len(ran)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == EXIT_OK
+        assert seen == 1
 
     @pytest.mark.parametrize("time", ["-1", "0", "nan", "inf"])
     def test_bad_time_flag(self, tmp_path, capsys, time):

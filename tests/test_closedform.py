@@ -1,13 +1,17 @@
 """Closed-form formulas for the exponential and uniform gap cases."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammainc, gammaln
 
+from deltashock import closedform
 from deltashock import (
     Constant,
     Exponential,
@@ -20,7 +24,6 @@ from deltashock import (
     unif_const_mean,
     unif_const_variance_published,
 )
-from deltashock.closedform import _exp_const_pdf_naive
 
 LN2 = math.log(2.0)
 
@@ -63,6 +66,29 @@ def exp_const_pdf_loop(model, t):
     return max(total, 0.0)
 
 
+def exp_const_pdf_naive(model, t):
+    """Direct power/factorial evaluation; cross-check for rate*t <= 30."""
+    if t <= 0.0:
+        return 0.0
+    lam, tau, k = model.arrivals.rate, model.threshold.tau, model.k
+    total = 0.0
+    j_max = int(math.floor(t / tau))
+    for j in range(j_max + 1):
+        for i in range(k + 1):
+            x = t - (j + i) * tau
+            if x < 0.0:
+                break
+            total += (
+                (-1.0) ** i
+                * math.comb(k, i)
+                * lam ** (j + k)
+                * x ** (j + k - 1)
+                * math.exp(-lam * t)
+                / (math.factorial(j) * math.factorial(k - 1))
+            )
+    return total
+
+
 def exp_const_cdf_loop(model, t):
     """The series cdf term by term with Kahan summation: the reference the
     block sum of exp_const_cdf replaced."""
@@ -88,6 +114,23 @@ def exp_const_cdf_loop(model, t):
             new_total = total + y
             total, compensation = new_total, (new_total - total) - y
     return min(max(total, 0.0), 1.0)
+
+
+def high_precision_pdf(mpmath, tau, k, t):
+    """The series density of rate-1 gaps as a 60-digit sum that skips only
+    the j whose heads lie e^150 below the largest."""
+    j = np.arange(int(t / tau) + 1)
+    log_size = (j + k - 1) * np.log(np.maximum(t - j * tau, 1e-300)) - gammaln(j + 1)
+    with mpmath.workdps(60):
+        T, TAU = mpmath.mpf(t), mpmath.mpf(tau)
+        total = mpmath.mpf(0)
+        for jj in j[log_size > log_size.max() - 150.0].tolist():
+            for i in range(k + 1):
+                x = T - (jj + i) * TAU
+                if x > 0:
+                    total += ((-1) ** i * mpmath.binomial(k, i) * x ** (jj + k - 1)
+                              / mpmath.factorial(jj))
+        return float(total * mpmath.exp(-T) / mpmath.factorial(k - 1))
 
 
 def integrate_series_pdf(model, upper):
@@ -125,7 +168,7 @@ class TestSeriesPdf:
     def test_log_space_matches_naive_for_moderate_arguments(self, lam, tau, k):
         model = exp_const(lam, tau, k)
         for t in np.linspace(0.05, 30.0 / lam, 40):
-            naive = _exp_const_pdf_naive(model, float(t))
+            naive = exp_const_pdf_naive(model, float(t))
             stable = exp_const_pdf(model, float(t))
             assert abs(stable - naive) < 1e-12 * max(1.0, abs(naive))
 
@@ -155,6 +198,18 @@ class TestSeriesPdf:
         loop_error = abs(exp_const_pdf_loop(model, t) - exact)
         assert 0.0 < loop_error < 1e-7 * exact
         assert abs(exp_const_pdf(model, t) - exact) <= 2.0 * loop_error
+
+    def test_rare_lethality_grid_against_high_precision_sum(self):
+        """Every point of the default 10-point analyze grid at p = 0.01
+        (t/tau up to 1.3e5) is within 1e-10 relative of a 60-digit sum."""
+        mpmath = pytest.importorskip("mpmath")
+        tau, k = -math.log(0.99), 3
+        model = exp_const(1.0, tau, k)
+        moments = model.failure_moments()
+        t_max = moments.mean + 6.0 * math.sqrt(moments.variance)
+        for t in np.linspace(t_max / 10, t_max, 10).tolist():
+            exact = high_precision_pdf(mpmath, tau, k, t)
+            assert abs(exp_const_pdf(model, t) - exact) <= 1e-10 * exact
 
     @pytest.mark.parametrize("lam,tau,k", [(1.0, 1.0, 1), (1.0, 1.0, 2), (1.0, 0.5, 2)])
     def test_integrates_to_one(self, lam, tau, k):
@@ -216,6 +271,40 @@ class TestSeriesCdf:
         model = exp_const(1.0, 1.0, 2)
         assert exp_const_cdf(model, 0.0) == 0.0
         assert exp_const_cdf(model, 200.0) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSeriesWindow:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(0.2, 5.0),
+        # p = 1 - e^(-lam tau), or every gap lethal (the Erlang limit)
+        p=st.one_of(st.floats(0.02, 0.99), st.just(None)),
+        k=st.integers(1, 6),
+        fraction=st.floats(0.001, 1.2),
+        on_step=st.booleans(),
+        block=st.sampled_from([2, 16, closedform.SERIES_BLOCK]),
+    )
+    def test_window_matches_full_range_sum(self, lam, p, k, fraction, on_step, block):
+        """The window sums to the full-range fsum of the same terms, within
+        the tail bound: 2^-60 of the largest term, one per direction, plus
+        the rounding of the two sums."""
+        tau = 1e6 if p is None else -math.log1p(-p) / lam
+        moments = exp_const_moments(exp_const(lam, tau, k))
+        t = fraction * (moments.mean + 6.0 * math.sqrt(moments.variance))
+        if on_step and t >= tau:
+            t = math.floor(t / tau) * tau
+        j_max = int(math.floor(t / tau))
+        j = np.arange(j_max + 1)
+        for series in (closedform._pdf_series, closedform._cdf_series):
+            log_head, terms = series(lam, tau, k, t)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                every = terms(j[:, None], log_head(j)[:, None])
+            full = math.fsum(every.ravel().tolist())
+            with mock.patch.object(closedform, "SERIES_BLOCK", block):
+                window = closedform._series_sum(k, j_max, log_head, terms)
+            bound = (2.0 * closedform.SERIES_TAIL * float(np.abs(every).max())
+                     + math.ulp(full) + 2.0 * math.ulp(0.0))
+            assert abs(window - full) <= bound
 
 
 class TestExpConstMoments:
