@@ -288,9 +288,12 @@ def load_config(path: str | Path) -> RunConfig:
 # output helpers
 
 
-# Rows formatted and written at a time; a larger block saves little time and
-# holds its whole text in memory at once.
-CSV_BLOCK_ROWS = 4096
+# ecdf.csv holds the order statistics at the levels j / ECDF_LEVELS.
+ECDF_LEVELS = 2000
+# Level of the ecdf band, the DKW bound in Massart's tight form (Ann. Probab.
+# 18(3), 1990): P(sup |F_n - F| > sqrt(ln(2 / alpha) / (2 n))) <= alpha.  It is
+# the level of compare's KS test.
+ECDF_BAND_ALPHA = 0.01
 
 
 def _fmt(value) -> str:
@@ -298,129 +301,17 @@ def _fmt(value) -> str:
     return "" if value is None else f"{value:.17g}"
 
 
-# _fixed_cells renders every x in [FIXED_LOW, FIXED_HIGH), where "{:.17g}"
-# uses fixed notation, as the 17 digits D of the integer nearest x * 10^(16 - d),
-# d = floor(log10 x), laid out around a decimal point.  Each 10^s, 0 <= s <= 20,
-# is an exact double, and Dekker's two-product (Numer. Math. 18, 1971) gives
-# x * 10^s exactly as hi + lo.  hi >= 2^53 is an even integer, so rounding lo
-# half to even rounds the exact product half to even, as Python's dtoa does.
-FIXED_LOW, FIXED_HIGH = 1e-4, 1e17
-_POW10 = np.array([10.0**s for s in range(21)])
-_CELL = 24  # the longest "{:.17g}" text: sign, 17 digits, point, "e-308"
-_FIXED = 22  # the longest fixed-notation text: "0.000" and 17 digits
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """Write the header and one line per row of cells, each as _fmt renders it."""
+    lines = [",".join(header), *(",".join(map(_fmt, row)) for row in rows)]
+    path.write_bytes(("\n".join(lines) + "\n").encode())
 
 
-def _veltkamp(a):
-    """a split as hi + lo, each with at most 26 significant bits."""
-    c = 134217729.0 * a  # 2^27 + 1
-    hi = c - (c - a)
-    return hi, a - hi
-
-
-_POW10_HI, _POW10_LO = _veltkamp(_POW10)
-
-
-def _times_pow10(x, x_hi, x_lo, s):
-    """x * 10^s exactly, as fl(x * 10^s) and its rounding error."""
-    hi = x * _POW10[s]
-    p_hi, p_lo = _POW10_HI[s], _POW10_LO[s]
-    return hi, ((x_hi * p_hi - hi) + x_hi * p_lo + x_lo * p_hi) + x_lo * p_lo
-
-
-def _digit_tables():
-    numbers = np.arange(10_000)
-    ascii_digits = (numbers[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")).astype(np.uint8)
-    # the four digits of each number below 10^4 as one word, and their trailing zeros
-    groups = np.ascontiguousarray(ascii_digits).view(np.uint32)[:, 0]
-    trailing = np.cumprod(ascii_digits[:, ::-1] == ord("0"), axis=1).sum(axis=1)
-    # Row (d + 4) * 17 + strip lays out the cell of exponent d whose last
-    # `strip` digits are zeros to drop, from the text "0000000" + D: byte j
-    # of the cell is text byte j + 3 up to the units digit at j = d + 4 (mask
-    # 0), the point at j = d + 5 (row 2), and text byte j + 2 past it (mask 1).
-    # Bytes before the leading digit, or before the units 0 when d < 0, and
-    # past the last kept digit are NUL.
-    d = np.arange(-4, 17)[:, None, None]
-    strip = np.arange(17)[None, :, None]
-    j = np.arange(_FIXED)
-    all_fraction = strip == 16 - d
-    kept = (j >= 4 + np.minimum(d, 0)) & (j < _FIXED - strip - all_fraction)
-    layout = np.stack([kept & (j <= d + 4), kept & (j > d + 5), (kept & (j == d + 5)) * ord(".")],
-                      axis=2).astype(np.uint8)
-    return groups, trailing, layout.reshape(21 * 17, 3, _FIXED)
-
-
-_GROUPS, _GROUP_TRAILING_ZEROS, _LAYOUT = _digit_tables()
-
-
-def _fixed_cells(x: np.ndarray) -> np.ndarray:
-    """f"{v:.17g}" of each v in the 1-D array x, FIXED_LOW <= v < FIXED_HIGH,
-    as rows of _FIXED NUL-padded bytes."""
-    d = np.clip(np.floor(np.log10(x)).astype(np.int64), -4, 16)
-    x_hi, x_lo = _veltkamp(x)
-    hi, lo = _times_pow10(x, x_hi, x_lo, 16 - d)
-    # log10 may be one off next to a power of ten: move the exact product into [1e16, 1e17)
-    above = (hi > 1e17) | (hi == 1e17) & (lo >= 0)
-    below = (hi < 1e16) | (hi == 1e16) & (lo < 0)
-    if above.any() or below.any():
-        d += above
-        d -= below
-        hi, lo = _times_pow10(x, x_hi, x_lo, 16 - d)
-    # No carry to 10^17: the largest double below each 10^(d + 1) lies 8 or
-    # more units of the 17th digit below it.
-    digits = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
-
-    # the text: "0000", "000" and the leading digit, four groups of four digits, padding
-    text = np.empty((len(x), 7), np.uint32)
-    text[:, 0] = _GROUPS[0]
-    text[:, 6] = 0
-    trailing = np.zeros(len(x), np.int64)
-    zeros_so_far = np.ones(len(x), bool)
-    for column in range(5, 0, -1):
-        digits, group = np.divmod(digits, 10_000)
-        text[:, column] = _GROUPS[group]
-        trailing += zeros_so_far * _GROUP_TRAILING_ZEROS[group]
-        zeros_so_far &= group == 0
-    text = text.view(np.uint8)
-    layout = _LAYOUT[(d + 4) * 17 + np.minimum(trailing, 16 - d)]
-    cells = text[:, 3:3 + _FIXED] * layout[:, 0]
-    cells += text[:, 2:2 + _FIXED] * layout[:, 1]
-    cells += layout[:, 2]
-    return cells
-
-
-def _csv_lines(cells: np.ndarray, empty: np.ndarray | None) -> bytes:
-    """The CSV lines of a 2-D float array, each cell as _fmt renders it, and
-    empty where the boolean array `empty` (None: nowhere) is set.
-
-    Cells in [FIXED_LOW, FIXED_HIGH) take _fixed_cells; the rest (empty,
-    nan, inf, zero, negative and the other magnitudes) take _fmt.
-    """
-    flat = cells.ravel()
-    blank = np.zeros(flat.size, bool) if empty is None else empty.ravel()
-    fixed = (flat >= FIXED_LOW) & (flat < FIXED_HIGH) & ~blank
-    # one row per cell: its text NUL-padded to _CELL bytes, then "," or "\n"
-    text = np.zeros((flat.size, _CELL + 1), np.uint8)
-    text[fixed, :_FIXED] = _fixed_cells(flat[fixed])
-    others = np.flatnonzero(~fixed)
-    text[others, :_CELL] = np.array(
-        [_fmt(None if b else v) for v, b in zip(flat[others].tolist(), blank[others].tolist())],
-        dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
-    text[:, _CELL] = ord(",")
-    text[cells.shape[1] - 1::cells.shape[1], _CELL] = ord("\n")
-    return text.tobytes().translate(None, b"\0")
-
-
-def _write_csv(path: Path, header: list[str], rows: int, block) -> None:
-    """Write the header and `rows` rows of numbers, CSV_BLOCK_ROWS at a time.
-
-    block(lo, hi) gives the cells of rows lo..hi-1 as a float array of shape
-    (hi - lo, len(header)) and a boolean array of that shape that marks the
-    empty cells, or None when no cell is empty.
-    """
-    with path.open("wb") as fh:
-        fh.write((",".join(header) + "\n").encode())
-        for lo in range(0, rows, CSV_BLOCK_ROWS):
-            fh.write(_csv_lines(*block(lo, min(lo + CSV_BLOCK_ROWS, rows))))
+def _ecdf_ranks(n: int) -> list[int]:
+    """The distinct ranks max(1, ceil(j n / ECDF_LEVELS)), j = 0..ECDF_LEVELS:
+    the smallest rank whose ecdf i / n reaches each level.  Every rank 1..n
+    when n <= ECDF_LEVELS + 1."""
+    return sorted({max(1, -(-j * n // ECDF_LEVELS)) for j in range(ECDF_LEVELS + 1)})
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -506,19 +397,16 @@ def cmd_analyze(cfg: RunConfig) -> int:
     grid = _resolve_grid(cfg, general)
     inverted = invert_grid(model, grid, cfg.analysis.inversion)
     closed = family == "exponential_constant"
-    cells = np.column_stack((
-        grid,
-        [exp_const_pdf(model, t) if closed else math.nan for t in grid.tolist()],
-        inverted.pdf,
-        [approx.pdf(t) for t in grid.tolist()],
-        inverted.cdf,
-    ))
-    failed = np.array([error is not None for error in inverted.errors])
-    empty = np.zeros(cells.shape, bool)
-    empty[:, 1] = not closed
-    empty[failed, 2] = empty[failed, 4] = True
-    failures = [{"t": t, "error_estimate": error.error_estimate}
-                for t, error in zip(grid.tolist(), inverted.errors) if error is not None]
+    closed_pdfs = ([exp_const_pdf(model, t) for t in grid.tolist()] if closed
+                   else [None] * len(grid))
+    rows, failures = [], []
+    for t, closed_pdf, pdf, normal, cdf, error in zip(
+            grid.tolist(), closed_pdfs, inverted.pdf.tolist(), approx.pdf(grid).tolist(),
+            inverted.cdf.tolist(), inverted.errors):
+        if error is not None:
+            pdf = cdf = None
+            failures.append({"t": t, "error_estimate": error.error_estimate})
+        rows.append((t, closed_pdf, pdf, normal, cdf))
 
     routes = [moments[key] for key in ("general", "transform", "closed_form") if moments[key]]
     means = [route["mean"] for route in routes]
@@ -540,19 +428,19 @@ def cmd_analyze(cfg: RunConfig) -> int:
     _write_csv(
         out / "curves.csv",
         ["t", "pdf_closed_form", "pdf_inverted", "pdf_normal_approx", "cdf_inverted"],
-        len(cells),
-        lambda lo, hi: (cells[lo:hi], empty[lo:hi]),
+        rows,
     )
     _write_json(out / "summary.json", summary)
     return EXIT_OK
 
 
 def cmd_simulate(cfg: RunConfig) -> int:
-    """Monte Carlo pipeline: batch report plus empirical-cdf CSV."""
+    """Monte Carlo pipeline: batch report plus the empirical cdf's quantile table."""
     out = _out_dir(cfg)
     model = cfg.model
     report = run_batch(model, cfg.simulation)
     analytic = model.failure_moments()
+    n = len(report.sorted_times)
 
     mean_delta_se, mean_ok = _delta_se(report.mean, analytic.mean, report.se_mean)
     checks = {"mean_within_3se": mean_ok}
@@ -563,7 +451,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "config": serialize_config(cfg),
         "report": {
             "runs": report.runs,
-            "samples": len(report.sorted_times),
+            "samples": n,
+            "ecdf_band": math.sqrt(math.log(2.0 / ECDF_BAND_ALPHA) / (2 * n)),
             "seed": report.seed,
             "mean": report.mean,
             "variance": report.variance,
@@ -579,10 +468,9 @@ def cmd_simulate(cfg: RunConfig) -> int:
         "verdict": "FAIL" if failed else "PASS",
     }
 
-    times = report.sorted_times
-    n = len(times)
-    _write_csv(out / "ecdf.csv", ["t", "ecdf"], n,
-               lambda lo, hi: (np.column_stack((times[lo:hi], np.arange(lo + 1, hi + 1) / n)), None))
+    ranks = _ecdf_ranks(n)
+    _write_csv(out / "ecdf.csv", ["t", "ecdf"],
+               zip(report.sorted_times[np.array(ranks) - 1].tolist(), (i / n for i in ranks)))
     _write_json(out / "summary.json", summary)
     return EXIT_OK
 

@@ -20,7 +20,6 @@ from deltashock import (
 )
 from deltashock import cli
 from deltashock.cli import (
-    CSV_BLOCK_ROWS,
     EXIT_COMPARE,
     EXIT_CONFIG,
     EXIT_NUMERIC,
@@ -40,6 +39,8 @@ from deltashock.cli import (
 )
 
 LN2 = math.log(2.0)
+# ecdf.csv holds the order statistics at the levels j / ECDF_LEVELS
+ECDF_LEVELS = 2000
 
 
 def exp_config(out_dir, runs=50_000, seed=42, workers=1, k=3, tau=LN2, extra=None):
@@ -285,14 +286,31 @@ class TestSimulate:
         assert summary["command"] == "simulate"
         assert summary["verdict"] == "PASS"
         assert abs(summary["mean_delta_se"]) <= 3.0
+        assert summary["report"]["samples"] == 50_000
+        assert summary["report"]["ecdf_band"] == math.sqrt(math.log(200) / (2 * 50_000))
         rows = read_rows(tmp_path / "out" / "ecdf.csv")
         assert rows[0] == ["t", "ecdf"]
-        assert len(rows) == 1 + 50_000
+        assert len(rows) == 1 + ECDF_LEVELS + 1
         assert float(rows[-1][1]) == 1.0
 
-    def test_ecdf_rows_are_the_sorted_times_and_their_ranks(self, tmp_path):
-        # two full write blocks and a short one, against one format per cell
-        runs = 2 * CSV_BLOCK_ROWS + 3
+    @pytest.mark.parametrize("runs", [2 * ECDF_LEVELS + 3, 50_000])
+    def test_ecdf_rows_are_the_order_statistics_at_each_level(self, tmp_path, runs):
+        # row j: the smallest sample whose ecdf reaches j / ECDF_LEVELS, one
+        # format per cell
+        cfg = parse_config(exp_config(tmp_path / "out", runs=runs))
+        assert cmd_simulate(cfg) == EXIT_OK
+        times = run_batch(cfg.model, cfg.simulation).sorted_times
+        lines = (tmp_path / "out" / "ecdf.csv").read_bytes().decode().split("\n")
+        assert lines[0] == "t,ecdf" and lines[-1] == "" and len(lines) == ECDF_LEVELS + 3
+        for j, line in enumerate(lines[1:-1]):
+            i = max(1, -(-j * runs // ECDF_LEVELS))
+            assert line == f"{float(times[i - 1]):.17g},{i / runs:.17g}"
+        assert lines[1].startswith(f"{float(times[0]):.17g},")
+        assert lines[-2] == f"{float(times[-1]):.17g},1"
+
+    @pytest.mark.parametrize("runs", [1_500, ECDF_LEVELS + 1])
+    def test_ecdf_rows_are_the_sorted_times_and_their_ranks(self, tmp_path, runs):
+        # up to ECDF_LEVELS + 1 samples, the table is every sample
         cfg = parse_config(exp_config(tmp_path / "out", runs=runs))
         assert cmd_simulate(cfg) == EXIT_OK
         times = run_batch(cfg.model, cfg.simulation).sorted_times
@@ -308,8 +326,11 @@ class TestSimulate:
         assert cmd_simulate(cfg) == EXIT_OK
         report = json.loads((tmp_path / "out" / "summary.json").read_text())["report"]
         rows = read_rows(tmp_path / "out" / "ecdf.csv")[1:]
-        assert report["samples"] == 5_000 == len(rows)
+        assert report["samples"] == 5_000
         assert report["runs"] == 20_000
+        assert report["ecdf_band"] == math.sqrt(math.log(200) / (2 * 5_000))
+        assert len(rows) == ECDF_LEVELS + 1
+        assert float(rows[-1][1]) == 1.0
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = parse_config(exp_config(tmp_path / "a", runs=30_000))
