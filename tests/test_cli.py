@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import signal
+from fractions import Fraction
 from dataclasses import fields, replace
 
 import numpy as np
@@ -35,6 +36,7 @@ from deltashock.cli import (
     load_config,
     main,
     parse_config,
+    _ecdf_ranks,
     serialize_config,
 )
 
@@ -331,6 +333,19 @@ class TestSimulate:
         assert report["ecdf_band"] == math.sqrt(math.log(200) / (2 * 5_000))
         assert len(rows) == ECDF_LEVELS + 1
         assert float(rows[-1][1]) == 1.0
+
+    @pytest.mark.parametrize("n", [1, 2, 1_999, ECDF_LEVELS, ECDF_LEVELS + 1, ECDF_LEVELS + 2,
+                                   2 * ECDF_LEVELS + 3, 10**6])
+    def test_ecdf_ranks_reach_each_level_once(self, n):
+        # row j is the smallest rank i with i / n >= j / ECDF_LEVELS, in exact
+        # rational arithmetic; a rank two levels share is written once
+        ranks = _ecdf_ranks(n)
+        expected = sorted({max(1, math.ceil(Fraction(j * n, ECDF_LEVELS)))
+                           for j in range(ECDF_LEVELS + 1)})
+        assert ranks == expected
+        assert ranks[0] == 1 and ranks[-1] == n
+        assert all(a < b for a, b in zip(ranks, ranks[1:]))
+        assert len(ranks) == min(n, ECDF_LEVELS + 1)
 
     def test_byte_identical_reruns(self, tmp_path):
         cfg_a = parse_config(exp_config(tmp_path / "a", runs=30_000))

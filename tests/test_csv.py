@@ -24,3 +24,19 @@ class TestWriter:
         expected = "".join(
             ",".join("" if v is None else format(v, ".17g") for v in row) + "\n" for row in rows)
         assert path.read_bytes() == (",".join(self.HEADER) + "\n" + expected).encode()
+
+    def test_edge_values(self, tmp_path):
+        # powers of ten and their neighbours, ties at the 17th digit (+ 0.25
+        # and + 0.75 round half to even; + 0.5 takes exactly 17 digits), a
+        # value that reads as 1e17, and the special values
+        values = []
+        for exponent in range(-8, 19):
+            power = float(f"1e{exponent}")
+            values += [power, np.nextafter(power, 0.0), np.nextafter(power, math.inf)]
+        values += [1e15 + 0.25, 1e15 + 0.75, 1e15 + 0.5, 99999999999999999.0]
+        values += [5e-324, -0.0, math.nan, math.inf, -math.inf]
+        rows = [(float(v), -float(v)) for v in values]
+        path = tmp_path / "edge.csv"
+        _write_csv(path, ["a", "b"], rows)
+        expected = "".join(f"{format(a, '.17g')},{format(b, '.17g')}\n" for a, b in rows)
+        assert path.read_bytes() == ("a,b\n" + expected).encode()

@@ -63,6 +63,13 @@ class TestDensity:
         assert approx.pdf(grid).shape == (7,)
         assert np.all(np.diff(approx.cdf(grid)) > 0.0)
 
+    @pytest.mark.parametrize("k, points", [(3, 7), (50, 200), (1, 100_003)])
+    def test_grid_pdf_matches_each_point_bitwise(self, k, points):
+        # analyze evaluates the normal column on the whole grid in one call
+        approx = make_approx(k)
+        grid = np.linspace(1e-3, approx.center + 6.0 * approx.scale, points)
+        assert approx.pdf(grid).tolist() == [float(approx.pdf(t)) for t in grid.tolist()]
+
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
             NormalApprox(center=1.0, scale=0.0, source=make_approx(1).source)
