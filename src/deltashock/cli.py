@@ -20,7 +20,6 @@ from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .closedform import (
     closed_form_family,
@@ -485,6 +484,9 @@ def _inverted_cdf_interpolant(model, inv_cfg, t_hi):
     Grid nodes where the inversion will not settle (kink neighbourhoods)
     are skipped and bridged by the interpolant.
     """
+    # imported on use, like every scipy name: analyze, simulate and invert never load scipy
+    from scipy.interpolate import PchipInterpolator
+
     cfg = replace(inv_cfg, target_error=max(inv_cfg.target_error, 1e-6))
 
     def head(t):

@@ -20,7 +20,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.special import gammainc
 
 from .distributions import Constant, Exponential, Uniform
 from .model import MomentSummary, ShockModel
@@ -200,6 +199,9 @@ def exp_const_pdf(model: ShockModel, t: float) -> float:
 
 def _cdf_series(lam: float, tau: float, k: int, t: float):
     """(log_head, terms) of the exp_const_cdf series at t > 0; see there."""
+    # imported on use, so that the CLI's scipy-free commands stay so
+    from scipy.special import gammainc
+
     i = np.arange(k + 1)
     choose_log = np.array([math.log(math.comb(k, v)) for v in i.tolist()])
     sign = (-1.0) ** i

@@ -20,7 +20,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "ProbabilityLaw",
@@ -413,6 +412,9 @@ def _weighted_laplace_quad(arrival, threshold, s, weight, order=0, upper=math.in
     factor exp(-i Im(s) t) is handled by the cos/sin weighted rule, which
     stays cheap for the high frequencies the inversion contour needs.
     """
+    # imported on use: built-in laws never reach quadrature, nor load scipy
+    from scipy import integrate
+
     w = threshold.survival if weight == "survival" else threshold.cdf
     cutoff = min(upper, arrival.upper_cutoff())
     if cutoff <= 0.0:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .laplace import InversionConfig, invert_grid
 from .model import MomentSummary, ShockModel
@@ -48,6 +47,9 @@ class NormalApprox:
         return (np.exp(-0.5 * z * z) / (self.scale * math.sqrt(2.0 * math.pi)))[()]
 
     def cdf(self, t):
+        # imported on use: only compare and approx_error need the cdf
+        from scipy.special import erf
+
         t = np.asarray(t, dtype=float)
         z = (t - self.center) / (self.scale * math.sqrt(2.0))
         return (0.5 * (1.0 + erf(z)))[()]

@@ -21,7 +21,6 @@ needs more than MAX_GAPS_PER_RUN gaps raises UnrealizableModelError.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass
 from itertools import repeat
@@ -252,6 +251,9 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
         if config.workers == 1 or n_chunks == 1:
             results = map(_simulate_chunk, *columns)
         else:
+            # imported on use: a one-worker batch never needs the pool
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
             results = pool.map(_simulate_chunk, *columns)
         # each chunk is folded in as it arrives, in chunk order, so only the

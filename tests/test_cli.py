@@ -3,9 +3,13 @@
 import csv
 import json
 import math
+import os
 import signal
+import subprocess
+import sys
 from fractions import Fraction
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +20,11 @@ from deltashock import (
     InversionConfig,
     ShockModel,
     SimulationConfig,
+    exp_const_cdf,
     run_batch,
     simulate,
 )
+import deltashock
 from deltashock import cli
 from deltashock.cli import (
     EXIT_COMPARE,
@@ -537,3 +543,113 @@ class TestMain:
             bad = write_config(tmp_path, config, name="bad.json")
             assert main(["analyze", "--config", str(bad)]) == EXIT_CONFIG
             assert "analysis.grid" in capsys.readouterr().err
+
+
+# A fresh interpreter that imports this deltashock (and tests/foreign_laws.py).
+# `loaded()` lists the scipy modules and the process-pool module it holds; the
+# body binds `result`, which goes to the last stdout line as JSON.
+COLD_PRELUDE = """
+import json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.partition(".")[0] == "scipy" or m == "concurrent.futures.process")
+"""
+COLD_MAIN = "from deltashock.cli import main\nresult = {'exit': main(sys.argv[1:]), 'loaded': loaded()}"
+COLD_MODELS = {
+    "exp-constant": {"k": 3, "arrivals": {"type": "exponential", "rate": 1.0},
+                     "threshold": {"type": "constant", "value": LN2}},
+    "exp-exp": {"k": 3, "arrivals": {"type": "exponential", "rate": 1.0},
+                "threshold": {"type": "exponential", "rate": 1.0}},
+    "uniform-uniform": {"k": 2, "arrivals": {"type": "uniform", "lower": 0.0, "upper": 2.0},
+                        "threshold": {"type": "uniform", "lower": 0.5, "upper": 1.5}},
+}
+
+
+def run_cold(body, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(deltashock.__file__).resolve().parents[1]), str(Path(__file__).parent)]))
+    proc = subprocess.run([sys.executable, "-c", f"{COLD_PRELUDE}\n{body}\nprint(json.dumps(result))",
+                           *map(str, args)], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def cold_config(tmp_path, model, runs=simulate.CHUNK_SIZE + 1, workers=1):
+    # two chunks by default, so that `workers` decides whether the pool runs
+    return write_config(tmp_path, {
+        "model": COLD_MODELS[model],
+        "analysis": {"grid": {"points": 10}},
+        "simulation": {"runs": runs, "seed": 3, "workers": workers},
+        "output": {"directory": str(tmp_path / "out")},
+    })
+
+
+class TestColdImports:
+    """analyze, simulate and invert never load scipy, nor a one-worker batch the process pool."""
+
+    def test_import_package(self):
+        assert run_cold("import deltashock\nresult = loaded()") == []
+
+    def test_import_cli_and_load_config(self, tmp_path):
+        body = "import deltashock.cli as cli\ncli.load_config(sys.argv[1])\nresult = loaded()"
+        assert run_cold(body, cold_config(tmp_path, "exp-exp")) == []
+
+    @pytest.mark.parametrize("model", sorted(COLD_MODELS))
+    @pytest.mark.parametrize("command", [
+        ["analyze"],
+        ["simulate"],
+        ["invert", "--time", "2.7", "--what", "density"],
+        ["invert", "--time", "2.7", "--what", "cdf"],
+    ], ids=["analyze", "simulate", "invert-density", "invert-cdf"])
+    def test_command(self, tmp_path, model, command):
+        path = cold_config(tmp_path, model)
+        assert run_cold(COLD_MAIN, *command, "--config", path) == {"exit": EXIT_OK, "loaded": []}
+
+    def test_config_error(self, tmp_path):
+        path = write_config(tmp_path, {"model": {"k": 0}})
+        assert run_cold(COLD_MAIN, "analyze", "--config", path) == {"exit": EXIT_CONFIG, "loaded": []}
+
+
+class TestColdCallSites:
+    """The call sites that import scipy or the pool themselves still work from a cold start."""
+
+    def test_compare(self, tmp_path):
+        path = cold_config(tmp_path, "exp-constant", runs=20_000)
+        body = "before = loaded()\n" + COLD_MAIN + "\nresult['before'] = before"
+        result = run_cold(body, "compare", "--config", path)
+        assert result["exit"] == EXIT_OK
+        assert result["before"] == []
+        assert {"scipy.interpolate", "scipy.special"} <= set(result["loaded"])
+        written = (tmp_path / "out" / "compare.json").read_bytes()
+        assert cmd_compare(load_config(path)) == EXIT_OK
+        assert (tmp_path / "out" / "compare.json").read_bytes() == written
+
+    def test_exp_const_cdf(self):
+        model = ShockModel(3, Exponential(1.0), Constant(LN2))
+        body = ("import math\nfrom deltashock import Constant, Exponential, ShockModel, exp_const_cdf\n"
+                "before = loaded()\n"
+                "value = exp_const_cdf(ShockModel(3, Exponential(1.0), Constant(math.log(2.0))), 4.0)\n"
+                "result = {'before': before, 'loaded': loaded(), 'value': value}")
+        result = run_cold(body)
+        assert result["before"] == []
+        assert "scipy.special" in result["loaded"]
+        assert result["value"] == exp_const_cdf(model, 4.0)
+
+    def test_foreign_law_quadrature(self):
+        from foreign_laws import Gamma2
+
+        # the model computes p by quadrature as it is built
+        body = ("from deltashock import Constant, ShockModel\nfrom foreign_laws import Gamma2\n"
+                "before = loaded()\n"
+                "p = ShockModel(2, Gamma2(1.3), Constant(0.8)).lethal_prob\n"
+                "result = {'before': before, 'loaded': loaded(), 'p': p}")
+        result = run_cold(body)
+        assert result["before"] == []
+        assert "scipy.integrate" in result["loaded"]
+        assert result["p"] == ShockModel(2, Gamma2(1.3), Constant(0.8)).lethal_prob
+
+    def test_two_workers_load_the_pool(self, tmp_path):
+        path = cold_config(tmp_path, "exp-constant", workers=2)
+        result = run_cold(COLD_MAIN, "simulate", "--config", path)
+        assert result == {"exit": EXIT_OK, "loaded": ["concurrent.futures.process"]}

@@ -1,14 +1,12 @@
 """Law-level checks: densities, cdfs, sampling, moments, weighted transforms."""
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from deltashock import (
-    ArrivalLaw,
     Constant,
     Exponential,
     ShockModel,
@@ -18,10 +16,10 @@ from deltashock import (
     weighted_laplace,
 )
 from deltashock.distributions import (
-    TAIL_EPS,
     _weighted_laplace_quad,
     weighted_time_integral,
 )
+from foreign_laws import Gamma2
 
 LAW_PAIRS = [
     (Exponential(1.0), Constant(1.0)),
@@ -40,33 +38,6 @@ BUILTIN_PAIRS = [
     (Uniform(0.3, 2.1), Exponential(0.7)),
     (Uniform(0.0, 2.0), Uniform(0.5, 1.5)),
 ]
-
-
-@dataclass(frozen=True)
-class Gamma2(ArrivalLaw):
-    """Gamma(2, rate) gaps: a law without pieces, so it takes the quadrature path."""
-
-    rate: float
-
-    def density(self, t):
-        self._check_nonnegative(t)
-        t = np.asarray(t, dtype=float)
-        return (self.rate**2 * t * np.exp(-self.rate * t))[()]
-
-    def cdf(self, t):
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return (1.0 - (1.0 + self.rate * t) * np.exp(-self.rate * t))[()]
-
-    def sample(self, rng, size=None):
-        return rng.gamma(2.0, 1.0 / self.rate, size=size)
-
-    def raw_moment(self, order):
-        self._check_order(order)
-        return 2.0 / self.rate if order == 1 else 6.0 / self.rate**2
-
-    def upper_cutoff(self, eps=TAIL_EPS):
-        # (1 + x) exp(-x) < eps well before x = -2 ln(eps)
-        return -2.0 * math.log(eps) / self.rate
 
 
 def direct_weighted_quad(arrival, threshold, s, weight, order=0, upper=None):
@@ -267,6 +238,15 @@ class TestWeightedLaplace:
         for weight in ("survival", "cdf"):
             weighted_laplace(arrival, threshold, complex(0.2, -7.0), weight)
             weighted_time_integral(arrival, threshold, 1.3, weight)
+
+    def test_quadrature_guard_catches_a_foreign_law(self, monkeypatch):
+        """The fallback imports scipy.integrate as it runs, so the patch above reaches it."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a foreign law reached integrate.quad")
+
+        monkeypatch.setattr(integrate, "quad", refuse)
+        with pytest.raises(AssertionError, match="foreign law reached"):
+            weighted_laplace(Gamma2(1.3), Constant(0.8), complex(0.2, -7.0), "survival")
 
     @pytest.mark.parametrize("arrival,threshold", LAW_PAIRS)
     def test_weights_sum_to_plain_transform(self, arrival, threshold):
