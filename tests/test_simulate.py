@@ -1,10 +1,13 @@
 """Monte Carlo engine: determinism, statistical concordance, report shape."""
 
+import functools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from deltashock import (
     CHUNK_SIZE,
@@ -18,11 +21,14 @@ from deltashock import (
     run_batch,
     simulate_segments,
 )
-from deltashock import simulate
+from deltashock import InversionConfig, NormalApprox, simulate
+from deltashock import cli
 
 LN2 = math.log(2.0)
 BENCH = ShockModel(3, Exponential(1.0), Constant(LN2))
 RARE = ShockModel(3, Exponential(1.0), Constant(-math.log(0.99)))  # p = 0.01
+# k = 1: compare's inverted cdf carries the lethal-branch head
+UNIFORM_HEAD = ShockModel(1, Uniform(0.0, 2.0), Constant(1.0))
 
 
 class TestDeterminism:
@@ -291,6 +297,43 @@ class TestMoments:
             assert abs(value - reference) <= 1e-12 * scale
 
 
+def _dense_ks(samples, analytic_cdf):
+    """The KS statistic evaluated at every sample: the reference formula."""
+    samples = np.sort(np.asarray(samples, dtype=float))
+    n = len(samples)
+    cdf_vals = np.asarray(analytic_cdf(samples), dtype=float)
+    grid_hi = np.arange(1, n + 1) / n
+    grid_lo = np.arange(0, n) / n
+    return float(np.max(np.maximum(grid_hi - cdf_vals, cdf_vals - grid_lo)))
+
+
+def _counting(function, received, at=0):
+    """function, appending to received the size of each call's argument `at`."""
+    def counted(*args):
+        received.append(np.size(args[at]))
+        return function(*args)
+    return counted
+
+
+@functools.cache
+def _uniform_head_case():
+    """Failure times of UNIFORM_HEAD and its compare-style inverted cdf."""
+    report = run_batch(UNIFORM_HEAD, SimulationConfig(runs=100_000, seed=11))
+    moments = UNIFORM_HEAD.failure_moments()
+    t_hi = max(report.max_time, moments.mean + 8.0 * math.sqrt(moments.variance))
+    return report.sorted_times, cli._inverted_cdf_interpolant(UNIFORM_HEAD, InversionConfig(), t_hi)
+
+
+@functools.cache
+def _bench_case():
+    """A 10^6-run BENCH batch with compare's inverted and normal cdfs."""
+    report = run_batch(BENCH, SimulationConfig(runs=1_000_000, seed=4))
+    moments = BENCH.failure_moments()
+    t_hi = max(report.max_time, moments.mean + 8.0 * math.sqrt(moments.variance))
+    inverted = cli._inverted_cdf_interpolant(BENCH, InversionConfig(), t_hi)
+    return report, inverted, NormalApprox.from_moments(moments).cdf
+
+
 class TestKsStatistic:
     def test_self_distance_is_tiny(self):
         rng = np.random.default_rng(2)
@@ -307,6 +350,105 @@ class TestKsStatistic:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             ks_statistic(np.array([]), lambda x: x)
+
+    # ks_statistic evaluates the cdf at block edges and in live blocks only,
+    # and returns the dense formula's float bit for bit
+    CDFS = {
+        # samples are Uniform(0, 2), widened past its support on request
+        "true": Uniform(0.0, 2.0).cdf,
+        "shifted": Uniform(0.1, 2.1).cdf,
+        "normal": NormalApprox.from_model(UNIFORM_HEAD).cdf,
+        "step": Constant(1.0).cdf,
+        # the samples' own ecdf: every point is at distance 1/n, every block live
+        "ecdf": None,
+        # failure times of UNIFORM_HEAD against its inverted cdf
+        "uniform_head": None,
+    }
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.one_of(st.sampled_from([1, 63, 64, 65, 1000]), st.integers(1, 100_000)),
+        seed=st.integers(0, 2**32 - 1),
+        widen=st.sampled_from([0.0, 0.25]),
+        tie_step=st.sampled_from([0.0, 1e-3, 0.25]),
+        name=st.sampled_from(sorted(CDFS)),
+    )
+    def test_matches_the_dense_formula_bitwise(self, n, seed, widen, tie_step, name):
+        rng = np.random.default_rng(seed)
+        if name == "uniform_head":
+            base, cdf = _uniform_head_case()
+            samples = rng.choice(base, size=n)
+        else:
+            samples, cdf = rng.uniform(0.0, 2.0, size=n), self.CDFS[name]
+        # widened samples fall outside the support, where F sits at 0 or 1
+        samples = samples * (1.0 + widen) - widen
+        if tie_step:
+            samples = np.round(samples / tie_step) * tie_step
+        if name == "ecdf":
+            ordered = np.sort(samples)
+            cdf = lambda x: np.searchsorted(ordered, x, side="right") / n
+        assert ks_statistic(samples, cdf) == _dense_ks(samples, cdf)
+
+    @pytest.mark.parametrize("below", range(2, 2 * 64 + 2))
+    def test_supremum_at_every_offset_in_a_block(self, below):
+        # `below` distinct samples under the support, where F = 0, then m
+        # samples with F = j/m: the supremum is (i+1)/n - F at i = below - 1
+        m = 300
+        samples = np.concatenate((-1.0 - np.arange(below), np.arange(1, m + 1) * (2.0 / m)))
+        cdf = Uniform(0.0, 2.0).cdf
+        assert ks_statistic(samples, cdf) == _dense_ks(samples, cdf) == below / len(samples)
+
+    def test_tolerates_a_wobble_below_the_slack(self):
+        # the wobble makes F fall on the flat parts outside [0, 2]
+        samples = np.random.default_rng(5).uniform(-1.0, 3.0, size=50_000)
+        wobbly = lambda x: Uniform(0.0, 2.0).cdf(x) + 1e-12 * np.sin(1e3 * x)
+        assert np.any(np.diff(wobbly(np.sort(samples))) < 0)
+        assert ks_statistic(samples, wobbly) == _dense_ks(samples, wobbly)
+
+    def test_nan_sample_rejected(self):
+        with pytest.raises(ValueError, match="NaN"):
+            ks_statistic(np.array([0.3, np.nan, 1.2]), Uniform(0.0, 2.0).cdf)
+
+    def test_falling_cdf_rejected(self):
+        samples = np.random.default_rng(6).exponential(size=10_000)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            ks_statistic(samples, Exponential(1.0).survival)
+
+    def test_nan_cdf_rejected(self):
+        samples = np.random.default_rng(6).exponential(size=10_000)
+        with pytest.raises(ValueError, match="nondecreasing"):
+            ks_statistic(samples, lambda x: np.where(x > 1.0, np.nan, 0.5))
+
+    def test_compare_cdfs_see_a_tenth_of_the_samples(self):
+        report, inverted, normal = _bench_case()
+        received = []
+        for cdf in (inverted, normal):
+            assert ks_statistic(report, _counting(cdf, received)) == _dense_ks(
+                report.sorted_times, cdf)
+        assert sum(received) <= 0.1 * 2 * len(report.sorted_times)
+
+    def test_k1_head_sees_a_tenth_of_the_samples(self, tmp_path, monkeypatch):
+        received = []
+        monkeypatch.setattr(cli, "weighted_time_integral",
+                            _counting(cli.weighted_time_integral, received, at=2))
+        cfg = cli.RunConfig(
+            model=ShockModel(1, Uniform(0.0, 2.0), Uniform(0.5, 1.5)),
+            simulation=SimulationConfig(runs=1_000_000, seed=3),
+            output=cli.OutputSpec(directory=str(tmp_path)),
+        )
+        assert cli.cmd_compare(cfg) == cli.EXIT_OK
+        assert 0 < sum(received) <= 0.1 * 1_000_000
+
+    def test_peak_memory_stays_below_one_sample_copy(self):
+        report, inverted, _ = _bench_case()
+        peaks = {}
+        for name, ks in (("blocked", ks_statistic), ("dense", _dense_ks)):
+            tracemalloc.start()
+            ks(report.sorted_times if name == "dense" else report, inverted)
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        # 10^6 float64 samples take 8 MB; the dense pass needs several copies
+        assert peaks["blocked"] < 8e6 < peaks["dense"]
 
 
 class TestConfigValidation:
