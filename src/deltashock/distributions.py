@@ -91,14 +91,17 @@ class ArrivalLaw(ProbabilityLaw):
         """The density as pieces (see Pieces), or None."""
         return None
 
-    def sample_failures(self, rng: np.random.Generator, k: int, tau: float, size: int):
-        """Failure times and gap counts of `size` runs under a constant
-        threshold tau, drawn without stepping gap by gap, or None.
+    def sample_failures(self, rng: np.random.Generator, k: int, threshold: ThresholdLaw,
+                        size: int):
+        """Failure times and gap counts of `size` runs under the threshold
+        law, drawn without stepping gap by gap, or None.
 
-        A run fails at its k-th gap at or below tau.  The gap counts come
-        back as floats holding exact integers, so that a caller can compare
-        them with a cap before casting them.  A law that returns None (the
-        default) draws nothing from rng, and is simulated gap by gap.
+        A run fails at its k-th gap at or below its own threshold draw.  The
+        gap counts come back as floats holding exact integers, so that a
+        caller can compare them with a cap before casting them.  A law that
+        returns None (the default, and Exponential's answer for any threshold
+        but a Constant or an Exponential one) draws nothing from rng, and is
+        simulated gap by gap.
         """
         return None
 
@@ -146,21 +149,36 @@ class Exponential(ArrivalLaw):
     def sample(self, rng, size=None):
         return rng.exponential(scale=1.0 / self.rate, size=size)
 
-    def sample_failures(self, rng, k, tau, size):
-        # By memorylessness a segment's lethal-gap draw E splits as
-        # E = M tau + R: M = floor(E / tau) is Geometric(p), the segment's
-        # non-lethal count, and R, independent of M, has the law of a gap
-        # given gap <= tau.  Each non-lethal gap is tau plus an Exp(rate)
-        # excess, so the segment lasts E + Gamma(M, 1/rate), and a run
-        # E_1 + ... + E_k + Gamma(N, 1/rate) with N = M_1 + ... + M_k.
-        # Nothing is subtracted, so no digits are lost as p -> 0.
-        draws = self.sample(rng, size=(k, size))
-        with np.errstate(over="ignore"):  # a subnormal tau: counts of inf, which no cap admits
-            nonlethal = np.floor(draws / tau).sum(axis=0)
-        times = draws.sum(axis=0)
-        some = nonlethal > 0
-        times[some] += rng.standard_gamma(nonlethal[some]) / self.rate
-        return times, nonlethal + k
+    def sample_failures(self, rng, k, threshold, size):
+        # Memorylessness splits every gap at the threshold.  A segment's
+        # non-lethal count M is Geometric(p), drawn as floor(E / c) from one
+        # exponential E with P(E >= c) = 1 - p, and a run's count is
+        # N = M_1 + ... + M_k.  Nothing is subtracted, so no digits are lost
+        # as p -> 0; a count too large for any cap overflows to inf.
+        if isinstance(threshold, Constant):
+            # E ~ Exp(rate), c = tau: the remainder E - M tau, independent of
+            # M, is a lethal gap, and each non-lethal gap is tau plus an
+            # Exp(rate) excess, so a run lasts E_1 + ... + E_k + Gamma(N)/rate.
+            # standard_gamma(0) is 0 and draws nothing.
+            draws = self.sample(rng, size=(k, size))
+            with np.errstate(over="ignore"):
+                nonlethal = np.floor(draws / threshold.tau).sum(axis=0)
+            times = draws.sum(axis=0) + rng.standard_gamma(nonlethal) / self.rate
+            return times, nonlethal + k
+        if isinstance(threshold, Exponential):
+            # A gap Z ~ Exp(rate) is lethal against delta ~ Exp(mu) with
+            # p = rate / (rate + mu), and min(Z, delta) ~ Exp(rate + mu) is
+            # independent of which one is smaller.  A lethal gap is that
+            # minimum; a non-lethal one is the minimum plus an Exp(rate)
+            # excess.  So a run lasts Gamma(N + k)/(rate + mu) + Gamma(N)/rate.
+            min_rate = self.rate + threshold.rate
+            c = math.log1p(self.rate / threshold.rate)  # > 0 wherever p > 0
+            with np.errstate(over="ignore"):
+                nonlethal = np.floor(rng.standard_exponential((k, size)) / c).sum(axis=0)
+            gaps = nonlethal + k
+            times = rng.standard_gamma(gaps) / min_rate + rng.standard_gamma(nonlethal) / self.rate
+            return times, gaps
+        return None
 
     def raw_moment(self, order):
         self._check_order(order)

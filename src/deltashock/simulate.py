@@ -8,11 +8,13 @@ central-moment formulas up to fourth order, which the variance standard
 error needs); failure times are retained up to a reservoir cap for the
 empirical cdf.  The batch reads nothing of the analytic routes it checks.
 
-A chunk is sampled in one of two ways.  With a constant threshold, an
-arrival law may draw whole runs at once (ArrivalLaw.sample_failures).
-Exponential gaps do, exactly: by memorylessness each segment's lethal draw
-splits into a geometric count of non-lethal gaps and an independent
-remainder, so a run costs k exponentials and at most one gamma instead of
+A chunk is sampled in one of two ways.  An arrival law may draw whole runs
+at once for the model's threshold law (ArrivalLaw.sample_failures).
+Exponential gaps do, exactly, under a constant or an exponential threshold:
+by memorylessness a run's non-lethal gap count is a sum of k geometric
+counts, each drawn from one exponential, and its failure time is those
+exponentials plus one gamma (constant threshold) or two gammas (exponential
+threshold).  A run costs k exponentials and at most two gammas instead of
 about k/p gap draws.  Every other model steps through the wave kernel
 (_waves), which the tests also use as the reference.  Either way a run that
 needs more than MAX_GAPS_PER_RUN gaps raises UnrealizableModelError.
@@ -27,7 +29,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .distributions import Constant
 from .model import ShockModel, UnrealizableModelError, is_integer
 
 __all__ = [
@@ -186,10 +187,8 @@ def _waves(model, rng, n_runs, max_gaps):
 
 def _split_times(model, rng, n_runs, max_gaps):
     """(times, gap counts) from the arrival law's split sampler, or None
-    when the threshold is not constant or the law has no such sampler."""
-    if not isinstance(model.threshold, Constant):
-        return None
-    split = model.arrivals.sample_failures(rng, model.k, model.threshold.tau, n_runs)
+    when the law has no such sampler for the model's threshold."""
+    split = model.arrivals.sample_failures(rng, model.k, model.threshold, n_runs)
     if split is None:
         return None
     times, gap_counts = split

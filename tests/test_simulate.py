@@ -27,6 +27,7 @@ from deltashock import cli
 LN2 = math.log(2.0)
 BENCH = ShockModel(3, Exponential(1.0), Constant(LN2))
 RARE = ShockModel(3, Exponential(1.0), Constant(-math.log(0.99)))  # p = 0.01
+RARE_EXP = ShockModel(3, Exponential(1.0), Exponential(99.0))  # p = 0.01
 # k = 1: compare's inverted cdf carries the lethal-branch head
 UNIFORM_HEAD = ShockModel(1, Uniform(0.0, 2.0), Constant(1.0))
 
@@ -127,9 +128,10 @@ class TestConditionalGapLaws:
 
 
 class TestSplitSampler:
-    """Exponential gaps with a constant threshold skip the wave kernel: each
-    segment's lethal draw splits into a geometric non-lethal count and a
-    remainder, plus a gamma for the non-lethal excesses."""
+    """Exponential gaps with a constant or an exponential threshold skip the
+    wave kernel: each segment's non-lethal count is geometric, drawn from one
+    exponential, and the time spent is a gamma (a constant threshold adds the
+    segments' exponentials, an exponential one a second gamma)."""
 
     def test_takes_the_split_and_nothing_else_does(self, monkeypatch):
         from deltashock import simulate
@@ -139,8 +141,12 @@ class TestSplitSampler:
 
         monkeypatch.setattr(simulate, "_waves", refuse)
         assert run_batch(RARE, SimulationConfig(runs=1000, seed=0)).runs == 1000
+        assert run_batch(RARE_EXP, SimulationConfig(runs=1000, seed=0)).runs == 1000
         with pytest.raises(AssertionError, match="wave kernel"):
-            run_batch(ShockModel(2, Exponential(1.0), Exponential(1.0)),
+            run_batch(ShockModel(2, Exponential(1.0), Uniform(0.0, 2.0)),
+                      SimulationConfig(runs=10, seed=0))
+        with pytest.raises(AssertionError, match="wave kernel"):
+            run_batch(ShockModel(2, Uniform(0.0, 2.0), Exponential(1.0)),
                       SimulationConfig(runs=10, seed=0))
         with pytest.raises(AssertionError, match="wave kernel"):
             run_batch(ShockModel(2, Uniform(0.0, 2.0), Constant(1.0)),
@@ -158,7 +164,22 @@ class TestSplitSampler:
         kernel = kernel_times(model, n, seed + 1000)
         assert ks_2samp(split, kernel).statistic < 1.95 * math.sqrt(2.0 / n)
 
-    @pytest.mark.parametrize("model", [BENCH, RARE], ids=["p05", "p01"])
+    @pytest.mark.parametrize("p", [0.5, 0.01, 0.99])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_exponential_threshold_times_match_the_wave_kernel(self, kernel_times, k, p):
+        # Exp(1) gaps against an Exp(mu) threshold are lethal with p = 1/(1 + mu)
+        from scipy.stats import ks_2samp
+        model = ShockModel(k, Exponential(1.0), Exponential((1.0 - p) / p))
+        n = 20_000
+        split = run_batch(model, SimulationConfig(runs=n, seed=1)).sorted_times
+        kernel = kernel_times(model, n, 1001)
+        assert ks_2samp(split, kernel).statistic < 1.95 * math.sqrt(2.0 / n)
+
+    @pytest.mark.parametrize(
+        "model",
+        [BENCH, RARE, ShockModel(3, Exponential(1.0), Exponential(1.0)), RARE_EXP],
+        ids=["p05", "p01", "exp-p05", "exp-p01"],
+    )
     def test_shock_counts_follow_the_negative_binomial(self, model):
         # chi-square over cells holding at least 50 expected runs each; the
         # tail beyond the last cell is one more cell
@@ -185,6 +206,21 @@ class TestSplitSampler:
         with pytest.raises(UnrealizableModelError):
             run_batch(model, SimulationConfig(runs=100, seed=0))
 
+    @pytest.mark.parametrize("gaps, threshold", [(1.0, 1e300), (1e-10, 1e300)],
+                             ids=["1e300", "overflow"])
+    def test_fast_exponential_threshold_hits_the_cap_instead_of_wrapping(
+            self, monkeypatch, gaps, threshold):
+        # p about 1e-300, and subnormal in the second case: counts far beyond
+        # any int64, or infinite, which the kernel would step through one
+        # wave at a time
+        def refuse(*args):
+            raise AssertionError("stepped through the wave kernel")
+
+        monkeypatch.setattr(simulate, "_waves", refuse)
+        model = ShockModel(3, Exponential(gaps), Exponential(threshold))
+        with pytest.raises(UnrealizableModelError):
+            run_batch(model, SimulationConfig(runs=100, seed=0))
+
     def test_cap_counts_every_gap_as_the_kernel_does(self, monkeypatch):
         # every gap lethal: each run takes exactly k = 4 gaps
         model = ShockModel(4, Exponential(2.0), Constant(1e9))
@@ -194,14 +230,21 @@ class TestSplitSampler:
         with pytest.raises(UnrealizableModelError):
             run_batch(model, SimulationConfig(runs=10, seed=0))
 
-    def test_worker_count_never_changes_rare_results(self):
+    @staticmethod
+    def _same_on_one_and_two_workers(model):
         runs = 2 * CHUNK_SIZE + 5
-        base = run_batch(RARE, SimulationConfig(runs=runs, seed=13, workers=1))
-        pooled = run_batch(RARE, SimulationConfig(runs=runs, seed=13, workers=2))
+        base = run_batch(model, SimulationConfig(runs=runs, seed=13, workers=1))
+        pooled = run_batch(model, SimulationConfig(runs=runs, seed=13, workers=2))
         assert (base.mean, base.variance, base.se_variance) == (
             pooled.mean, pooled.variance, pooled.se_variance)
         assert np.array_equal(base.sorted_times, pooled.sorted_times)
         assert np.array_equal(base.shock_count_histogram, pooled.shock_count_histogram)
+
+    def test_worker_count_never_changes_rare_results(self):
+        self._same_on_one_and_two_workers(RARE)
+
+    def test_worker_count_never_changes_exponential_threshold_results(self):
+        self._same_on_one_and_two_workers(RARE_EXP)
 
 
 class TestSegments:
@@ -251,8 +294,9 @@ class TestReportShape:
         assert values[-1] == 1.0
 
     def test_memory_does_not_grow_with_chunks(self, monkeypatch):
-        # every gap lethal: one draw of k gaps per run and no gamma, so what
-        # the batch keeps of each chunk dominates its memory
+        # every gap lethal: one draw of k gaps per run and gammas of shape 0,
+        # which draw nothing, so what the batch keeps of each chunk
+        # dominates its memory
         model = ShockModel(1, Exponential(1.0), Constant(1e9))
         monkeypatch.setattr(simulate, "SAMPLE_RESERVOIR", 1_000)
         peaks = {}
