@@ -306,11 +306,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_bytes(("\n".join(lines) + "\n").encode())
 
 
-def _ecdf_ranks(n: int) -> list[int]:
-    """The distinct ranks max(1, ceil(j n / ECDF_LEVELS)), j = 0..ECDF_LEVELS:
-    the smallest rank whose ecdf i / n reaches each level.  Every rank 1..n
-    when n <= ECDF_LEVELS + 1."""
-    return sorted({max(1, -(-j * n // ECDF_LEVELS)) for j in range(ECDF_LEVELS + 1)})
+def _ecdf_ranks(n: int) -> np.ndarray:
+    """The distinct ranks max(1, ceil(j n / ECDF_LEVELS)), j = 0..ECDF_LEVELS,
+    ascending: the smallest rank whose ecdf i / n reaches each level.  Every
+    rank 1..n when n <= ECDF_LEVELS + 1."""
+    return np.unique(np.maximum(1, -(-np.arange(ECDF_LEVELS + 1) * n // ECDF_LEVELS)))
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -395,8 +395,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     grid = _resolve_grid(cfg, general)
     inverted = invert_grid(model, grid, cfg.analysis.inversion)
-    closed = family == "exponential_constant"
-    closed_pdfs = ([exp_const_pdf(model, t) for t in grid.tolist()] if closed
+    closed_pdfs = (exp_const_pdf(model, grid).tolist() if family == "exponential_constant"
                    else [None] * len(grid))
     rows, failures = [], []
     for t, closed_pdf, pdf, normal, cdf, error in zip(
@@ -468,8 +467,10 @@ def cmd_simulate(cfg: RunConfig) -> int:
     }
 
     ranks = _ecdf_ranks(n)
-    _write_csv(out / "ecdf.csv", ["t", "ecdf"],
-               zip(report.sorted_times[np.array(ranks) - 1].tolist(), (i / n for i in ranks)))
+    # the two columns interleaved, each cell as _fmt writes it, in one pass
+    cells = np.column_stack((report.sorted_times[ranks - 1], ranks / n)).ravel().tolist()
+    text = "t,ecdf\n" + "%.17g,%.17g\n" * len(ranks) % tuple(cells)
+    (out / "ecdf.csv").write_bytes(text.encode())
     _write_json(out / "summary.json", summary)
     return EXIT_OK
 

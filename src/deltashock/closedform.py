@@ -40,6 +40,9 @@ SERIES_BLOCK = 256
 SERIES_TAIL = 2.0**-60
 # log of the smallest positive double: a tail bound below it adds nothing.
 LOG_TINY = -745.2
+# Series terms per numpy array: a grid of times is summed in blocks of about
+# this many terms (0.5 MB), so memory does not grow with the grid.
+SERIES_NODES = 1 << 16
 
 
 def closed_form_family(model: ShockModel) -> str | None:
@@ -74,54 +77,38 @@ def _unif_const(model: ShockModel) -> tuple[float, float, float, int]:
 
 def _log_factorial(n: np.ndarray) -> np.ndarray:
     """log n! of an int array, by math.lgamma one value at a time."""
-    return np.array([math.lgamma(v + 1) for v in n.ravel().tolist()]).reshape(n.shape)
+    return np.fromiter(map(math.lgamma, (n + 1.0).ravel().tolist()), float, n.size).reshape(n.shape)
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _series_sum(k: int, j_max: int, log_head, terms) -> float:
-    """math.fsum of the terms of rows j = 0..j_max of a series, over only the
-    rows that matter.
+def _series_sums(k: int, tau: float, ts: np.ndarray, log_head, terms) -> list[float]:
+    """math.fsum of the terms of rows j = 0..floor(t/tau) of a series at every
+    time t > 0 of the 1-D array ts, over only the rows that matter.
 
-    log_head(j) gives, for a 1-D int array j, log h_j of the row heads: every
-    term (j, i) has magnitude at most C(k, i) h_j, so row j adds at most
-    2^k h_j, and log h_j is concave in j.  terms(j, log_h) gives the
-    (len(j), columns) array of the terms of the rows of a column of j, with
-    log_h their log heads.  Both may take logs of zero and of negative
-    numbers on the way; numpy's warnings for those are off here.
+    log_head(t, j) gives log h_j of the row heads at times t and int rows j
+    that broadcast: a term (j, i) is at most C(k, i) h_j, so row j adds at
+    most 2^k h_j, and log h_j is concave in j.  terms(t, j, log_h) gives the
+    terms of the rows j along a new last axis.  Both may take logs of zero
+    and of negative numbers; numpy's warnings for those are off here.
 
-    When the rows fit in one block of SERIES_BLOCK they are summed whole.
-    Otherwise the sum starts from the block around the largest head, found
-    by bisection on the sign of log h_(j+1) - log h_j, and walks outward one
-    block at a time.  Past the peak the head ratio r of two neighbouring
-    rows only falls with each further row (concavity), so every row beyond
-    an edge row j adds at most 2^k h_j r/(1 - r) in all; a direction stops
-    once that bound is below SERIES_TAIL times the largest term kept.  fsum
-    is exact whatever the order, so the result is the exactly rounded sum
-    of the kept terms, within 2 SERIES_TAIL times the largest term of the
-    sum over every row.
+    The times go in blocks of about SERIES_NODES terms, one (times, rows,
+    terms) array per step.  A time of at most SERIES_BLOCK rows is summed
+    whole.  Every other one starts from the block around its largest head,
+    found by bisection on the sign of log h_(j+1) - log h_j, and walks
+    outward one block at a time, up and then down.  Past the peak the head
+    ratio r of two neighbouring rows only falls with each further row
+    (concavity), so every row beyond an edge row j adds at most
+    2^k h_j r/(1 - r) in all; a direction stops once that bound is below
+    SERIES_TAIL times the largest term kept.  fsum is exact whatever the
+    order, so a result is the exactly rounded sum of its time's own kept
+    terms, whatever the other times, within 2 SERIES_TAIL times the largest
+    term of the sum over every row.
     """
-    def block(lo, hi):
-        j = np.arange(lo, hi)
-        log_h = log_head(j)
-        return log_h, terms(j[:, None], log_h[:, None])
+    def block(t, j):
+        log_h = np.broadcast_to(log_head(t, j), (len(t), j.shape[-1]))
+        return log_h, terms(t[..., None], j[..., None], log_h[..., None])
 
-    if j_max < SERIES_BLOCK:
-        return math.fsum(block(0, j_max + 1)[1].ravel().tolist())
-
-    lo, hi = 0, j_max
-    while lo < hi:  # the first j whose head exceeds the next one's
-        mid = (lo + hi) // 2
-        here, after = log_head(np.array([mid, mid + 1]))
-        lo, hi = (lo, mid) if after < here else (mid + 1, hi)
-    lo = min(max(lo - SERIES_BLOCK // 2, 0), j_max + 1 - SERIES_BLOCK)
-    hi = lo + SERIES_BLOCK
-    log_h, rows = block(lo, hi)
-    kept = [rows]
-    largest = float(np.abs(rows).max())
-    # the log heads of the two outermost rows at each edge, inner one first
-    up, down = log_h[-2:], log_h[1::-1]
-
-    def negligible(inner, outer):
+    def negligible(inner, outer, largest):
         log_ratio = outer - inner
         if not log_ratio < 0.0:
             return False
@@ -129,34 +116,62 @@ def _series_sum(k: int, j_max: int, log_head, terms) -> float:
         log_tail = math.log(SERIES_TAIL * largest) if largest > 0.0 else -math.inf
         return log_bound < max(log_tail, LOG_TINY)
 
-    while hi <= j_max and not negligible(*up):
-        log_h, rows = block(hi, min(hi + SERIES_BLOCK, j_max + 1))
-        hi += len(log_h)
-        kept.append(rows)
-        largest = max(largest, float(np.abs(rows).max()))
-        up = np.concatenate((up, log_h))[-2:]
-    while lo > 0 and not negligible(*down):
-        log_h, rows = block(max(lo - SERIES_BLOCK, 0), lo)
-        lo -= len(log_h)
-        kept.append(rows)
-        largest = max(largest, float(np.abs(rows).max()))
-        down = np.concatenate((down, log_h[::-1]))[-2:]
-    return math.fsum(itertools.chain.from_iterable(rows.ravel().tolist() for rows in kept))
+    j_max = np.floor(ts / tau).astype(np.int64)
+    step = np.arange(SERIES_BLOCK)
+    width = max(1, SERIES_NODES // (min(int(j_max.max(initial=0)) + 1, SERIES_BLOCK) * (k + 1)))
+    sums = []
+    for start in range(0, len(ts), width):
+        t, last = ts[start:start + width, None], j_max[start:start + width]
+        lo, hi = np.zeros_like(last), np.where(last < SERIES_BLOCK, 0, last)
+        while (live := np.flatnonzero(lo < hi)).size:
+            # the first j whose head exceeds the next one's
+            mid = (lo[live] + hi[live]) // 2
+            here, after = log_head(t[live], np.stack((mid, mid + 1), axis=-1)).T
+            falls = after < here
+            hi[live] = np.where(falls, mid, hi[live])
+            lo[live] = np.where(falls, lo[live], mid + 1)
+        lo = np.clip(lo - SERIES_BLOCK // 2, 0, np.maximum(last + 1 - SERIES_BLOCK, 0))
+        # times that all start at row 0 share one row of j, and of log j!
+        rows = min(int(last.max()) + 1, SERIES_BLOCK)
+        log_h, first = block(t, lo[:, None] + step[:rows] if lo.any() else step[:rows])
+        hi = lo + np.minimum(last + 1 - lo, rows)
+        kept = [[block_rows[:n]] for block_rows, n in zip(first, (hi - lo).tolist())]
+        largest = np.abs(first).max(axis=(1, 2)).tolist()
+        # the log heads of the two outermost rows at each edge, inner one first
+        for up, edge in ((True, log_h[:, -2:].tolist()), (False, log_h[:, 1::-1].tolist())):
+            while (go := np.array([i for i in range(len(last))
+                                   if (hi[i] <= last[i] if up else lo[i] > 0)
+                                   and not negligible(*edge[i], largest[i])], dtype=int)).size:
+                # the next block that way, its rows outward; a block cut at
+                # row 0 or j_max repeats its end row, and keeps its n others
+                n = np.minimum(last[go] + 1 - hi[go] if up else lo[go], SERIES_BLOCK)
+                j = hi[go, None] + step if up else lo[go, None] - 1 - step
+                log_h, more = block(t[go], np.clip(j, 0, last[go, None]))
+                (hi if up else lo)[go] += n if up else -n
+                for i, block_rows, size, m, pair in zip(
+                        go.tolist(), more, n.tolist(), np.abs(more).max(axis=(1, 2)).tolist(),
+                        log_h[:, -2:].tolist()):
+                    kept[i].append(block_rows[:size])
+                    largest[i] = max(largest[i], m)
+                    edge[i] = pair
+        sums += [math.fsum(itertools.chain.from_iterable(rows.ravel().tolist() for rows in parts))
+                 for parts in kept]
+    return sums
 
 
-def _pdf_series(lam: float, tau: float, k: int, t: float):
-    """(log_head, terms) of the exp_const_pdf series at t > 0; see there."""
-    base_log = k * math.log(lam) - lam * t - math.lgamma(k)
+def _pdf_series(lam: float, tau: float, k: int):
+    """(log_head, terms) of the exp_const_pdf series; see there."""
     log_lam = math.log(lam)
     i_tau = np.arange(1, k + 1) * tau
     signed_choose = np.array([(-1.0) ** i * math.comb(k, i) for i in range(1, k + 1)])
 
-    def log_head(j):
+    def log_head(t, j):
+        base_log = k * math.log(lam) - lam * t - math.lgamma(k)
         # -inf for a row at or past its step, where j + k - 1 >= 1
         x0 = np.maximum(t - j * tau, 0.0)
         return base_log + j * log_lam - _log_factorial(j) + (j + k - 1) * np.log(x0)
 
-    def terms(j, log_h):
+    def terms(t, j, log_h):
         u = i_tau / np.maximum(t - j * tau, 0.0)
         # log1p(-u) is -inf at a step; clamped to LOG_TINY it still gives
         # (x/x0)^e - 1 = -1 for e >= 1, and 0 for e = 0 (the step indicator)
@@ -167,8 +182,23 @@ def _pdf_series(lam: float, tau: float, k: int, t: float):
     return log_head, terms
 
 
-def exp_const_pdf(model: ShockModel, t: float) -> float:
-    """Failure-time density for exponential gaps and a constant threshold.
+def _series_at(model: ShockModel, t, series, clamp):
+    """clamp(sum) of a series at each t > 0 of a float or an array, 0.0 elsewhere."""
+    lam, tau, k = _exp_const(model)
+    times = np.asarray(t, dtype=float)
+    flat = times.reshape(-1)
+    if not np.isfinite(flat).all():
+        raise ValueError(f"times must be finite, got {t!r}")
+    values = np.zeros(flat.shape)
+    positive = np.flatnonzero(flat > 0.0)
+    sums = _series_sums(k, tau, flat[positive], *series(lam, tau, k))
+    values[positive] = [clamp(total) for total in sums]
+    return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)
+
+
+def exp_const_pdf(model: ShockModel, t):
+    """Failure-time density for exponential gaps and a constant threshold, at
+    a float t (a float back) or at an array of times (an array back).
 
     h(t) = (lam^k e^(-lam t)/(k-1)!) * sum_j sum_i (-1)^i C(k,i) (lam^j/j!)
            * [(t - (j+i)tau) U(t - (j+i)tau)]^(j+k-1)
@@ -185,20 +215,17 @@ def exp_const_pdf(model: ShockModel, t: float) -> float:
     and -1 for an absent term.  Each m_i is small where the alternating sum
     cancels, and is accurately rounded however large e and t are; the head's
     own rounding is common to its row.  So |term| <= C(k,i) h_j, and log h_j
-    is concave in j (-log j! and e log x0 both are): _series_sum sums the
-    window of rows around the peak head, within 2^-59 of the largest term.
-    At the ten points of the default rare-lethality grid (p = 0.01, t/tau
-    up to 1.3e5) that builds 768 to 2,304 terms, and the value is within
-    3e-12 relative of a 60-digit sum.
+    is concave in j (-log j! and e log x0 both are): _series_sums sums each
+    time's window of rows around its peak head, within 2^-59 of the largest
+    term, in one pass over the grid and whatever its other times.  On the
+    default rare-lethality grid (p = 0.01, t/tau up to 1.3e5) a time keeps
+    256 to 768 rows of k terms, within 3e-12 relative of a 60-digit sum.
     """
-    lam, tau, k = _exp_const(model)
-    if t <= 0.0:
-        return 0.0
-    return max(_series_sum(k, int(math.floor(t / tau)), *_pdf_series(lam, tau, k, t)), 0.0)
+    return _series_at(model, t, _pdf_series, lambda total: max(total, 0.0))
 
 
-def _cdf_series(lam: float, tau: float, k: int, t: float):
-    """(log_head, terms) of the exp_const_cdf series at t > 0; see there."""
+def _cdf_series(lam: float, tau: float, k: int):
+    """(log_head, terms) of the exp_const_cdf series; see there."""
     # imported on use, so that the CLI's scipy-free commands stay so
     from scipy.special import gammainc
 
@@ -210,10 +237,10 @@ def _cdf_series(lam: float, tau: float, k: int, t: float):
         # log C(j + k - 1, j)
         return _log_factorial(j + k - 1) - _log_factorial(j) - math.lgamma(k)
 
-    def log_head(j):
+    def log_head(t, j):
         return negbin_log(j) - lam * tau * j
 
-    def terms(j, log_h):
+    def terms(t, j, log_h):
         # rebuilt from (j + i) tau, as the series is written, rather than
         # from log_h: the sum cancels, and this rounds each term once less
         c = (j + i) * tau
@@ -224,23 +251,20 @@ def _cdf_series(lam: float, tau: float, k: int, t: float):
     return log_head, terms
 
 
-def exp_const_cdf(model: ShockModel, t: float) -> float:
-    """Term-by-term integral of the series density: shifted Erlang cdfs.
+def exp_const_cdf(model: ShockModel, t):
+    """Term-by-term integral of the series density, at a float or an array of
+    times like exp_const_pdf: shifted Erlang cdfs.
 
     Each series term integrates to exp(-lam c) * P(j+k, lam (t-c)) with
     c = (j+i)tau and P the regularized lower incomplete gamma, weighted by
     (-1)^i C(k,i) C(j+k-1, j).  With q = e^(-lam tau), P <= 1 and
     q^i <= 1, a term is at most C(k,i) C(j+k-1, j) q^j, a head log-concave
-    in j, so the sum walks the same window as exp_const_pdf (see
-    _series_sum).  Stable in double precision up to k around 30; beyond
+    in j, so the sum walks the same windows as exp_const_pdf (see
+    _series_sums).  Stable in double precision up to k around 30; beyond
     that the alternating terms outgrow the unit-bounded sum, so use the
     inverted transform as the reference there instead.
     """
-    lam, tau, k = _exp_const(model)
-    if t <= 0.0:
-        return 0.0
-    total = _series_sum(k, int(math.floor(t / tau)), *_cdf_series(lam, tau, k, t))
-    return min(max(total, 0.0), 1.0)
+    return _series_at(model, t, _cdf_series, lambda total: min(max(total, 0.0), 1.0))
 
 
 def exp_const_moments(model: ShockModel) -> MomentSummary:

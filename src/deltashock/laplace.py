@@ -136,40 +136,44 @@ def _fractions(coeffs: np.ndarray, depth: int, z: complex):
 
     coeffs has 2 depth + 1 series terms along its last axis.  The
     quotient-difference rhombus rules give the fraction coefficients d of
-    all rows at once, keeping only the live q and e columns.  Returns the
-    fraction at z, with the de Hoog remainder refinement on its last level,
-    truncated at all its terms and at 4 and 8 fewer (last axis), and whether
-    each row's d are finite.  Runs under np.errstate(all="ignore").
+    all rows at once, keeping only the live q and e columns.  It runs
+    node-major, on a contiguous copy with the series axis first, so each
+    rhombus and recurrence step is one operation on contiguous rows, in the
+    arithmetic and order of the rules for one row.  Returns the fraction at
+    z, with the de Hoog remainder refinement on its last level, truncated
+    at all its terms and at 4 and 8 fewer (last axis), and whether each
+    row's d are finite.  Runs under np.errstate(all="ignore").
     """
-    n = coeffs.shape[-1]
-    d = np.empty_like(coeffs)
-    d[..., 0] = coeffs[..., 0]
-    q = coeffs[..., 1:] / coeffs[..., :-1]
+    shape, n = coeffs.shape[:-1], coeffs.shape[-1]
+    c = np.ascontiguousarray(np.moveaxis(coeffs, -1, 0)).reshape(n, -1)
+    d = np.empty_like(c)
+    d[0] = c[0]
+    q = c[1:] / c[:-1]
     e = np.zeros_like(q)
     for r in range(1, depth + 1):
-        e = q[..., 1:] - q[..., :-1] + e[..., 1:q.shape[-1]]
-        d[..., 2 * r - 1] = -q[..., 0]
-        d[..., 2 * r] = -e[..., 0]
+        e = q[1:] - q[:-1] + e[1:len(q)]
+        d[2 * r - 1] = -q[0]
+        d[2 * r] = -e[0]
         if r < depth:
-            q = q[..., 1:-1] * e[..., 1:] / e[..., :-1]
+            q = q[1:-1] * e[1:] / e[:-1]
 
     # one forward recurrence serves all three truncations: after step i it
     # holds the convergents a fraction of i + 2 terms needs
     stops = (n - 10, n - 6, n - 2)
     states = []
-    a_prev, a_cur = 0j, d[..., 0]
+    a_prev, a_cur = 0j, d[0]
     b_prev, b_cur = 1 + 0j, 1 + 0j
     for i in range(1, n - 1):
-        a_prev, a_cur = a_cur, a_cur + d[..., i] * z * a_prev
-        b_prev, b_cur = b_cur, b_cur + d[..., i] * z * b_prev
+        a_prev, a_cur = a_cur, a_cur + d[i] * z * a_prev
+        b_prev, b_cur = b_cur, b_cur + d[i] * z * b_prev
         if i in stops:
             states.append((i + 2, a_prev, a_cur, b_prev, b_cur))
     values = []
     for terms, a_prev, a_cur, b_prev, b_cur in reversed(states):
-        h_last = 0.5 * (1.0 + z * (d[..., terms - 2] - d[..., terms - 1]))
-        remainder = -h_last * (1.0 - np.sqrt(1.0 + d[..., terms - 1] * z / (h_last * h_last)))
+        h_last = 0.5 * (1.0 + z * (d[terms - 2] - d[terms - 1]))
+        remainder = -h_last * (1.0 - np.sqrt(1.0 + d[terms - 1] * z / (h_last * h_last)))
         values.append((a_cur + remainder * a_prev) / (b_cur + remainder * b_prev))
-    return np.stack(values, axis=-1), np.isfinite(d).all(axis=-1)
+    return np.stack(values, axis=-1).reshape(*shape, 3), np.isfinite(d).all(axis=0).reshape(shape)
 
 
 def _attempt(transform, t: np.ndarray, depth: int, kappa: float, config: InversionConfig):

@@ -348,7 +348,7 @@ class TestSimulate:
         ranks = _ecdf_ranks(n)
         expected = sorted({max(1, math.ceil(Fraction(j * n, ECDF_LEVELS)))
                            for j in range(ECDF_LEVELS + 1)})
-        assert ranks == expected
+        assert ranks.tolist() == expected
         assert ranks[0] == 1 and ranks[-1] == n
         assert all(a < b for a, b in zip(ranks, ranks[1:]))
         assert len(ranks) == min(n, ECDF_LEVELS + 1)

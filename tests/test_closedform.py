@@ -1,6 +1,8 @@
 """Closed-form formulas for the exponential and uniform gap cases."""
 
+import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -114,6 +116,65 @@ def exp_const_cdf_loop(model, t):
             new_total = total + y
             total, compensation = new_total, (new_total - total) - y
     return min(max(total, 0.0), 1.0)
+
+
+def series_sum_frozen(k, j_max, log_head, terms):
+    """The per-time series walk as it was before the grid engine, frozen:
+    exp_const_pdf and exp_const_cdf must match it bit for bit at every time
+    of a grid.  log_head(j) and terms(j, log_h) close over one time."""
+    def block(lo, hi):
+        j = np.arange(lo, hi)
+        log_h = log_head(j)
+        return log_h, terms(j[:, None], log_h[:, None])
+
+    if j_max < closedform.SERIES_BLOCK:
+        return math.fsum(block(0, j_max + 1)[1].ravel().tolist())
+    lo, hi = 0, j_max
+    while lo < hi:
+        mid = (lo + hi) // 2
+        here, after = log_head(np.array([mid, mid + 1]))
+        lo, hi = (lo, mid) if after < here else (mid + 1, hi)
+    lo = min(max(lo - closedform.SERIES_BLOCK // 2, 0), j_max + 1 - closedform.SERIES_BLOCK)
+    hi = lo + closedform.SERIES_BLOCK
+    log_h, rows = block(lo, hi)
+    kept = [rows]
+    largest = float(np.abs(rows).max())
+    up, down = log_h[-2:], log_h[1::-1]
+
+    def negligible(inner, outer):
+        log_ratio = outer - inner
+        if not log_ratio < 0.0:
+            return False
+        log_bound = k * math.log(2.0) + outer + log_ratio - math.log(-math.expm1(log_ratio))
+        log_tail = math.log(closedform.SERIES_TAIL * largest) if largest > 0.0 else -math.inf
+        return log_bound < max(log_tail, closedform.LOG_TINY)
+
+    while hi <= j_max and not negligible(*up):
+        log_h, rows = block(hi, min(hi + closedform.SERIES_BLOCK, j_max + 1))
+        hi += len(log_h)
+        kept.append(rows)
+        largest = max(largest, float(np.abs(rows).max()))
+        up = np.concatenate((up, log_h))[-2:]
+    while lo > 0 and not negligible(*down):
+        log_h, rows = block(max(lo - closedform.SERIES_BLOCK, 0), lo)
+        lo -= len(log_h)
+        kept.append(rows)
+        largest = max(largest, float(np.abs(rows).max()))
+        down = np.concatenate((down, log_h[::-1]))[-2:]
+    return math.fsum(itertools.chain.from_iterable(rows.ravel().tolist() for rows in kept))
+
+
+def exp_const_frozen(model, t, series):
+    """The exp_const_pdf (series = closedform._pdf_series) or exp_const_cdf
+    (closedform._cdf_series) value at one time t by series_sum_frozen,
+    unclamped."""
+    if t <= 0.0:
+        return 0.0
+    lam, tau, k = model.arrivals.rate, model.threshold.tau, model.k
+    log_head, terms = series(lam, tau, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return series_sum_frozen(k, int(math.floor(t / tau)), lambda j: log_head(t, j),
+                                 lambda j, log_h: terms(t, j, log_h))
 
 
 def high_precision_pdf(mpmath, tau, k, t):
@@ -287,24 +348,88 @@ class TestSeriesWindow:
     def test_window_matches_full_range_sum(self, lam, p, k, fraction, on_step, block):
         """The window sums to the full-range fsum of the same terms, within
         the tail bound: 2^-60 of the largest term, one per direction, plus
-        the rounding of the two sums."""
+        the rounding of the two sums; and to the frozen per-time walk
+        exactly."""
         tau = 1e6 if p is None else -math.log1p(-p) / lam
-        moments = exp_const_moments(exp_const(lam, tau, k))
+        model = exp_const(lam, tau, k)
+        moments = exp_const_moments(model)
         t = fraction * (moments.mean + 6.0 * math.sqrt(moments.variance))
         if on_step and t >= tau:
             t = math.floor(t / tau) * tau
-        j_max = int(math.floor(t / tau))
-        j = np.arange(j_max + 1)
+        j = np.arange(int(math.floor(t / tau)) + 1)
         for series in (closedform._pdf_series, closedform._cdf_series):
-            log_head, terms = series(lam, tau, k, t)
+            log_head, terms = series(lam, tau, k)
             with np.errstate(divide="ignore", invalid="ignore"):
-                every = terms(j[:, None], log_head(j)[:, None])
+                every = terms(t, j[:, None], log_head(t, j)[:, None])
             full = math.fsum(every.ravel().tolist())
             with mock.patch.object(closedform, "SERIES_BLOCK", block):
-                window = closedform._series_sum(k, j_max, log_head, terms)
+                window, = closedform._series_sums(k, tau, np.array([t]), log_head, terms)
+                assert window == exp_const_frozen(model, t, series)
             bound = (2.0 * closedform.SERIES_TAIL * float(np.abs(every).max())
                      + math.ulp(full) + 2.0 * math.ulp(0.0))
             assert abs(window - full) <= bound
+
+
+class TestSeriesGrid:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.2, 5.0),
+        # log-uniform down to 1e-4; a time past 256 tau walks its window
+        p=st.floats(-4.0, math.log10(0.5)).map(lambda e: 10.0**e),
+        k=st.integers(1, 6),
+        fractions=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=6),
+        on_step=st.lists(st.booleans(), min_size=6, max_size=6),
+        order=st.randoms(use_true_random=False),
+    )
+    def test_each_time_is_its_own_walk(self, lam, p, k, fractions, on_step, order):
+        """Each value of a grid is bit for bit the frozen per-time walk's and
+        the value at that time alone, under any permutation and on any
+        sub-grid: a value does not depend on the other times.  The grid
+        holds times at or below 0 and on exact multiples of tau."""
+        tau = -math.log1p(-p) / lam
+        model = exp_const(lam, tau, k)
+        moments = exp_const_moments(model)
+        t_max = moments.mean + 6.0 * math.sqrt(moments.variance)
+        ts = np.array([math.floor(f * t_max / tau) * tau if step else f * t_max
+                       for f, step in zip(fractions, on_step)])
+        perm = np.array(order.sample(range(len(ts)), len(ts)))
+        sub = perm[:order.randint(1, len(ts))]
+        closed = [(exp_const_pdf, closedform._pdf_series, lambda v: max(v, 0.0))]
+        if p >= 1e-2:  # the cdf's gammainc walk is slow at lower p
+            closed.append((exp_const_cdf, closedform._cdf_series,
+                           lambda v: min(max(v, 0.0), 1.0)))
+        for closed_form, series, clamp in closed:
+            values = closed_form(model, ts)
+            assert values.shape == ts.shape
+            singles = [closed_form(model, t) for t in ts.tolist()]
+            assert all(type(single) is float for single in singles)
+            frozen = [clamp(exp_const_frozen(model, t, series)) for t in ts.tolist()]
+            assert values.tobytes() == np.array(singles).tobytes() == np.array(frozen).tobytes()
+            assert closed_form(model, ts[perm]).tobytes() == values[perm].tobytes()
+            assert closed_form(model, ts[sub]).tobytes() == values[sub].tobytes()
+
+    def test_memory_does_not_grow_with_the_grid(self):
+        """10^4 times of up to 87 rows each: one array of all their terms
+        would take 21 MB, and the blocks of SERIES_NODES terms stay below
+        8 MB in all."""
+        model = exp_const(1.0, LN2, 3)
+        ts = np.linspace(-1.0, 60.0, 10_000)
+        exp_const_pdf(model, ts[:10])
+        tracemalloc.start()
+        try:
+            values = exp_const_pdf(model, ts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6
+        assert values.shape == ts.shape and np.isfinite(values).all()
+
+    def test_refuses_times_that_are_not_finite(self):
+        model = exp_const(1.0, LN2, 3)
+        for closed_form in (exp_const_pdf, exp_const_cdf):
+            for bad in (math.nan, math.inf, np.array([1.0, math.nan])):
+                with pytest.raises(ValueError, match="finite"):
+                    closed_form(model, bad)
 
 
 class TestExpConstMoments:

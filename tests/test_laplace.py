@@ -153,6 +153,38 @@ def fraction_loop(coeffs, depth, z, terms):
     return (a_cur + remainder * a_prev) / (b_cur + remainder * b_prev)
 
 
+def fractions_frozen(coeffs, depth, z):
+    """_fractions with the series along the last axis, as it was before the
+    table ran node-major, frozen: the node-major table must match it bit for
+    bit."""
+    n = coeffs.shape[-1]
+    d = np.empty_like(coeffs)
+    d[..., 0] = coeffs[..., 0]
+    q = coeffs[..., 1:] / coeffs[..., :-1]
+    e = np.zeros_like(q)
+    for r in range(1, depth + 1):
+        e = q[..., 1:] - q[..., :-1] + e[..., 1:q.shape[-1]]
+        d[..., 2 * r - 1] = -q[..., 0]
+        d[..., 2 * r] = -e[..., 0]
+        if r < depth:
+            q = q[..., 1:-1] * e[..., 1:] / e[..., :-1]
+    stops = (n - 10, n - 6, n - 2)
+    states = []
+    a_prev, a_cur = 0j, d[..., 0]
+    b_prev, b_cur = 1 + 0j, 1 + 0j
+    for i in range(1, n - 1):
+        a_prev, a_cur = a_cur, a_cur + d[..., i] * z * a_prev
+        b_prev, b_cur = b_cur, b_cur + d[..., i] * z * b_prev
+        if i in stops:
+            states.append((i + 2, a_prev, a_cur, b_prev, b_cur))
+    values = []
+    for terms, a_prev, a_cur, b_prev, b_cur in reversed(states):
+        h_last = 0.5 * (1.0 + z * (d[..., terms - 2] - d[..., terms - 1]))
+        remainder = -h_last * (1.0 - np.sqrt(1.0 + d[..., terms - 1] * z / (h_last * h_last)))
+        values.append((a_cur + remainder * a_prev) / (b_cur + remainder * b_prev))
+    return np.stack(values, axis=-1), np.isfinite(d).all(axis=-1)
+
+
 class TestInvertGrid:
     def test_fractions_match_the_element_loop(self):
         depth, kappa = 30, 2.0
@@ -168,6 +200,34 @@ class TestInvertGrid:
             for value, back in zip(fractions, (0, 4, 8)):
                 expected = fraction_loop(row, depth, z, n - back)
                 assert abs(value - expected) <= 1e-12 * abs(expected)
+
+    @pytest.mark.parametrize("transforms", [1, 2])
+    @pytest.mark.parametrize("extra,kappa", laplace.ATTEMPTS)
+    @pytest.mark.parametrize("times", [1, 3, 600])
+    @pytest.mark.parametrize("special", [False, True])
+    def test_fractions_match_the_frozen_table_bitwise(self, transforms, extra, kappa, times,
+                                                      special):
+        """The node-major table gives the frozen one's values and finite
+        mask exactly, at every depth of the retry ladder; with special set,
+        the first row holds a zero, a NaN and an inf coefficient."""
+        depth = laplace.SERIES_DEPTH + extra
+        n = 2 * depth + 1
+        period = kappa * np.linspace(0.05, 30.0, times)
+        gamma = InversionConfig().contour_parameter / (2.0 * period)
+        nodes = gamma[:, None] + 1j * (np.arange(n) * math.pi / period[:, None])
+        h = TransformEvaluator(ShockModel(3, Exponential(1.0), Constant(LN2)))(nodes)
+        coeffs = np.stack([h, h / nodes][:transforms])
+        coeffs[..., 0] /= 2.0
+        if special:
+            coeffs[0, 0, [3, 7, 11]] = [0.0, np.nan, np.inf]
+        z = complex(math.cos(math.pi / kappa), math.sin(math.pi / kappa))
+        with np.errstate(all="ignore"):
+            got, finite = _fractions(coeffs, depth, z)
+            expected, expected_finite = fractions_frozen(coeffs, depth, z)
+        assert got.shape == expected.shape == (transforms, times, 3)
+        assert np.array_equal(got, expected, equal_nan=True)
+        assert np.array_equal(finite, expected_finite)
+        assert finite.all() != special
 
     @pytest.mark.parametrize("transform,tail,exact", [
         (lambda s: 1.0 / (s + 1.0) ** 2, 0.0, lambda t: t * math.exp(-t)),
