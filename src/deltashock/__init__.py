@@ -36,7 +36,6 @@ from .laplace import (
     invert_density,
     invert_grid,
     invert_transform,
-    laplace_h,
     moments_from_transform,
 )
 from .model import MomentSummary, ShockModel, UnrealizableModelError

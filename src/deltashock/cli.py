@@ -395,8 +395,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
 
     grid = _resolve_grid(cfg, general)
     inverted = invert_grid(model, grid, cfg.analysis.inversion)
-    closed_pdfs = (exp_const_pdf(model, grid).tolist() if family == "exponential_constant"
-                   else [None] * len(grid))
+    closed_pdfs = [None] * len(grid)
+    if family == "exponential_constant":
+        # a value the series refuses (nan) is an empty cell
+        closed_pdfs = [None if math.isnan(v) else v for v in exp_const_pdf(model, grid).tolist()]
     rows, failures = [], []
     for t, closed_pdf, pdf, normal, cdf, error in zip(
             grid.tolist(), closed_pdfs, inverted.pdf.tolist(), approx.pdf(grid).tolist(),

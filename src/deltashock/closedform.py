@@ -43,6 +43,10 @@ LOG_TINY = -745.2
 # Series terms per numpy array: a grid of times is summed in blocks of about
 # this many terms (0.5 MB), so memory does not grow with the grid.
 SERIES_NODES = 1 << 16
+# A series value is refused (nan) where the rounding scale of its alternating
+# terms, 2^-52 times the sum of their absolute values, exceeds this fraction
+# of the value: there the terms cancel to fewer digits than it keeps.
+SERIES_TRUST = 1e-8
 
 
 def closed_form_family(model: ShockModel) -> str | None:
@@ -81,9 +85,11 @@ def _log_factorial(n: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(divide="ignore", invalid="ignore")
-def _series_sums(k: int, tau: float, ts: np.ndarray, log_head, terms) -> list[float]:
+def _series_sums(k: int, tau: float, ts: np.ndarray, log_head,
+                 terms) -> tuple[list[float], list[float]]:
     """math.fsum of the terms of rows j = 0..floor(t/tau) of a series at every
-    time t > 0 of the 1-D array ts, over only the rows that matter.
+    time t > 0 of the 1-D array ts, over only the rows that matter, and the
+    sum of their absolute values, the scale of the terms' own rounding.
 
     log_head(t, j) gives log h_j of the row heads at times t and int rows j
     that broadcast: a term (j, i) is at most C(k, i) h_j, so row j adds at
@@ -116,10 +122,18 @@ def _series_sums(k: int, tau: float, ts: np.ndarray, log_head, terms) -> list[fl
         log_tail = math.log(SERIES_TAIL * largest) if largest > 0.0 else -math.inf
         return log_bound < max(log_tail, LOG_TINY)
 
+    def magnitudes(values, n):
+        """Each time's largest |term| in its block of values, and the sum of
+        |term| over the first n rows, the ones it keeps."""
+        size = np.abs(values)
+        kept = step[:values.shape[1]] < n[:, None]
+        return (size.max(axis=(1, 2)).tolist(),
+                np.where(kept, size.sum(axis=2), 0.0).sum(axis=1).tolist())
+
     j_max = np.floor(ts / tau).astype(np.int64)
     step = np.arange(SERIES_BLOCK)
     width = max(1, SERIES_NODES // (min(int(j_max.max(initial=0)) + 1, SERIES_BLOCK) * (k + 1)))
-    sums = []
+    sums, abs_sums = [], []
     for start in range(0, len(ts), width):
         t, last = ts[start:start + width, None], j_max[start:start + width]
         lo, hi = np.zeros_like(last), np.where(last < SERIES_BLOCK, 0, last)
@@ -136,7 +150,7 @@ def _series_sums(k: int, tau: float, ts: np.ndarray, log_head, terms) -> list[fl
         log_h, first = block(t, lo[:, None] + step[:rows] if lo.any() else step[:rows])
         hi = lo + np.minimum(last + 1 - lo, rows)
         kept = [[block_rows[:n]] for block_rows, n in zip(first, (hi - lo).tolist())]
-        largest = np.abs(first).max(axis=(1, 2)).tolist()
+        largest, scales = magnitudes(first, hi - lo)
         # the log heads of the two outermost rows at each edge, inner one first
         for up, edge in ((True, log_h[:, -2:].tolist()), (False, log_h[:, 1::-1].tolist())):
             while (go := np.array([i for i in range(len(last))
@@ -148,15 +162,17 @@ def _series_sums(k: int, tau: float, ts: np.ndarray, log_head, terms) -> list[fl
                 j = hi[go, None] + step if up else lo[go, None] - 1 - step
                 log_h, more = block(t[go], np.clip(j, 0, last[go, None]))
                 (hi if up else lo)[go] += n if up else -n
-                for i, block_rows, size, m, pair in zip(
-                        go.tolist(), more, n.tolist(), np.abs(more).max(axis=(1, 2)).tolist(),
+                for i, block_rows, size, m, a, pair in zip(
+                        go.tolist(), more, n.tolist(), *magnitudes(more, n),
                         log_h[:, -2:].tolist()):
                     kept[i].append(block_rows[:size])
                     largest[i] = max(largest[i], m)
+                    scales[i] += a
                     edge[i] = pair
         sums += [math.fsum(itertools.chain.from_iterable(rows.ravel().tolist() for rows in parts))
                  for parts in kept]
-    return sums
+        abs_sums += scales
+    return sums, abs_sums
 
 
 def _pdf_series(lam: float, tau: float, k: int):
@@ -183,7 +199,8 @@ def _pdf_series(lam: float, tau: float, k: int):
 
 
 def _series_at(model: ShockModel, t, series, clamp):
-    """clamp(sum) of a series at each t > 0 of a float or an array, 0.0 elsewhere."""
+    """clamp(sum) of a series at each t > 0 of a float or an array, 0.0 at
+    t <= 0, and nan where SERIES_TRUST refuses the sum."""
     lam, tau, k = _exp_const(model)
     times = np.asarray(t, dtype=float)
     flat = times.reshape(-1)
@@ -191,8 +208,9 @@ def _series_at(model: ShockModel, t, series, clamp):
         raise ValueError(f"times must be finite, got {t!r}")
     values = np.zeros(flat.shape)
     positive = np.flatnonzero(flat > 0.0)
-    sums = _series_sums(k, tau, flat[positive], *series(lam, tau, k))
-    values[positive] = [clamp(total) for total in sums]
+    sums, scales = _series_sums(k, tau, flat[positive], *series(lam, tau, k))
+    values[positive] = [clamp(total) if 2.0**-52 * scale <= SERIES_TRUST * abs(total) else math.nan
+                        for total, scale in zip(sums, scales)]
     return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)
 
 
@@ -220,6 +238,12 @@ def exp_const_pdf(model: ShockModel, t):
     term, in one pass over the grid and whatever its other times.  On the
     default rare-lethality grid (p = 0.01, t/tau up to 1.3e5) a time keeps
     256 to 768 rows of k terms, within 3e-12 relative of a 60-digit sum.
+    The rows' own terms still alternate, and as k grows or p falls they
+    cancel to fewer digits: a value is nan where 2^-52 times the sum of its
+    terms' absolute values exceeds SERIES_TRUST times the value.  On the
+    default 200-point analyze grid every value is kept through k = 10 at
+    p = 0.5, k = 6 at p = 0.1 and k = 4 at p = 0.01, and nearly every one is
+    refused at k = 20, 8 and 5.  Use the inverted transform there.
     """
     return _series_at(model, t, _pdf_series, lambda total: max(total, 0.0))
 
@@ -260,9 +284,9 @@ def exp_const_cdf(model: ShockModel, t):
     (-1)^i C(k,i) C(j+k-1, j).  With q = e^(-lam tau), P <= 1 and
     q^i <= 1, a term is at most C(k,i) C(j+k-1, j) q^j, a head log-concave
     in j, so the sum walks the same windows as exp_const_pdf (see
-    _series_sums).  Stable in double precision up to k around 30; beyond
-    that the alternating terms outgrow the unit-bounded sum, so use the
-    inverted transform as the reference there instead.
+    _series_sums), and a value is refused (nan) by the same SERIES_TRUST
+    rule.  On the default 200-point analyze grid every value is kept through
+    k = 10 at p = 0.5, k = 5 at p = 0.1 and k = 3 at p = 0.01.
     """
     return _series_at(model, t, _cdf_series, lambda total: min(max(total, 0.0), 1.0))
 

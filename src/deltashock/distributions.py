@@ -58,8 +58,8 @@ class ProbabilityLaw(ABC):
         return 1.0 - self.cdf(t)
 
     @abstractmethod
-    def sample(self, rng: np.random.Generator, size=None):
-        """Draw from the law using the given generator stream."""
+    def sample(self, rng: np.random.Generator, size):
+        """An array of draws of the given size (an int or a shape) from rng."""
 
     def breakpoints(self) -> tuple[float, ...]:
         """Points where the cdf or density is not smooth."""
@@ -114,8 +114,8 @@ class ArrivalLaw(ProbabilityLaw):
         """E(X^order) for order 1 or 2, in closed form."""
 
     @abstractmethod
-    def upper_cutoff(self, eps: float = TAIL_EPS) -> float:
-        """t beyond which the survival mass is below eps."""
+    def upper_cutoff(self) -> float:
+        """t beyond which the survival mass is below TAIL_EPS."""
 
     @staticmethod
     def _check_nonnegative(t) -> None:
@@ -146,7 +146,7 @@ class Exponential(ArrivalLaw):
         t = np.asarray(t, dtype=float)
         return np.where(t > 0, -np.expm1(-self.rate * np.maximum(t, 0.0)), 0.0)[()]
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.exponential(scale=1.0 / self.rate, size=size)
 
     def sample_failures(self, rng, k, threshold, size):
@@ -184,8 +184,8 @@ class Exponential(ArrivalLaw):
         self._check_order(order)
         return 1.0 / self.rate if order == 1 else 2.0 / self.rate**2
 
-    def upper_cutoff(self, eps=TAIL_EPS):
-        return -math.log(eps) / self.rate
+    def upper_cutoff(self):
+        return -math.log(TAIL_EPS) / self.rate
 
     def density_pieces(self):
         return ((0.0, math.inf, ((self.rate, 0, self.rate),)),)
@@ -218,7 +218,7 @@ class Uniform(ArrivalLaw):
         frac = (t - self.lower) / (self.upper - self.lower)
         return np.clip(frac, 0.0, 1.0)[()]
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.uniform(self.lower, self.upper, size=size)
 
     def raw_moment(self, order):
@@ -226,7 +226,7 @@ class Uniform(ArrivalLaw):
         a, b = self.lower, self.upper
         return (a + b) / 2.0 if order == 1 else (a * a + a * b + b * b) / 3.0
 
-    def upper_cutoff(self, eps=TAIL_EPS):
+    def upper_cutoff(self):
         return self.upper
 
     def breakpoints(self):
@@ -256,9 +256,7 @@ class Constant(ProbabilityLaw):
         t = np.asarray(t, dtype=float)
         return np.where(t >= self.tau, 1.0, 0.0)[()]
 
-    def sample(self, rng, size=None):
-        if size is None:
-            return self.tau
+    def sample(self, rng, size):
         return np.full(size, self.tau)
 
     def breakpoints(self):

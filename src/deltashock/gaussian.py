@@ -27,19 +27,14 @@ class NormalApprox:
 
     center: float
     scale: float
-    source: MomentSummary
 
     def __post_init__(self):
         if not self.scale > 0:
             raise ValueError(f"scale must be > 0, got {self.scale}")
 
     @classmethod
-    def from_model(cls, model: ShockModel) -> "NormalApprox":
-        return cls.from_moments(model.failure_moments())
-
-    @classmethod
     def from_moments(cls, moments: MomentSummary) -> "NormalApprox":
-        return cls(center=moments.mean, scale=math.sqrt(moments.variance), source=moments)
+        return cls(center=moments.mean, scale=math.sqrt(moments.variance))
 
     def pdf(self, t):
         t = np.asarray(t, dtype=float)
@@ -70,13 +65,14 @@ def approx_error(model: ShockModel) -> ApproxErrorReport:
     """Quantify the model's Gaussian approximation error against the
     inverted transform.
 
-    The approximation is NormalApprox.from_model(model).  The grid spans
-    center +/- 5 scale in 400 points, clipped to strictly positive times.
+    The approximation is NormalApprox.from_moments(model.failure_moments()).
+    The grid spans center +/- 5 scale in 400 points, clipped to strictly
+    positive times.
     The inversion target is 1e-4: ample for these diagnostics, and it keeps
     kink-adjacent grid points from aborting the sweep.  The first point that
     fails to invert raises its InversionError.
     """
-    approx = NormalApprox.from_model(model)
+    approx = NormalApprox.from_moments(model.failure_moments())
     lo = max(approx.center - 5.0 * approx.scale, 1e-9 * approx.scale)
     hi = approx.center + 5.0 * approx.scale
     grid = np.linspace(lo, hi, 400)

@@ -36,7 +36,6 @@ __all__ = [
     "InversionConfig",
     "InversionError",
     "TransformEvaluator",
-    "laplace_h",
     "GridInversion",
     "invert_grid",
     "invert_transform",
@@ -65,7 +64,7 @@ BLOCK_NODES = 1 << 15
 
 
 class InversionError(RuntimeError):
-    """Transform evaluation hit a pole or the inversion did not settle."""
+    """The inversion did not settle, or the transform could not be used."""
 
     def __init__(self, message, error_estimate=None):
         super().__init__(message)
@@ -94,41 +93,23 @@ class InversionConfig:
 
 
 class TransformEvaluator:
-    """Evaluates L_h(s) for one model, holding the two weighted transforms."""
+    """Evaluates L_h(s) for one model."""
 
     def __init__(self, model: ShockModel):
         self.model = model
-        arrivals, threshold = model.arrivals, model.threshold
-        self._lethal = lambda s: weighted_laplace(arrivals, threshold, s, "survival")
-        self._nonlethal = lambda s: weighted_laplace(arrivals, threshold, s, "cdf")
 
     def __call__(self, s):
-        """L_h at s, a complex or an ndarray of them.
-
-        An ndarray gives an ndarray of its shape, with nan where the
-        denominator vanishes; a complex at such a pole raises InversionError.
-        """
+        """L_h at s, a complex or an ndarray of them (a complex or an ndarray
+        of its shape back), nan where the denominator vanishes."""
+        arrivals, threshold = self.model.arrivals, self.model.threshold
         nodes = np.asarray(s, dtype=complex)
         flat = nodes.reshape(-1)
-        denominator = 1.0 - self._nonlethal(flat)
+        denominator = 1.0 - weighted_laplace(arrivals, threshold, flat, "cdf")
         pole = np.logical_not(abs(denominator) >= 1e-14)
         with np.errstate(divide="ignore", invalid="ignore"):
-            value = np.where(pole, np.nan, (self._lethal(flat) / denominator) ** self.model.k)
-        if nodes.ndim:
-            return value.reshape(nodes.shape)
-        if pole.any():
-            raise InversionError(
-                f"transform denominator vanishes at s={s} (|1 - L_nonlethal| < 1e-14)"
-            )
-        return complex(value[0])
-
-    def nonlethal_transform(self, s):
-        return self._nonlethal(s)
-
-
-def laplace_h(model: ShockModel, s: complex) -> complex:
-    """The failure-time transform at a single point."""
-    return TransformEvaluator(model)(s)
+            lethal = weighted_laplace(arrivals, threshold, flat, "survival")
+            value = np.where(pole, np.nan, (lethal / denominator) ** self.model.k)
+        return value.reshape(nodes.shape) if nodes.ndim else complex(value[0])
 
 
 def _fractions(coeffs: np.ndarray, depth: int, z: complex):
@@ -320,7 +301,7 @@ def invert_grid(model: ShockModel, ts, config: InversionConfig | None = None, *,
             # the smooth rest of L_h once the jumpy single-gap lethal branch is
             # subtracted: L_h - L_lethal = L_h L_nonlethal, as a product
             # without the difference's cancellation
-            h = h * evaluator.nonlethal_transform(s)
+            h = h * weighted_laplace(model.arrivals, model.threshold, s, "cdf")
         return np.stack([h] * pdf + [h / s] * cdf)
 
     tails = [0.0] * pdf + [model.survive_prob if single else 1.0] * cdf

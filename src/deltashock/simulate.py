@@ -97,8 +97,6 @@ class _Moments:
     def merge(self, other: "_Moments") -> "_Moments":
         if self.n == 0:
             return other
-        if other.n == 0:
-            return self
         na, nb = self.n, other.n
         n = na + nb
         delta = other.mean - self.mean

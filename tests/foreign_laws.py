@@ -28,13 +28,13 @@ class Gamma2(ArrivalLaw):
         t = np.maximum(np.asarray(t, dtype=float), 0.0)
         return (1.0 - (1.0 + self.rate * t) * np.exp(-self.rate * t))[()]
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.gamma(2.0, 1.0 / self.rate, size=size)
 
     def raw_moment(self, order):
         self._check_order(order)
         return 2.0 / self.rate if order == 1 else 6.0 / self.rate**2
 
-    def upper_cutoff(self, eps=TAIL_EPS):
-        # (1 + x) exp(-x) < eps well before x = -2 ln(eps)
-        return -2.0 * math.log(eps) / self.rate
+    def upper_cutoff(self):
+        # (1 + x) exp(-x) < TAIL_EPS well before x = -2 ln(TAIL_EPS)
+        return -2.0 * math.log(TAIL_EPS) / self.rate

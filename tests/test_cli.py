@@ -286,6 +286,18 @@ class TestAnalyze:
             assert entry["error_estimate"] > 1e-14
 
 
+    def test_refused_series_cells_are_empty(self, tmp_path):
+        """k = 8 at p = 0.01, where the series' terms cancel: every
+        pdf_closed_form cell is empty or within 1e-6 of pdf_inverted."""
+        config = exp_config(tmp_path / "out", k=8, tau=-math.log(0.99))
+        config["analysis"]["grid"] = {"points": 10}
+        assert cmd_analyze(parse_config(config)) == EXIT_OK
+        rows = read_rows(tmp_path / "out" / "curves.csv")[1:]
+        assert len(rows) == 10 and all(row[2] for row in rows)
+        assert any(row[1] == "" for row in rows)
+        assert all(row[1] == "" or abs(float(row[1]) - float(row[2])) <= 1e-6 for row in rows)
+
+
 class TestSimulate:
     def test_report_and_verdict(self, tmp_path):
         cfg = parse_config(exp_config(tmp_path / "out", runs=50_000))
@@ -529,6 +541,27 @@ class TestMain:
         assert "analysis.grid.t_min 100.0 must be below t_max" in err
         assert "mean + 6 sd = 33.04" in err
         assert not (tmp_path / "out" / "curves.csv").exists()
+
+    @pytest.mark.parametrize("mutate,flags,message", [
+        (lambda c: c["model"]["arrivals"].update(rate="fast"), [],
+         "model.arrivals.rate: expected a number"),
+        (lambda c: c["model"]["threshold"].update(value=True), [],
+         "model.threshold.value: expected a number"),
+        (lambda c: c["model"].update(threshold=0.5), [], "model.threshold: expected an object"),
+        (lambda c: c.update(analysis=[]), [], "analysis: expected an object"),
+        (lambda c: [c], [], "top level: expected a JSON object"),
+        (lambda c: c["output"].update(directory=5), [], "output.directory must be a string"),
+        (None, ["--grid", "1:2"], "--grid: expected MIN:MAX:POINTS, got '1:2'"),
+        (None, ["--grid", "a:2:10"], "--grid: could not convert string to float: 'a'"),
+    ], ids=["non-number", "bool", "law", "section", "top-level", "directory", "grid-parts",
+            "grid-number"])
+    def test_refusals_name_their_key_path(self, tmp_path, capsys, mutate, flags, message):
+        config = exp_config(tmp_path / "out")
+        if mutate is not None:
+            config = mutate(config) or config
+        path = write_config(tmp_path, config)
+        assert main(["analyze", "--config", str(path), *flags]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
     def test_bad_grid_flag(self, tmp_path, capsys):
         path = write_config(tmp_path, exp_config(tmp_path / "out"))

@@ -17,12 +17,14 @@ from deltashock import closedform
 from deltashock import (
     Constant,
     Exponential,
+    InversionConfig,
     ShockModel,
     Uniform,
     closed_form_family,
     exp_const_cdf,
     exp_const_moments,
     exp_const_pdf,
+    invert_grid,
     unif_const_mean,
     unif_const_variance_published,
 )
@@ -363,11 +365,44 @@ class TestSeriesWindow:
                 every = terms(t, j[:, None], log_head(t, j)[:, None])
             full = math.fsum(every.ravel().tolist())
             with mock.patch.object(closedform, "SERIES_BLOCK", block):
-                window, = closedform._series_sums(k, tau, np.array([t]), log_head, terms)
+                (window,), (scale,) = closedform._series_sums(k, tau, np.array([t]),
+                                                             log_head, terms)
                 assert window == exp_const_frozen(model, t, series)
-            bound = (2.0 * closedform.SERIES_TAIL * float(np.abs(every).max())
-                     + math.ulp(full) + 2.0 * math.ulp(0.0))
-            assert abs(window - full) <= bound
+            tail = 2.0 * closedform.SERIES_TAIL * float(np.abs(every).max())
+            assert abs(window - full) <= tail + math.ulp(full) + 2.0 * math.ulp(0.0)
+            # the rows left out bound their |terms| as they bound their terms
+            full_scale = math.fsum(np.abs(every).ravel().tolist())
+            assert abs(scale - full_scale) <= tail + 1e-12 * full_scale
+
+
+    def test_walk_shares_the_largest_term_of_every_block(self):
+        """Both directions stop against the largest term kept so far, which
+        here lies in the first block up, beyond the window around the peak
+        head: the rows whose terms are built are the frozen walk's."""
+        peak, half = 1000, closedform.SERIES_BLOCK // 2
+        t, tau, k = 5000.5, 1.0, 1
+
+        def log_head(t, j):
+            return -((j - peak) / 50.0) ** 2 + 0.0 * t
+
+        def recording_terms(asked):
+            def terms(t, j, log_h):
+                asked.update(np.unique(j).tolist())
+                # the window's terms are 1e-12 of their heads, the others whole
+                return np.exp(log_h) * np.where(abs(j - peak) <= half, 1e-12, 1.0)
+            return terms
+
+        walked, frozen_walked = set(), set()
+        sums, _ = closedform._series_sums(k, tau, np.array([t]), log_head,
+                                          recording_terms(walked))
+        frozen_terms = recording_terms(frozen_walked)
+        frozen = series_sum_frozen(k, int(t / tau), lambda j: log_head(t, j),
+                                   lambda j, log_h: frozen_terms(t, j, log_h))
+        assert sums == [frozen]
+        assert walked == frozen_walked
+        # the walk went past the window, and stopped well short of rows 0 and j_max
+        assert min(walked) < peak - half and max(walked) > peak + half
+        assert 0 < min(walked) and max(walked) < int(t / tau)
 
 
 class TestSeriesGrid:
@@ -398,15 +433,24 @@ class TestSeriesGrid:
         if p >= 1e-2:  # the cdf's gammainc walk is slow at lower p
             closed.append((exp_const_cdf, closedform._cdf_series,
                            lambda v: min(max(v, 0.0), 1.0)))
+        positive = ts > 0.0
         for closed_form, series, clamp in closed:
             values = closed_form(model, ts)
             assert values.shape == ts.shape
             singles = [closed_form(model, t) for t in ts.tolist()]
             assert all(type(single) is float for single in singles)
-            frozen = [clamp(exp_const_frozen(model, t, series)) for t in ts.tolist()]
-            assert values.tobytes() == np.array(singles).tobytes() == np.array(frozen).tobytes()
+            assert values.tobytes() == np.array(singles).tobytes()
             assert closed_form(model, ts[perm]).tobytes() == values[perm].tobytes()
             assert closed_form(model, ts[sub]).tobytes() == values[sub].tobytes()
+            # the engine's sums are the frozen walk's, and a value is its
+            # clamped sum unless the sum's rounding scale refuses it
+            sums, scales = closedform._series_sums(k, tau, ts[positive], *series(lam, tau, k))
+            frozen = [exp_const_frozen(model, t, series) for t in ts[positive].tolist()]
+            assert np.array(sums).tobytes() == np.array(frozen).tobytes()
+            refused = 2.0**-52 * np.array(scales) > closedform.SERIES_TRUST * np.abs(sums)
+            kept = np.array([clamp(total) for total in sums])
+            assert values[positive].tobytes() == np.where(refused, np.nan, kept).tobytes()
+            assert (values[~positive] == 0.0).all()
 
     def test_memory_does_not_grow_with_the_grid(self):
         """10^4 times of up to 87 rows each: one array of all their terms
@@ -430,6 +474,32 @@ class TestSeriesGrid:
             for bad in (math.nan, math.inf, np.array([1.0, math.nan])):
                 with pytest.raises(ValueError, match="finite"):
                     closed_form(model, bad)
+
+
+class TestSeriesRefusal:
+    @pytest.mark.parametrize("p, k", [
+        (0.5, 3), (0.5, 20), (0.5, 30),
+        (0.1, 3), (0.1, 6), (0.1, 10),
+        (0.01, 3), (0.01, 4), (0.01, 8),
+    ])
+    def test_kept_values_agree_with_the_inversion(self, p, k):
+        """On the 20-point default analyze grid, every value the series keeps
+        (the others are nan) is within 1e-7 of the inversion at target 1e-11,
+        times the largest density for the pdf.  At k = 3, the bench
+        workloads' k, every value is kept."""
+        model = exp_const(1.0, -math.log1p(-p), k)
+        moments = model.failure_moments()
+        t_max = moments.mean + 6.0 * math.sqrt(moments.variance)
+        ts = np.linspace(t_max / 20, t_max, 20)
+        inverted = invert_grid(model, ts, InversionConfig(target_error=1e-11))
+        for series, reference, scale in (
+                (exp_const_pdf(model, ts), inverted.pdf, np.nanmax(inverted.pdf)),
+                (exp_const_cdf(model, ts), inverted.cdf, 1.0)):
+            kept = ~np.isnan(series)
+            if k == 3:
+                assert kept.all()
+            both = kept & ~np.isnan(reference)
+            assert np.all(np.abs(series - reference)[both] <= 1e-7 * scale)
 
 
 class TestExpConstMoments:

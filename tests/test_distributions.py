@@ -1,6 +1,7 @@
 """Law-level checks: densities, cdfs, sampling, moments, weighted transforms."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from scipy import integrate
 from deltashock import (
     Constant,
     Exponential,
+    QuadratureError,
     ShockModel,
+    TransformEvaluator,
     Uniform,
     ks_statistic,
-    laplace_h,
     weighted_laplace,
 )
+from deltashock import distributions
 from deltashock.distributions import (
     _weighted_laplace_quad,
     weighted_time_integral,
@@ -136,7 +139,6 @@ class TestCdf:
 class TestSampling:
     def test_constant_is_degenerate(self):
         rng = np.random.default_rng(0)
-        assert Constant(1.0).sample(rng) == 1.0
         assert np.all(Constant(1.0).sample(rng, size=100) == 1.0)
 
     def test_exponential_mean_clt_band(self):
@@ -234,7 +236,7 @@ class TestWeightedLaplace:
         model = ShockModel(2, arrival, threshold)
         model.failure_moments()
         model.mean_nonlethal_gap()
-        laplace_h(model, complex(0.4, 3.0))
+        TransformEvaluator(model)(complex(0.4, 3.0))
         for weight in ("survival", "cdf"):
             weighted_laplace(arrival, threshold, complex(0.2, -7.0), weight)
             weighted_time_integral(arrival, threshold, 1.3, weight)
@@ -273,6 +275,26 @@ class TestWeightedLaplace:
 
 
 class TestQuadratureFallback:
+    def test_threshold_without_pieces(self):
+        """Exponential(1) gaps under a Gamma(2, r) threshold: the lethal
+        branch is E(1 - e^-((1 + s) delta)) / (1 + s) = (1 - (r/(r+1+s))^2) / (1 + s)
+        and the non-lethal one 1/(1 + s) less that."""
+        arrival, r = Exponential(1.0), 1.5
+        for s in (0j, complex(0.4, 3.0)):
+            lethal = (1.0 - (r / (r + 1.0 + s)) ** 2) / (1.0 + s)
+            got = weighted_laplace(arrival, Gamma2(r), s, "survival")
+            assert got == pytest.approx(lethal, rel=1e-9)
+            got = weighted_laplace(arrival, Gamma2(r), s, "cdf")
+            assert got == pytest.approx(1.0 / (1.0 + s) - lethal, rel=1e-9)
+
+    def test_unconverged_quadrature_raises(self, monkeypatch):
+        # one subinterval cannot resolve 40 radians per unit time
+        monkeypatch.setattr(distributions, "_QUAD_OPTS", {**distributions._QUAD_OPTS, "limit": 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # quad's own IntegrationWarning
+            with pytest.raises(QuadratureError, match="did not converge at s=.*error estimate"):
+                weighted_laplace(Gamma2(1.0), Constant(1.0), complex(0.1, 40.0), "survival")
+
     @pytest.mark.parametrize("threshold", [Constant(0.8), Exponential(0.7), Uniform(0.5, 1.5)])
     @pytest.mark.parametrize("weight", ["survival", "cdf"])
     def test_foreign_law_matches_direct_quadrature(self, threshold, weight):

@@ -20,14 +20,18 @@ from deltashock import (
 )
 
 
+def model_approx(model):
+    return NormalApprox.from_moments(model.failure_moments())
+
+
 def make_approx(k):
-    return NormalApprox.from_model(ShockModel(k, Exponential(1.0), Constant(1.0)))
+    return model_approx(ShockModel(k, Exponential(1.0), Constant(1.0)))
 
 
 class TestDensity:
     def test_peak_value(self):
-        approx = make_approx(50)
-        moments = approx.source
+        moments = ShockModel(50, Exponential(1.0), Constant(1.0)).failure_moments()
+        approx = NormalApprox.from_moments(moments)
         sigma = math.sqrt(moments.segment_variance)
         expected = 1.0 / (sigma * math.sqrt(2.0 * math.pi * 50))
         assert approx.pdf(approx.center) == pytest.approx(expected, rel=1e-14)
@@ -35,7 +39,7 @@ class TestDensity:
     def test_benchmark_peak_parameterization(self):
         # half-mass threshold at 50 hits: center 100, segment variance 4(1+ln 2)
         model = ShockModel(50, Exponential(1.0), Constant(math.log(2.0)))
-        approx = NormalApprox.from_model(model)
+        approx = model_approx(model)
         sigma = math.sqrt(4.0 * (1.0 + math.log(2.0)))
         assert approx.center == pytest.approx(100.0, abs=1e-10)
         assert approx.pdf(100.0) == pytest.approx(1.0 / (sigma * math.sqrt(100.0 * math.pi)),
@@ -72,13 +76,13 @@ class TestDensity:
 
     def test_scale_must_be_positive(self):
         with pytest.raises(ValueError):
-            NormalApprox(center=1.0, scale=0.0, source=make_approx(1).source)
+            NormalApprox(center=1.0, scale=0.0)
 
 
 class TestApproxError:
     def test_inversion_and_series_references_agree(self):
         model = ShockModel(5, Exponential(1.0), Constant(1.0))
-        approx = NormalApprox.from_model(model)
+        approx = model_approx(model)
         by_inversion = approx_error(model)
         grid = np.linspace(by_inversion.grid_lo, by_inversion.grid_hi, by_inversion.points)
         series_pdf = np.array([exp_const_pdf(model, t) for t in grid])
@@ -90,7 +94,7 @@ class TestApproxError:
 
     def test_grid_spans_five_scales_above_zero(self):
         model = ShockModel(5, Exponential(1.0), Constant(1.0))
-        approx = NormalApprox.from_model(model)
+        approx = model_approx(model)
         report = approx_error(model)
         assert report.points == 400
         # center - 5 scale < 0 here, so the grid starts just above 0
@@ -103,7 +107,7 @@ class TestApproxError:
         ShockModel(2, Uniform(0.0, 2.0), Uniform(0.5, 1.5)),
     ], ids=["exp-const-k1", "exp-exp-k3", "unif-unif-k2"])
     def test_tracks_simulation(self, model):
-        approx = NormalApprox.from_model(model)
+        approx = model_approx(model)
         report = run_batch(model, SimulationConfig(runs=100_000, seed=31))
         by_inversion = approx_error(model)
         # the grid holds the KS supremum to within the sampling noise

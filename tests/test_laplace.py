@@ -1,5 +1,6 @@
 """Transform evaluation and numerical inversion against independent oracles."""
 
+import cmath
 import math
 
 import numpy as np
@@ -17,7 +18,6 @@ from deltashock import (
     invert_density,
     invert_grid,
     invert_transform,
-    laplace_h,
     moments_from_transform,
 )
 from deltashock.closedform import exp_const_cdf, exp_const_pdf
@@ -39,7 +39,7 @@ BUILTIN_PAIRS = [
 class TestTransform:
     @pytest.mark.parametrize("model", BUILTIN_PAIRS)
     def test_normalized_at_zero(self, model):
-        assert laplace_h(model, 0.0) == pytest.approx(1.0, abs=1e-8)
+        assert TransformEvaluator(model)(0.0) == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.parametrize("model", BUILTIN_PAIRS[:3])
     def test_bounded_on_right_half_plane(self, model):
@@ -59,7 +59,7 @@ class TestTransform:
             ratio = lam / (s + lam)
             expected = (ratio**k) * (1 - np.exp(-(s + lam) * tau)) ** k \
                 / (1 - ratio * np.exp(-(s + lam) * tau)) ** k
-            assert laplace_h(model, s) == pytest.approx(expected, rel=1e-10)
+            assert TransformEvaluator(model)(s) == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_uniform_constant_reduction(self, k):
@@ -70,7 +70,7 @@ class TestTransform:
             s = complex(rng.uniform(0.05, 3), rng.uniform(-5, 5))
             expected = ((np.exp(-s * a) - np.exp(-s * tau))
                         / (s * (b - a) - np.exp(-s * tau) + np.exp(-s * b))) ** k
-            assert laplace_h(model, s) == pytest.approx(expected, rel=1e-9)
+            assert TransformEvaluator(model)(s) == pytest.approx(expected, rel=1e-9)
 
     @pytest.mark.parametrize("model", BUILTIN_PAIRS)
     def test_array_matches_scalar(self, model):
@@ -83,19 +83,27 @@ class TestTransform:
             assert type(expected) is complex
             assert abs(value - expected) <= 1e-13 * abs(expected)
 
-    def test_pole_is_nan_in_an_array(self):
-        model = ShockModel(1, Exponential(1.0), Constant(1.0))
-        evaluator = TransformEvaluator(model)
-        evaluator._nonlethal = lambda s: np.where(s.real > 1.0, 1.0, 0.5)
-        got = evaluator(np.array([0.5, 2.0, 3.0 + 1.0j]))
+    @pytest.fixture
+    def pole_beyond_one(self, monkeypatch):
+        """An evaluator whose L_nonlethal is 1, a pole of L_h, where Re s > 1."""
+        weighted = laplace.weighted_laplace
+
+        def nonlethal_pole(arrival, threshold, s, weight):
+            if weight == "cdf":
+                return np.where(s.real > 1.0, 1.0, 0.5)
+            return weighted(arrival, threshold, s, weight)
+
+        monkeypatch.setattr(laplace, "weighted_laplace", nonlethal_pole)
+        return TransformEvaluator(ShockModel(1, Exponential(1.0), Constant(1.0)))
+
+    def test_pole_is_nan_in_an_array(self, pole_beyond_one):
+        got = pole_beyond_one(np.array([0.5, 2.0, 3.0 + 1.0j]))
         assert np.isfinite(got[0]) and np.isnan(got[1:]).all()
 
-    def test_pole_reported(self):
-        model = ShockModel(1, Exponential(1.0), Constant(1.0))
-        evaluator = TransformEvaluator(model)
-        evaluator._nonlethal = lambda s: 1.0
-        with pytest.raises(InversionError):
-            evaluator(0.5)
+    def test_pole_is_nan_for_a_complex(self, pole_beyond_one):
+        finite, pole = pole_beyond_one(0.5), pole_beyond_one(2.0 + 1.0j)
+        assert type(finite) is complex and cmath.isfinite(finite)
+        assert type(pole) is complex and cmath.isnan(pole)
 
 
 class TestInvertTransform:
@@ -119,6 +127,11 @@ class TestInvertTransform:
     def test_requires_positive_time(self):
         with pytest.raises(ValueError):
             invert_transform(lambda s: 1.0 / (s + 1.0), 0.0)
+
+    def test_no_finite_acceleration_reported_without_estimate(self):
+        with pytest.raises(InversionError, match="degenerated at t=1.0") as err:
+            invert_transform(lambda s: np.full(s.shape, complex(math.nan, 0.0)), 1.0)
+        assert err.value.error_estimate is None
 
     def test_unreachable_target_reported_with_estimate(self):
         model = ShockModel(2, Exponential(1.0), Constant(1.0))
@@ -397,6 +410,12 @@ class TestInvertCdf:
         values = [invert_cdf(model, float(t), cfg) for t in grid]
         assert np.all(np.diff(values) >= -1e-8)
 
+    def test_unreachable_target_raises_with_estimate(self):
+        model = ShockModel(2, Exponential(1.0), Constant(1.0))
+        with pytest.raises(InversionError, match="did not settle at t=1.001") as err:
+            invert_cdf(model, 1.001, InversionConfig(target_error=1e-14))
+        assert err.value.error_estimate > 1e-14
+
     def test_tail_percentile_against_simulation(self):
         from deltashock import SimulationConfig, run_batch
         model = ShockModel(2, Exponential(1.0), Constant(1.0))
@@ -426,6 +445,13 @@ class TestMomentsFromTransform:
         closed = model.failure_moments()
         assert from_transform.mean == pytest.approx(closed.mean, rel=1e-5)
         assert from_transform.variance == pytest.approx(closed.variance, rel=1e-5)
+
+
+    def test_unbracketed_scale_raises(self):
+        # p = 1e-300: L_h stays below 0.5 down to s = 1e-3 / 2^200
+        model = ShockModel(1, Exponential(1.0), Constant(1e-300))
+        with pytest.raises(InversionError, match="could not bracket"):
+            moments_from_transform(model)
 
 
 class TestInversionConfig:

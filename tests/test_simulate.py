@@ -280,6 +280,13 @@ class TestReportShape:
         assert report.se_variance is None
         assert report.runs == 1
 
+    def test_shock_count_probability_outside_the_histogram(self):
+        report = run_batch(BENCH, SimulationConfig(runs=1_000, seed=5))
+        counts = len(report.shock_count_histogram)
+        assert math.fsum(report.shock_count_probability(n) for n in range(counts)) == 1.0
+        assert report.shock_count_probability(counts) == 0.0
+        assert report.shock_count_probability(-1) == 0.0
+
     def test_reservoir_caps_samples_but_not_counts(self, monkeypatch):
         monkeypatch.setattr(simulate, "SAMPLE_RESERVOIR", 50_000)
         report = run_batch(BENCH, SimulationConfig(runs=150_000, seed=21))
@@ -401,7 +408,7 @@ class TestKsStatistic:
         # samples are Uniform(0, 2), widened past its support on request
         "true": Uniform(0.0, 2.0).cdf,
         "shifted": Uniform(0.1, 2.1).cdf,
-        "normal": NormalApprox.from_model(UNIFORM_HEAD).cdf,
+        "normal": NormalApprox.from_moments(UNIFORM_HEAD.failure_moments()).cdf,
         "step": Constant(1.0).cdf,
         # the samples' own ecdf: every point is at distance 1/n, every block live
         "ecdf": None,
