@@ -477,6 +477,47 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _pchip(x, y):
+    """Fritsch & Carlson's monotone cubic through strictly increasing nodes x,
+    as a function of an array t; past either end it extends the end piece.
+
+    A port of scipy 1.17's PchipInterpolator that gives the same floats: its
+    node slopes (weighted harmonic means, Moler's one-sided ends, secants
+    for two nodes), CubicHermiteSpline's power-basis coefficients and
+    PPoly's interval search and summation order.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if len(m) == 1:
+        d = np.concatenate((m, m))
+    else:
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            inner = np.where(smooth, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
+        d = np.concatenate(([_pchip_end(h[0], h[1], m[0], m[1])], inner,
+                            [_pchip_end(h[-1], h[-2], m[-1], m[-2])]))
+    curl = (d[:-1] + d[1:] - 2 * m) / h
+    c3, c2, c1, c0 = curl / h, (m - d[:-1]) / h - curl, d[:-1], y[:-1]
+
+    def interp(t):
+        i = np.clip(np.searchsorted(x, t, "right") - 1, 0, len(h) - 1)
+        s = t - x[i]
+        return c0[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * ((s * s) * s)
+
+    return interp
+
+
+def _pchip_end(h0, h1, m0, m1):
+    """The one-sided three-point end slope, kept from overshooting."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
 def _inverted_cdf_interpolant(model, inv_cfg, t_hi):
     """Monotone interpolant of the inverted cdf, cheap to evaluate on samples.
 
@@ -487,9 +528,6 @@ def _inverted_cdf_interpolant(model, inv_cfg, t_hi):
     Grid nodes where the inversion will not settle (kink neighbourhoods)
     are skipped and bridged by the interpolant.
     """
-    # imported on use, like every scipy name: analyze, simulate and invert never load scipy
-    from scipy.interpolate import PchipInterpolator
-
     cfg = replace(inv_cfg, target_error=max(inv_cfg.target_error, 1e-6))
 
     def head(t):
@@ -505,7 +543,7 @@ def _inverted_cdf_interpolant(model, inv_cfg, t_hi):
     settled = ~np.isnan(inverted.cdf)
     nodes = np.concatenate(([0.0], grid[settled]))
     values = np.concatenate(([0.0], inverted.cdf[settled])) - head(nodes)
-    interp = PchipInterpolator(nodes, np.maximum.accumulate(values))
+    interp = _pchip(nodes, np.maximum.accumulate(values))
 
     def cdf(t):
         t = np.clip(np.asarray(t, dtype=float), 0.0, t_hi)

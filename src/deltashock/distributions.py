@@ -154,16 +154,22 @@ class Exponential(ArrivalLaw):
         # non-lethal count M is Geometric(p), drawn as floor(E / c) from one
         # exponential E with P(E >= c) = 1 - p, and a run's count is
         # N = M_1 + ... + M_k.  Nothing is subtracted, so no digits are lost
-        # as p -> 0; a count too large for any cap overflows to inf.
+        # as p -> 0; a count too large for any cap overflows to inf.  The k
+        # exponentials of each run are drawn one row of `size` at a time,
+        # the stream order of a single (k, size) draw, so that a chunk holds
+        # one row of them.
         if isinstance(threshold, Constant):
             # E ~ Exp(rate), c = tau: the remainder E - M tau, independent of
             # M, is a lethal gap, and each non-lethal gap is tau plus an
             # Exp(rate) excess, so a run lasts E_1 + ... + E_k + Gamma(N)/rate.
             # standard_gamma(0) is 0 and draws nothing.
-            draws = self.sample(rng, size=(k, size))
+            times, nonlethal = np.zeros(size), np.zeros(size)
             with np.errstate(over="ignore"):
-                nonlethal = np.floor(draws / threshold.tau).sum(axis=0)
-            times = draws.sum(axis=0) + rng.standard_gamma(nonlethal) / self.rate
+                for _ in range(k):
+                    draws = self.sample(rng, size)
+                    times += draws
+                    nonlethal += np.floor(draws / threshold.tau)
+            times += rng.standard_gamma(nonlethal) / self.rate
             return times, nonlethal + k
         if isinstance(threshold, Exponential):
             # A gap Z ~ Exp(rate) is lethal against delta ~ Exp(mu) with
@@ -173,8 +179,10 @@ class Exponential(ArrivalLaw):
             # excess.  So a run lasts Gamma(N + k)/(rate + mu) + Gamma(N)/rate.
             min_rate = self.rate + threshold.rate
             c = math.log1p(self.rate / threshold.rate)  # > 0 wherever p > 0
+            nonlethal = np.zeros(size)
             with np.errstate(over="ignore"):
-                nonlethal = np.floor(rng.standard_exponential((k, size)) / c).sum(axis=0)
+                for _ in range(k):
+                    nonlethal += np.floor(rng.standard_exponential(size) / c)
             gaps = nonlethal + k
             times = rng.standard_gamma(gaps) / min_rate + rng.standard_gamma(nonlethal) / self.rate
             return times, gaps

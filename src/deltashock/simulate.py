@@ -5,8 +5,10 @@ own generator keyed by (seed, i), and chunk summaries are merged in index
 order, so results are bit-identical regardless of worker count.  Moments
 stream through a single-pass accumulator (merged with the parallel
 central-moment formulas up to fourth order, which the variance standard
-error needs); failure times are retained up to a reservoir cap for the
-empirical cdf.  The batch reads nothing of the analytic routes it checks.
+error needs).  The first SAMPLE_RESERVOIR failure times are kept for the
+empirical cdf in one array, allocated once at its final size, filled chunk
+by chunk and sorted in place, so the batch holds the retained sample only
+once.  The batch reads nothing of the analytic routes it checks.
 
 A chunk is sampled in one of two ways.  An arrival law may draw whole runs
 at once for the model's threshold law (ArrivalLaw.sample_failures).
@@ -236,7 +238,6 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
     The report keeps the first SAMPLE_RESERVOIR failure times, and a run
     that needs more than MAX_GAPS_PER_RUN gaps raises UnrealizableModelError.
     """
-    reservoir = SAMPLE_RESERVOIR
     n_chunks = (config.runs + CHUNK_SIZE - 1) // CHUNK_SIZE
     columns = (
         repeat(model, n_chunks),
@@ -248,7 +249,8 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
 
     moments = _Moments()
     shock_counts = np.zeros(1, dtype=np.int64)
-    times_parts: list[np.ndarray] = []
+    kept = np.empty(min(config.runs, SAMPLE_RESERVOIR))
+    filled = 0
     t_min, t_max = math.inf, -math.inf
     with ExitStack() as stack:
         if config.workers == 1 or n_chunks == 1:
@@ -259,16 +261,18 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
 
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
             results = pool.map(_simulate_chunk, *columns)
-        # each chunk is folded in as it arrives, in chunk order, so only the
-        # retained samples outlive it
+        # each chunk is folded in as it arrives, in chunk order, and its
+        # retained times are copied into the reservoir, so only the
+        # reservoir outlives it
         for r in results:
             moments = moments.merge(r["moments"])
             shock_counts = _merge_bincounts(shock_counts, r["shock_counts"])
             t_min = min(t_min, r["min"])
             t_max = max(t_max, r["max"])
-            room = reservoir - sum(len(p) for p in times_parts)
-            if room > 0:
-                times_parts.append(r["times"][:room].copy())
+            part = r["times"][: len(kept) - filled]
+            kept[filled : filled + len(part)] = part
+            filled += len(part)
+    kept.sort()
 
     variance = moments.variance
     se_mean = None if variance is None else math.sqrt(variance / moments.n)
@@ -288,7 +292,7 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
         # the gap total, exactly, as an integer dot product
         mean_shock_count=int(np.arange(len(shock_counts)) @ shock_counts) / config.runs,
         shock_count_histogram=shock_counts,
-        sorted_times=np.sort(np.concatenate(times_parts)),
+        sorted_times=kept,
         min_time=t_min,
         max_time=t_max,
     )

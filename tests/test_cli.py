@@ -423,6 +423,71 @@ class TestCompare:
         assert ks["critical_alpha_001"] == 1.63 / math.sqrt(5_000)
 
 
+def monotone_nodes(rng, n):
+    """n strictly increasing nodes from 0 and nondecreasing values, about a
+    third of whose steps are flat."""
+    nodes = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1)))) * rng.choice(
+        [1e-3, 1.0, 40.0])
+    steps = rng.exponential(size=n) * (rng.random(n) < 2 / 3)
+    return nodes, np.cumsum(steps) - steps[0]
+
+
+class TestPchip:
+    """cli._pchip gives the floats of scipy's PchipInterpolator."""
+
+    @staticmethod
+    def assert_same_bits(nodes, values, t):
+        from scipy.interpolate import PchipInterpolator
+
+        expected = PchipInterpolator(nodes, values)(t)
+        assert cli._pchip(nodes, values)(t).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_monotone_nodes(self, seed):
+        rng = np.random.default_rng(seed)
+        nodes, values = monotone_nodes(rng, int(rng.integers(3, 600)))
+        last = nodes[-1]
+        t = np.concatenate((nodes, [0.0, last, last * (1 + 1e-12), last * 1.5, last + 100.0],
+                            rng.uniform(0.0, last, 2_000)))
+        self.assert_same_bits(nodes, values, t)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_values_that_turn(self, seed):
+        # compare passes nondecreasing values; these reach the end-slope
+        # clamp, which needs a change of sign
+        rng = np.random.default_rng(seed)
+        nodes = np.cumsum(rng.uniform(0.1, 1.0, 50))
+        values = rng.normal(size=50) * (rng.random(50) < 0.8)
+        self.assert_same_bits(nodes, values, np.linspace(nodes[0] - 1.0, nodes[-1] + 1.0, 2_001))
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_few_nodes(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(50):
+            nodes, values = monotone_nodes(rng, n)
+            self.assert_same_bits(nodes, values, np.linspace(0.0, 1.5 * nodes[-1], 301))
+
+    @pytest.mark.parametrize("values", [[0.0, 0.0], [0.0, 0.3], [0.2, 0.9]])
+    def test_two_nodes_take_the_secant(self, values):
+        # scipy gives both ends the secant slope, so the cubic is the line
+        nodes, values = np.array([0.0, 2.5]), np.array(values)
+        t = np.linspace(0.0, 4.0, 81)
+        self.assert_same_bits(nodes, values, t)
+        interp = cli._pchip(nodes, values)
+        assert np.allclose(interp(t), values[0] + (values[1] - values[0]) * t / 2.5,
+                           rtol=0.0, atol=1e-15)
+
+    def test_compare_nodes(self):
+        # the nodes compare builds: the inverted cdf on 512 grid points
+        model = ShockModel(3, Exponential(1.0), Constant(LN2))
+        grid = np.linspace(40.0 / 512, 40.0, 512)
+        inverted = cli.invert_grid(model, grid, InversionConfig(target_error=1e-6), pdf=False)
+        nodes = np.concatenate(([0.0], grid))
+        values = np.maximum.accumulate(np.concatenate(([0.0], inverted.cdf)))
+        t = np.random.default_rng(0).uniform(0.0, 40.0, 20_000)
+        self.assert_same_bits(nodes, values, np.concatenate((nodes, t)))
+
+
 class TestInvert:
     def test_prints_density(self, tmp_path, capsys):
         cfg = parse_config(exp_config(tmp_path / "out"))
@@ -619,7 +684,7 @@ def cold_config(tmp_path, model, runs=simulate.CHUNK_SIZE + 1, workers=1):
 
 
 class TestColdImports:
-    """analyze, simulate and invert never load scipy, nor a one-worker batch the process pool."""
+    """No command loads scipy, nor a one-worker batch the process pool."""
 
     def test_import_package(self):
         assert run_cold("import deltashock\nresult = loaded()") == []
@@ -639,6 +704,15 @@ class TestColdImports:
         path = cold_config(tmp_path, model)
         assert run_cold(COLD_MAIN, *command, "--config", path) == {"exit": EXIT_OK, "loaded": []}
 
+    @pytest.mark.parametrize("model", sorted(COLD_MODELS))
+    def test_compare(self, tmp_path, model):
+        path = cold_config(tmp_path, model, runs=20_000)
+        assert run_cold(COLD_MAIN, "compare", "--config", path) == {"exit": EXIT_OK, "loaded": []}
+        # the cold run wrote the bytes a warm rerun writes
+        written = (tmp_path / "out" / "compare.json").read_bytes()
+        assert cmd_compare(load_config(path)) == EXIT_OK
+        assert (tmp_path / "out" / "compare.json").read_bytes() == written
+
     def test_config_error(self, tmp_path):
         path = write_config(tmp_path, {"model": {"k": 0}})
         assert run_cold(COLD_MAIN, "analyze", "--config", path) == {"exit": EXIT_CONFIG, "loaded": []}
@@ -646,17 +720,6 @@ class TestColdImports:
 
 class TestColdCallSites:
     """The call sites that import scipy or the pool themselves still work from a cold start."""
-
-    def test_compare(self, tmp_path):
-        path = cold_config(tmp_path, "exp-constant", runs=20_000)
-        body = "before = loaded()\n" + COLD_MAIN + "\nresult['before'] = before"
-        result = run_cold(body, "compare", "--config", path)
-        assert result["exit"] == EXIT_OK
-        assert result["before"] == []
-        assert {"scipy.interpolate", "scipy.special"} <= set(result["loaded"])
-        written = (tmp_path / "out" / "compare.json").read_bytes()
-        assert cmd_compare(load_config(path)) == EXIT_OK
-        assert (tmp_path / "out" / "compare.json").read_bytes() == written
 
     def test_exp_const_cdf(self):
         model = ShockModel(3, Exponential(1.0), Constant(LN2))

@@ -288,10 +288,33 @@ class TestReportShape:
         assert report.shock_count_probability(-1) == 0.0
 
     def test_reservoir_caps_samples_but_not_counts(self, monkeypatch):
-        monkeypatch.setattr(simulate, "SAMPLE_RESERVOIR", 50_000)
+        # the reservoir ends inside the second of three chunks
+        monkeypatch.setattr(simulate, "SAMPLE_RESERVOIR", 100_000)
         report = run_batch(BENCH, SimulationConfig(runs=150_000, seed=21))
-        assert len(report.sorted_times) == 50_000
+        assert len(report.sorted_times) == 100_000
         assert report.shock_count_histogram.sum() == 150_000
+        every = np.concatenate([
+            simulate._simulate_chunk(BENCH, n, 21, i, simulate.MAX_GAPS_PER_RUN)["times"]
+            for i, n in enumerate((CHUNK_SIZE, CHUNK_SIZE, 150_000 - 2 * CHUNK_SIZE))])
+        assert report.sorted_times.tobytes() == np.sort(every[:100_000]).tobytes()
+        # the moments cover every run, not only the retained ones
+        assert report.mean == pytest.approx(every.mean(), rel=1e-13, abs=0.0)
+        assert report.variance == pytest.approx(every.var(ddof=1), rel=1e-12, abs=0.0)
+        assert abs(report.mean - every[:100_000].mean()) > 1e-6
+
+    @pytest.mark.parametrize("model", [BENCH, ShockModel(3, Exponential(1.0), Exponential(1.0))],
+                             ids=["exp-const", "exp-exp"])
+    def test_peak_memory_holds_the_sample_once(self, model):
+        # 2^20 runs keep 10^6 times in 8 MB; a chunk's working arrays add
+        # about a third of that, and a second copy of the sample would add 8 MB
+        tracemalloc.start()
+        try:
+            report = run_batch(model, SimulationConfig(runs=1 << 20, seed=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(report.sorted_times) == simulate.SAMPLE_RESERVOIR
+        assert peak <= 1.5 * report.sorted_times.nbytes
 
     def test_empirical_cdf_monotone_ends_at_one(self):
         report = run_batch(BENCH, SimulationConfig(runs=10_000, seed=1))
