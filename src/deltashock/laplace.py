@@ -139,21 +139,23 @@ def _fractions(coeffs: np.ndarray, depth: int, z: complex):
             q = q[1:-1] * e[1:] / e[:-1]
 
     # one forward recurrence serves all three truncations: after step i it
-    # holds the convergents a fraction of i + 2 terms needs
+    # holds the convergents a fraction of i + 2 terms needs, numerators A
+    # and denominators B stacked as rows 0 and 1
     stops = (n - 10, n - 6, n - 2)
     states = []
-    a_prev, a_cur = 0j, d[0]
-    b_prev, b_cur = 1 + 0j, 1 + 0j
+    dz = d * z
+    prev = np.stack((np.zeros_like(d[0]), np.ones_like(d[0])))
+    cur = np.stack((d[0], np.ones_like(d[0])))
     for i in range(1, n - 1):
-        a_prev, a_cur = a_cur, a_cur + d[i] * z * a_prev
-        b_prev, b_cur = b_cur, b_cur + d[i] * z * b_prev
+        prev, cur = cur, cur + dz[i] * prev
         if i in stops:
-            states.append((i + 2, a_prev, a_cur, b_prev, b_cur))
+            states.append((i + 2, prev, cur))
     values = []
-    for terms, a_prev, a_cur, b_prev, b_cur in reversed(states):
+    for terms, prev, cur in reversed(states):
         h_last = 0.5 * (1.0 + z * (d[terms - 2] - d[terms - 1]))
-        remainder = -h_last * (1.0 - np.sqrt(1.0 + d[terms - 1] * z / (h_last * h_last)))
-        values.append((a_cur + remainder * a_prev) / (b_cur + remainder * b_prev))
+        remainder = -h_last * (1.0 - np.sqrt(1.0 + dz[terms - 1] / (h_last * h_last)))
+        a, b = cur + remainder * prev
+        values.append(a / b)
     return np.stack(values, axis=-1).reshape(*shape, 3), np.isfinite(d).all(axis=0).reshape(shape)
 
 

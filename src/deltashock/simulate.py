@@ -259,7 +259,10 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
             # imported on use: a one-worker batch never needs the pool
             from concurrent.futures import ProcessPoolExecutor
 
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=config.workers))
+            # a fork pool starts all its workers at the first submit, so it
+            # gets no more of them than there are chunks
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(config.workers, n_chunks)))
             results = pool.map(_simulate_chunk, *columns)
         # each chunk is folded in as it arrives, in chunk order, and its
         # retained times are copied into the reservoir, so only the

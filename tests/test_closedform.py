@@ -502,6 +502,103 @@ class TestSeriesRefusal:
             assert np.all(np.abs(series - reference)[both] <= 1e-7 * scale)
 
 
+class TestLogFactorial:
+    def test_table_is_lgamma_bitwise(self):
+        n = np.arange(closedform.LOG_FACTORIAL_TABLE)
+        expected = np.array([math.lgamma(v + 1.0) for v in n.tolist()])
+        assert closedform._log_factorial(n).tobytes() == expected.tobytes()
+
+    def test_within_two_ulp_of_a_40_digit_log_gamma(self):
+        """n = 32..10^4 and a geometric sample up to 10^7, against mpmath's
+        loggamma at 40 digits (below 32 the values are math.lgamma's)."""
+        mpmath = pytest.importorskip("mpmath")
+        n = np.concatenate((np.arange(closedform.LOG_FACTORIAL_TABLE, 10_001),
+                            np.unique(np.geomspace(10_001, 1e7, 2_000).astype(np.int64))))
+        got = closedform._log_factorial(n)
+        with mpmath.workdps(40):
+            exact = [mpmath.loggamma(v + 1) for v in n.tolist()]
+            ulps = [abs(value - x) / math.ulp(float(x)) for value, x in zip(got.tolist(), exact)]
+        assert max(ulps) <= 2.0
+
+    @pytest.mark.parametrize("n", [
+        np.int64(40), np.array(7), np.array([0, 31, 32, 10**6]),
+        np.arange(600).reshape(20, 30),
+    ])
+    def test_keeps_the_shape(self, n):
+        got = closedform._log_factorial(n)
+        assert got.shape == np.shape(n) and got.dtype == np.float64
+        flat = [math.lgamma(v + 1.0) for v in np.ravel(n).tolist()]
+        assert np.allclose(got.ravel(), flat, rtol=4e-16, atol=0.0)
+
+
+def first_fall(log_head, t, last):
+    """The first row j < last whose head exceeds row j + 1's, from the heads
+    of every row 0..last, or last where none does."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_h = log_head(t, np.arange(last + 1))
+    falls = log_h[1:] < log_h[:-1]
+    return int(falls.argmax()) if falls.any() else last
+
+
+class TestPeakRows:
+    @pytest.mark.parametrize("last", [1, 63, 64, 65, closedform.SERIES_BLOCK, 4097, 10**6])
+    @pytest.mark.parametrize("shape", ["falling", "rising", "middle", "flat top"])
+    def test_synthetic_heads(self, last, shape):
+        """The peak at row 0, at the last row, and inside, one row or a flat
+        top of three, for brackets from 1 row to 10^6."""
+        peak = {"falling": 0, "rising": last, "middle": last // 3,
+                "flat top": last // 2}[shape]
+
+        def log_head(t, j):
+            d = np.abs(j - peak)
+            if shape == "flat top":
+                d = np.maximum(d - 1, 0)
+            return -d * 0.5 + 0.0 * t
+
+        rows = closedform._peak_rows(np.array([[1.0]]), np.array([last]), log_head)
+        assert rows.tolist() == [first_fall(log_head, 1.0, last)]
+        if shape != "flat top":
+            assert rows.tolist() == [peak]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        p=st.floats(-5.0, math.log10(0.5)).map(lambda e: 10.0**e),
+        k=st.integers(1, 8),
+        fractions=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=4),
+        on_step=st.booleans(),
+    )
+    def test_series_heads(self, p, k, fractions, on_step):
+        """The pdf's and the cdf's heads, on a grid of times whose last rows
+        run from SERIES_BLOCK to 2^18 (the brute force reads every row)."""
+        tau = -math.log1p(-p)
+        model = exp_const(1.0, tau, k)
+        moments = exp_const_moments(model)
+        t_max = min(moments.mean + 6.0 * math.sqrt(moments.variance), 2**18 * tau)
+        ts = [max(f * t_max, closedform.SERIES_BLOCK * tau) for f in fractions]
+        if on_step:
+            ts = [math.ceil(t / tau) * tau for t in ts]
+        last = np.array([int(math.floor(t / tau)) for t in ts])
+        for series in (closedform._pdf_series, closedform._cdf_series):
+            log_head, _ = series(1.0, tau, k)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                rows = closedform._peak_rows(np.array(ts)[:, None], last, log_head)
+            assert rows.tolist() == [first_fall(log_head, t, n)
+                                     for t, n in zip(ts, last.tolist())]
+
+    def test_rounds_shrink_64_fold(self):
+        """A bracket of 1.3e5 rows, the rare-lethality grid's last, is pinned
+        in three calls, where bisection takes 17."""
+        calls = []
+
+        def log_head(t, j):
+            calls.append(j.shape)
+            return -np.abs(j - 77_777) + 0.0 * t
+
+        rows = closedform._peak_rows(np.array([[1.0]]), np.array([134_276]), log_head)
+        assert rows.tolist() == [77_777]
+        assert calls == [(1, 2 * (closedform.PEAK_WAYS - 1))] * 3
+
+
 class TestExpConstMoments:
     def test_benchmark_values(self):
         assert exp_const_moments(exp_const(1.0, LN2, 3)).mean == pytest.approx(6.0, abs=1e-12)

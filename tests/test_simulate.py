@@ -48,6 +48,40 @@ class TestDeterminism:
         assert np.array_equal(base.sorted_times, pooled.sorted_times)
         assert np.array_equal(base.shock_count_histogram, pooled.shock_count_histogram)
 
+    @pytest.mark.parametrize("workers, runs, opened", [
+        (5000, CHUNK_SIZE + 7, 2),
+        (2, 2 * CHUNK_SIZE + 7, 2),
+        (3, 3 * CHUNK_SIZE, 3),
+    ])
+    def test_pool_opens_no_more_workers_than_chunks(self, monkeypatch, workers, runs, opened):
+        """A fork pool starts all its workers at the first submit: the batch
+        asks for at most one per chunk.  The pool here is a stand-in that
+        records its size and maps in this process, so no process starts."""
+        import concurrent.futures
+
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *columns):
+                return map(fn, *columns)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        pooled = run_batch(BENCH, SimulationConfig(runs=runs, seed=5, workers=workers))
+        assert sizes == [opened]
+        base = run_batch(BENCH, SimulationConfig(runs=runs, seed=5, workers=1))
+        assert sizes == [opened]
+        assert pooled.mean == base.mean and pooled.variance == base.variance
+        assert np.array_equal(pooled.sorted_times, base.sorted_times)
+
     def test_chunk_boundary_sizes(self):
         for runs in (CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 7):
             report = run_batch(BENCH, SimulationConfig(runs=runs, seed=3))
