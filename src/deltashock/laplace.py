@@ -10,9 +10,13 @@ the Fourier series of the Bromwich integral on a vertical contour,
 accelerated through the quotient-difference continued fraction (the
 de Hoog-Knight-Stokes scheme); needing only vertical-line transform values
 is what makes the approach suit probability densities.  The inversion runs
-on a whole grid of times at once: each time keeps its own contour, and the
-transform, the quotient-difference table and the fraction are numpy
-operations over every time still unsettled.  For k = 1 the
+on a whole grid of times at once.  Its first rung puts every time of a
+quarter-octave window on the window's contour, so the window's transform
+values and quotient-difference table serve all its times, and only the
+fraction's point z depends on the time; a time's value there must also agree
+with the one on the window below.  The retries give each time still
+unsettled its own contour.  The transform, the table and the fraction are
+numpy operations over every window or time in the batch.  For k = 1 the
 density jumps wherever the lethal-branch density f*Gbar does, so that
 branch (whose transform and pointwise values are both known) is subtracted
 before inversion and added back, leaving a continuous series target.
@@ -22,7 +26,6 @@ the closed moment formulas.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -46,20 +49,25 @@ __all__ = [
 
 # Inverted densities this small are oscillation noise; clamp them to 0.
 DENSITY_CLAMP = 1e-10
-# Period multiple for the series contour: aliasing samples f at t + 2*kappa*t*n.
+# Period multiple for the series contour of window W (the time itself, or its
+# quarter-octave): aliasing samples f at t + 2*kappa*W*n.
 CONTOUR_PERIOD_RATIO = 2.0
-# Quotient-difference depth of the first attempt: its continued fraction
+# Quotient-difference depth of the first rung and attempt: its continued fraction
 # uses 2 * SERIES_DEPTH + 1 series terms.
 SERIES_DEPTH = 30
-# The retry ladder: (extra fraction depth, period multiple) of each attempt.
+# The retries after the shared first rung, each time on its own contour:
+# (extra fraction depth, period multiple) of each attempt.
 ATTEMPTS = (
     (0, CONTOUR_PERIOD_RATIO),
     (10, CONTOUR_PERIOD_RATIO * 1.13),
     (16, CONTOUR_PERIOD_RATIO * 0.83),
 )
+# The first rung's windows per octave of time: the times of one window share
+# its contour, transform values and quotient-difference table.
+WINDOWS_PER_OCTAVE = 4
 # Contour nodes per batch: a grid is inverted in blocks of times holding
 # about this many transform values each, which bounds the memory of one
-# attempt (about 7 MB) whatever the grid size and depth.
+# rung (about 7 MB) whatever the grid size and depth.
 BLOCK_NODES = 1 << 15
 
 
@@ -112,18 +120,17 @@ class TransformEvaluator:
         return value.reshape(nodes.shape) if nodes.ndim else complex(value[0])
 
 
-def _fractions(coeffs: np.ndarray, depth: int, z: complex):
-    """The continued fraction d0/(1 + d1 z/(1 + ...)) of every row of coeffs.
+def _table(coeffs: np.ndarray, depth: int):
+    """The continued-fraction coefficients d of every row of coeffs.
 
     coeffs has 2 depth + 1 series terms along its last axis.  The
-    quotient-difference rhombus rules give the fraction coefficients d of
-    all rows at once, keeping only the live q and e columns.  It runs
-    node-major, on a contiguous copy with the series axis first, so each
-    rhombus and recurrence step is one operation on contiguous rows, in the
-    arithmetic and order of the rules for one row.  Returns the fraction at
-    z, with the de Hoog remainder refinement on its last level, truncated
-    at all its terms and at 4 and 8 fewer (last axis), and whether each
-    row's d are finite.  Runs under np.errstate(all="ignore").
+    quotient-difference rhombus rules give the d of all rows at once,
+    keeping only the live q and e columns.  It runs node-major, on a
+    contiguous copy with the series axis first, so each rhombus step is one
+    operation on contiguous rows, in the arithmetic and order of the rules
+    for one row.  Returns d with the series axis first, of shape
+    (2 depth + 1, *coeffs.shape[:-1]), and whether each row's d are finite.
+    Runs under np.errstate(all="ignore").
     """
     shape, n = coeffs.shape[:-1], coeffs.shape[-1]
     c = np.ascontiguousarray(np.moveaxis(coeffs, -1, 0)).reshape(n, -1)
@@ -137,80 +144,127 @@ def _fractions(coeffs: np.ndarray, depth: int, z: complex):
         d[2 * r] = -e[0]
         if r < depth:
             q = q[1:-1] * e[1:] / e[:-1]
+    return d.reshape(n, *shape), np.isfinite(d).all(axis=0).reshape(shape)
 
+
+def _fractions(d: np.ndarray, z):
+    """The continued fraction d0/(1 + d1 z/(1 + ...)) of every column of d.
+
+    d holds the coefficients of _table along its first axis, and z (a
+    complex or an ndarray) broadcasts against one row of them, so each
+    column can have its own z.  Returns the fraction at z, with the de Hoog
+    remainder refinement on its last level, truncated at all its terms and
+    at 4 and 8 fewer (last axis).  Runs under np.errstate(all="ignore").
+    """
+    # numpy rounds a complex product alike in every loop over contiguous
+    # operands, but not in every broadcasting one: so z fills a whole row
+    z = np.broadcast_to(z, d[0].shape).copy()
     # one forward recurrence serves all three truncations: after step i it
     # holds the convergents a fraction of i + 2 terms needs, numerators A
     # and denominators B stacked as rows 0 and 1
+    n = len(d)
     stops = (n - 10, n - 6, n - 2)
     states = []
-    dz = d * z
     prev = np.stack((np.zeros_like(d[0]), np.ones_like(d[0])))
     cur = np.stack((d[0], np.ones_like(d[0])))
     for i in range(1, n - 1):
-        prev, cur = cur, cur + dz[i] * prev
+        prev, cur = cur, cur + d[i] * z * prev
         if i in stops:
             states.append((i + 2, prev, cur))
     values = []
     for terms, prev, cur in reversed(states):
         h_last = 0.5 * (1.0 + z * (d[terms - 2] - d[terms - 1]))
-        remainder = -h_last * (1.0 - np.sqrt(1.0 + dz[terms - 1] / (h_last * h_last)))
+        remainder = -h_last * (1.0 - np.sqrt(1.0 + d[terms - 1] * z / (h_last * h_last)))
         a, b = cur + remainder * prev
         values.append(a / b)
-    return np.stack(values, axis=-1).reshape(*shape, 3), np.isfinite(d).all(axis=0).reshape(shape)
+    return np.stack(values, axis=-1)
 
 
-def _attempt(transform, t: np.ndarray, depth: int, kappa: float, config: InversionConfig):
-    """One attempt of the ladder at the times t, on contours of period kappa t.
+def _attempt(transform, t: np.ndarray, windows: np.ndarray, depth: int, kappa: float,
+             config: InversionConfig):
+    """One rung of the ladder at the times t, on the contours of their windows.
 
-    Returns (value, estimate, finite), each of shape (transforms, len(t)):
-    the fraction at all its terms, its largest difference to the two
-    shallower truncations, and whether the attempt stayed finite.
+    windows holds one or more windows W per time, one row each.  The times
+    of one W share its contour, of period kappa W and abscissa
+    A / (2 kappa W), so its 2 depth + 1 transform values and its
+    quotient-difference table; each time evaluates the fraction at its own
+    z = exp(i pi t / (kappa W)) and scales it by e^(A t / (2 kappa W)) /
+    (kappa W).  Returns (value, estimate, finite), each of shape
+    (transforms, len(t)): the fraction on the first row's window at all its
+    terms; its largest difference to its two shallower truncations and to
+    the value on each other row's window; and whether every window stayed
+    finite.
     """
     n = 2 * depth + 1
-    period = kappa * t
+    spans, at = np.unique(windows, return_inverse=True)
+    at = at.reshape(windows.shape)
+    period = kappa * spans
     gamma = config.contour_parameter / (2.0 * period)
     nodes = gamma[:, None] + 1j * (np.arange(n) * math.pi / period[:, None])
     coeffs = np.array(transform(nodes), dtype=complex)
     coeffs[..., 0] /= 2.0
     with np.errstate(all="ignore"):
-        fractions, finite = _fractions(coeffs, depth, cmath.exp(1j * math.pi / kappa))
-        scaled = (np.exp(gamma * t) / period)[:, None] * fractions.real
-        value = scaled[..., 0]
-        estimate = np.max(abs(value[..., None] - scaled[..., 1:]), axis=-1)
-    zero = ~coeffs.any(axis=-1)
+        d, finite = _table(coeffs, depth)
+        # every row of windows in one pass; t / windows is exactly 1 where
+        # each time is its own window
+        fractions = _fractions(d[..., at], np.exp(1j * (t / windows * (math.pi / kappa)))).real
+        scaled = (np.exp(gamma[at] * t) / period[at])[..., None] * fractions
+        value = scaled[:, 0, :, 0]
+        others = np.concatenate((scaled[:, 0, :, 1:], np.moveaxis(scaled[:, 1:, :, 0], 1, -1)),
+                                axis=-1)
+        estimate = np.max(abs(value[..., None] - others), axis=-1)
+    zero = ~coeffs.any(axis=-1)[:, at].any(axis=1)
+    finite = finite[:, at].all(axis=1) & np.isfinite(scaled).all(axis=(1, -1))
     value[zero] = estimate[zero] = 0.0
-    return value, estimate, zero | finite & np.isfinite(scaled).all(axis=-1)
+    return value, estimate, zero | finite
+
+
+def _windows(ts: np.ndarray) -> np.ndarray:
+    """The first rung's two windows of each time, as rows: W(t) =
+    2^(ceil(4 log2 t) / 4), the quarter-octave lattice point at or above t,
+    and the lattice point below it."""
+    lattice = np.ceil(WINDOWS_PER_OCTAVE * np.log2(ts))
+    return np.exp2(np.stack((lattice, lattice - 1.0)) / WINDOWS_PER_OCTAVE)
 
 
 def _invert_series(transform, ts: np.ndarray, config: InversionConfig, tails):
     """Invert len(tails) transforms at every time of ts in one batch.
 
     transform maps an (m, n) ndarray of contour nodes to the
-    (len(tails), m, n) ndarray of the transforms' values there.  Each t has
-    its own contour (period kappa t, abscissa A / (2 kappa t)) and its own
-    settle check, the fraction against two shallower truncations.  Each
-    attempt of ATTEMPTS runs only on the times where some transform has not
-    settled yet, BLOCK_NODES contour nodes at a time, so memory does not grow
-    with the grid.  A transform that vanishes on a whole contour gives 0
-    with estimate 0; a non-finite value, coefficient or fraction fails that
-    attempt for that time only.
+    (len(tails), m, n) ndarray of the transforms' values there.  The first
+    rung (depth SERIES_DEPTH, period ratio CONTOUR_PERIOD_RATIO) puts each
+    t on the contour of its window W(t) = 2^(ceil(4 log2 t) / 4), the
+    quarter-octave lattice point at or above it, which every time of the
+    window shares (see _windows); its estimate also takes in the value on
+    the window below, W(t) 2^(-1/4), a second period that catches errors
+    the fraction's own truncations miss.  The attempts of ATTEMPTS follow,
+    each t its own window.  Each rung runs only on the times where some
+    transform has not settled yet, BLOCK_NODES contour nodes at a time, so
+    memory does not grow with the grid.  A transform that vanishes on every
+    contour of a time gives 0 with estimate 0; a non-finite value,
+    coefficient or fraction fails that rung for that time only.  A time's
+    windows depend on that time alone, so the contours its value comes from
+    do not depend on the batch.
 
     Returns (values, estimates), both (len(tails), m): the value of the first
-    attempt that settled, less its alias bias tail/(e^A - 1), or nan where
-    none did; and the best estimate achieved, nan where no attempt gave a
+    rung that settled, less its alias bias tail/(e^A - 1), or nan where
+    none did; and the best estimate achieved, nan where no rung gave a
     finite one.
     """
     shape = (len(tails), len(ts))
     values = np.full(shape, np.nan)
     estimates = np.full(shape, np.nan)
     settled = np.zeros(shape, dtype=bool)
-    for extra, kappa in ATTEMPTS:
+    rungs = [(0, CONTOUR_PERIOD_RATIO, _windows(ts))]
+    rungs += [(extra, kappa, ts[np.newaxis]) for extra, kappa in ATTEMPTS]
+    for extra, kappa, windows in rungs:
         depth = SERIES_DEPTH + extra
         todo = np.flatnonzero(~settled.all(axis=0))
-        block = max(1, BLOCK_NODES // (2 * depth + 1))
+        block = max(1, BLOCK_NODES // ((2 * depth + 1) * len(windows)))
         for start in range(0, todo.size, block):
             cols = todo[start:start + block]
-            value, estimate, finite = _attempt(transform, ts[cols], depth, kappa, config)
+            value, estimate, finite = _attempt(transform, ts[cols], windows[:, cols], depth, kappa,
+                                               config)
             # nan estimates never compare below, so a finite one always improves them
             better = finite & ~settled[:, cols] & ~(estimate >= estimates[:, cols])
             rows, at = np.nonzero(better)

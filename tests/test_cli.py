@@ -717,6 +717,36 @@ class TestColdImports:
         path = write_config(tmp_path, {"model": {"k": 0}})
         assert run_cold(COLD_MAIN, "analyze", "--config", path) == {"exit": EXIT_CONFIG, "loaded": []}
 
+    def test_one_parser_serves_every_call(self, tmp_path):
+        """One process that runs invert --what cdf, analyze and invert with
+        the default --what builds its parser once, on the first call, and
+        prints and writes what a process per call does."""
+        body = ("import contextlib, io\nfrom deltashock import cli\n"
+                "built = [cli._build_parser.cache_info().currsize]\nresult = []\n"
+                "for argv in json.loads(sys.argv[1]):\n"
+                "    out = io.StringIO()\n"
+                "    with contextlib.redirect_stdout(out):\n"
+                "        result.append([cli.main(argv), out.getvalue()])\n"
+                "    built.append(cli._build_parser.cache_info().misses)\n"
+                "result = {'calls': result, 'built': built}")
+        path = cold_config(tmp_path, "exp-constant")
+
+        def calls(out):
+            return [["invert", "--config", str(path), "--time", "2.7", "--what", "cdf"],
+                    ["analyze", "--config", str(path), "--out", str(out)],
+                    ["invert", "--config", str(path), "--time", "2.7"]]
+
+        together = run_cold(body, json.dumps(calls(tmp_path / "together")))
+        assert together["built"] == [0, 1, 1, 1]
+        apart = [run_cold(body, json.dumps([argv]))["calls"][0] for argv in calls(tmp_path / "apart")]
+        assert together["calls"] == apart
+        assert [code for code, _ in apart] == [EXIT_OK] * 3
+        assert float(apart[0][1]) != float(apart[2][1])
+        for name in ("curves.csv", "summary.json"):
+            written = (tmp_path / "apart" / name).read_text()
+            together = written.replace(str(tmp_path / "apart"), str(tmp_path / "together"))
+            assert (tmp_path / "together" / name).read_text() == together
+
 
 class TestColdCallSites:
     """The call sites that import scipy or the pool themselves still work from a cold start."""

@@ -22,7 +22,7 @@ from deltashock import (
 )
 from deltashock.closedform import exp_const_cdf, exp_const_pdf
 from deltashock import laplace
-from deltashock.laplace import _fractions, _invert_series
+from deltashock.laplace import _fractions, _invert_series, _table, _windows
 
 LN2 = math.log(2.0)
 
@@ -207,7 +207,8 @@ class TestInvertGrid:
         nodes = gamma[:, None] + 1j * (np.arange(n) * math.pi / period[:, None])
         coeffs = np.stack([1.0 / (nodes + 1.0) ** 2, 1.0 / (nodes * (nodes + 1.0))])
         z = complex(math.cos(math.pi / kappa), math.sin(math.pi / kappa))
-        got, finite = _fractions(coeffs, depth, z)
+        d, finite = _table(coeffs, depth)
+        got = _fractions(d, z)
         assert got.shape == (2, 3, 3) and finite.all()
         for row, fractions in zip(coeffs.reshape(-1, n), got.reshape(-1, 3)):
             for value, back in zip(fractions, (0, 4, 8)):
@@ -235,7 +236,8 @@ class TestInvertGrid:
             coeffs[0, 0, [3, 7, 11]] = [0.0, np.nan, np.inf]
         z = complex(math.cos(math.pi / kappa), math.sin(math.pi / kappa))
         with np.errstate(all="ignore"):
-            got, finite = _fractions(coeffs, depth, z)
+            d, finite = _table(coeffs, depth)
+            got = _fractions(d, np.full(times, z))
             expected, expected_finite = fractions_frozen(coeffs, depth, z)
         assert got.shape == expected.shape == (transforms, times, 3)
         assert np.array_equal(got, expected, equal_nan=True)
@@ -295,12 +297,47 @@ class TestInvertGrid:
         with pytest.raises(ValueError):
             invert_grid(model, [0.5, 0.0])
 
+    def test_windows_are_quarter_octaves(self):
+        above = np.nextafter(2.0, 3.0)
+        ts = np.array([2.0, above, 1.9, 0.3, 1000.0])
+        lattice = [4, 5, 4, -6, 40]
+        expected = [[2.0 ** (j / 4) for j in lattice], [2.0 ** ((j - 1) / 4) for j in lattice]]
+        np.testing.assert_allclose(_windows(ts), expected, rtol=1e-15)
+        assert _windows(ts)[0, 0] == 2.0 == _windows(ts)[1, 1]
+        assert np.all(_windows(ts)[0] >= ts) and np.all(_windows(ts)[1] < ts)
+
+    @pytest.mark.parametrize("model", [BUILTIN_PAIRS[0], BUILTIN_PAIRS[1]], ids=["k3", "k1"])
+    def test_one_point_matches_the_grid_bitwise(self, model):
+        """Every time keeps the value and error of its own one-point
+        inversion, on a grid whose windows hold several times each; 2 is a
+        lattice point, and the next double above it starts a window."""
+        above = np.nextafter(2.0, 3.0)
+        grid = np.concatenate([np.linspace(1.3, 4.6, 60), [2.0, above]])
+        counts = np.unique(_windows(grid)[0], return_counts=True)[1]
+        assert np.sum(counts >= 5) >= 3
+        assert _windows(np.array([above]))[0, 0] > 2.0
+        config = InversionConfig()
+        inverted = invert_grid(model, grid, config)
+        for i, t in enumerate(grid.tolist()):
+            for quantity, one_point in (("pdf", invert_density), ("cdf", invert_cdf)):
+                value = getattr(inverted, quantity)[i]
+                try:
+                    assert one_point(model, t, config) == value
+                except InversionError as error:
+                    assert math.isnan(value) and inverted.errors[i] is not None
+                    if quantity == "pdf":
+                        assert error.error_estimate == inverted.errors[i].error_estimate
+
     def test_blocks_match_one_batch(self, monkeypatch):
         model = ShockModel(2, Exponential(1.0), Constant(1.0))
         grid = np.concatenate([np.linspace(0.1, 8.0, 40), [1.0, 2.0]])
         whole = invert_grid(model, grid)
-        # seven times per block at the first attempt, fewer at the deeper ones
-        monkeypatch.setattr(laplace, "BLOCK_NODES", 7 * 61)
+        # seven times per block at the shared first rung (two contours
+        # each), fewer at the deeper retries; some window straddles a block
+        # boundary there
+        monkeypatch.setattr(laplace, "BLOCK_NODES", 7 * 61 * 2)
+        blocks = [set(_windows(grid[i:i + 7])[0]) for i in range(0, len(grid), 7)]
+        assert any(a & b for a, b in zip(blocks, blocks[1:]))
         blocked = invert_grid(model, grid)
         np.testing.assert_array_equal(blocked.pdf, whole.pdf)
         np.testing.assert_array_equal(blocked.cdf, whole.cdf)
@@ -335,6 +372,140 @@ class TestInvertGrid:
         assert "outside [0, 1]" in str(outside) and outside.error_estimate is None
         assert np.isnan(inverted.pdf[1]) and np.isnan(inverted.cdf[2])
         assert inverted.pdf[2] == 0.2 and inverted.cdf[1] == 0.5
+
+
+def series_frozen(transform, ts, config, tails):
+    """_invert_series as it was before its shared first rung, frozen: every
+    time on its own contour (period kappa t) at every attempt of ATTEMPTS,
+    the table and fraction of fractions_frozen.  The ladder must settle
+    every (quantity, t) that this one settles, and agree with it there."""
+    shape = (len(tails), len(ts))
+    values = np.full(shape, np.nan)
+    estimates = np.full(shape, np.nan)
+    settled = np.zeros(shape, dtype=bool)
+    for extra, kappa in laplace.ATTEMPTS:
+        depth = laplace.SERIES_DEPTH + extra
+        todo = np.flatnonzero(~settled.all(axis=0))
+        block = max(1, laplace.BLOCK_NODES // (2 * depth + 1))
+        for start in range(0, todo.size, block):
+            cols = todo[start:start + block]
+            t = ts[cols]
+            n = 2 * depth + 1
+            period = kappa * t
+            gamma = config.contour_parameter / (2.0 * period)
+            nodes = gamma[:, None] + 1j * (np.arange(n) * math.pi / period[:, None])
+            coeffs = np.array(transform(nodes), dtype=complex)
+            coeffs[..., 0] /= 2.0
+            with np.errstate(all="ignore"):
+                fractions, finite = fractions_frozen(coeffs, depth, cmath.exp(1j * math.pi / kappa))
+                scaled = (np.exp(gamma * t) / period)[:, None] * fractions.real
+                value = scaled[..., 0]
+                estimate = np.max(abs(value[..., None] - scaled[..., 1:]), axis=-1)
+            zero = ~coeffs.any(axis=-1)
+            value[zero] = estimate[zero] = 0.0
+            finite = zero | finite & np.isfinite(scaled).all(axis=-1)
+            better = finite & ~settled[:, cols] & ~(estimate >= estimates[:, cols])
+            rows, at = np.nonzero(better)
+            values[rows, cols[at]] = value[rows, at]
+            estimates[rows, cols[at]] = estimate[rows, at]
+            settled[rows, cols[at]] = estimate[rows, at] <= config.target_error
+    alias = np.asarray(tails, dtype=float)[:, None] / math.expm1(config.contour_parameter)
+    return np.where(settled, values - alias, np.nan), estimates
+
+
+def default_grid(model, points):
+    """analyze's default grid: points times up to mean + 6 sd."""
+    moments = model.failure_moments()
+    t_max = moments.mean + 6.0 * math.sqrt(moments.variance)
+    return np.linspace(t_max / points, t_max, points)
+
+
+def compare_grid(model):
+    """compare's cdf nodes: 512 times up to mean + 8 sd, and the corners."""
+    moments = model.failure_moments()
+    t_hi = moments.mean + 8.0 * math.sqrt(moments.variance)
+    corners = {p for p in (*model.arrivals.breakpoints(), *model.threshold.breakpoints())
+               if 0.0 < p < t_hi}
+    return np.array(sorted(set(np.linspace(t_hi / 512.0, t_hi, 512)) | corners))
+
+
+BENCH_MODELS = {
+    "exp-const": ShockModel(3, Exponential(1.0), Constant(LN2)),
+    "exp-exp": ShockModel(3, Exponential(1.0), Exponential(1.0)),
+    "rare-p01": ShockModel(3, Exponential(1.0), Constant(-math.log(0.99))),
+}
+BENCH_POINTS = {"exp-const": 200, "exp-exp": 12, "rare-p01": 10}
+
+
+class TestFrozenLadder:
+    """The ladder with its shared first rung against series_frozen."""
+
+    @staticmethod
+    def both(model, grid, target, pdf=True, cdf=True):
+        """invert_grid with the ladder and with series_frozen, and the two
+        ladders' (values, estimates) on the same transform."""
+        config = InversionConfig(target_error=target)
+        ladder = laplace._invert_series
+        series = []
+
+        def recording(transform, ts, config, tails):
+            series.append((ladder(transform, ts, config, tails),
+                           series_frozen(transform, ts, config, tails)))
+            return series[0][0]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(laplace, "_invert_series", recording)
+            new = invert_grid(model, grid, config, pdf=pdf, cdf=cdf)
+            patch.setattr(laplace, "_invert_series", lambda *args: series[0][1])
+            frozen = invert_grid(model, grid, config, pdf=pdf, cdf=cdf)
+        (new_values, _), (frozen_values, _) = series[0]
+        # the ladder settles every (quantity, t) the frozen one settles, within 2 target of it
+        assert not (np.isnan(new_values) & ~np.isnan(frozen_values)).any()
+        both_settled = ~np.isnan(frozen_values)
+        assert np.all(abs(new_values - frozen_values)[both_settled] <= 2.0 * target)
+        empty = [sum(e is not None for e in inverted.errors) for inverted in (new, frozen)]
+        assert empty[0] <= empty[1]
+        return new, frozen
+
+    @staticmethod
+    def no_farther(new, frozen, exact):
+        """new is no farther from exact than frozen's worst point is."""
+        worst = np.nanmax(abs(frozen - exact))
+        assert np.nanmax(abs(new - exact)) <= worst
+        assert np.isnan(new).sum() <= np.isnan(frozen).sum()
+
+    @pytest.mark.parametrize("name", sorted(BENCH_MODELS))
+    def test_bench_grids(self, name):
+        model = BENCH_MODELS[name]
+        grid = default_grid(model, BENCH_POINTS[name])
+        new, frozen = self.both(model, grid, 1e-8)
+        if name != "exp-exp":
+            self.no_farther(new.pdf, frozen.pdf, exp_const_pdf(model, grid))
+            self.no_farther(new.cdf, frozen.cdf, exp_const_cdf(model, grid))
+
+    @pytest.mark.parametrize("name", sorted(BENCH_MODELS))
+    def test_compare_cdf_nodes(self, name):
+        model = BENCH_MODELS[name]
+        grid = compare_grid(model)
+        new, frozen = self.both(model, grid, 1e-6, pdf=False)
+        if name != "exp-exp":
+            self.no_farther(new.cdf, frozen.cdf, exp_const_cdf(model, grid))
+
+    def test_single_hit_uniform_constant(self):
+        model = ShockModel(1, Uniform(0.0, 2.0), Constant(1.0))
+        frozen = self.both(model, default_grid(model, 200), 1e-8)[1]
+        assert sum(e is not None for e in frozen.errors) == 86
+
+    def test_uniform_uniform(self):
+        model = ShockModel(3, Uniform(0.0, 2.0), Uniform(0.5, 1.5))
+        self.both(model, default_grid(model, 200), 1e-8)
+
+    def test_single_hit_exponential_constant(self):
+        model = ShockModel(1, Exponential(1.0), Constant(LN2))
+        grid = default_grid(model, 200)
+        new, frozen = self.both(model, grid, 1e-8)
+        self.no_farther(new.pdf, frozen.pdf, exp_const_pdf(model, grid))
+        self.no_farther(new.cdf, frozen.cdf, exp_const_cdf(model, grid))
 
 
 class TestInvertDensity:
