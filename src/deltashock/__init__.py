@@ -21,7 +21,6 @@ from .distributions import (
     Constant,
     Exponential,
     ProbabilityLaw,
-    QuadratureError,
     ThresholdLaw,
     Uniform,
     weighted_laplace,

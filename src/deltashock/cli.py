@@ -33,7 +33,6 @@ from .distributions import (
     ArrivalLaw,
     Constant,
     Exponential,
-    QuadratureError,
     Uniform,
     weighted_time_integral,
 )
@@ -710,7 +709,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InversionError, QuadratureError, UnrealizableModelError) as exc:
+    except (InversionError, UnrealizableModelError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     # A command frees its arrays as it returns (over a millisecond for 10^6

@@ -6,11 +6,10 @@ integrals) and the threshold law G of the recovery time delta a gap is
 compared against (needs only cdf/survival/sampling).  Both are immutable
 value objects; sampling draws from a caller-owned numpy Generator.
 
-Every built-in law is piecewise c * t**n * exp(-r t): the survival function
-of a threshold, the density of an arrival law.  The weighted gap integrals
-the model needs therefore have closed forms for every built-in pair, all
-computed by one routine (weighted_laplace); only a law without pieces, a
-foreign ArrivalLaw subclass, goes through adaptive quadrature.
+Every law gives its survival function, and an arrival law also its
+density, in pieces of c * t**n * exp(-r t).  The weighted gap integrals the
+model needs therefore have closed forms for every pair, all computed by one
+routine (weighted_laplace); a law without pieces cannot be built.
 """
 
 from __future__ import annotations
@@ -28,22 +27,13 @@ __all__ = [
     "Exponential",
     "Uniform",
     "Constant",
-    "QuadratureError",
     "weighted_laplace",
     "weighted_time_integral",
 ]
 
-# Tail mass below which the semi-infinite quadrature range is truncated.
-TAIL_EPS = 1e-12
-_QUAD_OPTS = dict(epsabs=1e-13, epsrel=1e-11, limit=300)
-
 # A law in pieces: ((lo, hi, ((c, n, r), ...)), ...) stands for the sum of
 # c * t**n * exp(-r t) over lo <= t < hi, and for 0 outside every piece.
 Pieces = tuple[tuple[float, float, tuple[tuple[float, int, float], ...]], ...]
-
-
-class QuadratureError(RuntimeError):
-    """A weighted-transform integral did not converge to tolerance."""
 
 
 class ProbabilityLaw(ABC):
@@ -65,12 +55,9 @@ class ProbabilityLaw(ABC):
         """Points where the cdf or density is not smooth."""
         return ()
 
-    def survival_pieces(self) -> Pieces | None:
-        """The survival function as contiguous pieces from t = 0, or None.
-
-        A law that returns None is integrated by quadrature.
-        """
-        return None
+    @abstractmethod
+    def survival_pieces(self) -> Pieces:
+        """The survival function as contiguous pieces from t = 0."""
 
 
 # A threshold law needs nothing beyond the base surface; the constant
@@ -79,17 +66,17 @@ ThresholdLaw = ProbabilityLaw
 
 
 class ArrivalLaw(ProbabilityLaw):
-    """Gap law: adds a density, raw moments and a quadrature cutoff.
+    """Gap law: adds a density, its pieces and raw moments.
 
     Subclass this to plug other nonnegative laws into the model.  A law
-    without density_pieces (as an arrival law) or survival_pieces (as a
-    threshold) is integrated by adaptive quadrature, which costs hundreds
-    of times a closed form.
+    must give its density (density_pieces) and survival function
+    (survival_pieces) in pieces; the model's integrals are their closed
+    forms.
     """
 
-    def density_pieces(self) -> Pieces | None:
-        """The density as pieces (see Pieces), or None."""
-        return None
+    @abstractmethod
+    def density_pieces(self) -> Pieces:
+        """The density as pieces (see Pieces)."""
 
     def sample_failures(self, rng: np.random.Generator, k: int, threshold: ThresholdLaw,
                         size: int):
@@ -112,10 +99,6 @@ class ArrivalLaw(ProbabilityLaw):
     @abstractmethod
     def raw_moment(self, order: int) -> float:
         """E(X^order) for order 1 or 2, in closed form."""
-
-    @abstractmethod
-    def upper_cutoff(self) -> float:
-        """t beyond which the survival mass is below TAIL_EPS."""
 
     @staticmethod
     def _check_nonnegative(t) -> None:
@@ -192,9 +175,6 @@ class Exponential(ArrivalLaw):
         self._check_order(order)
         return 1.0 / self.rate if order == 1 else 2.0 / self.rate**2
 
-    def upper_cutoff(self):
-        return -math.log(TAIL_EPS) / self.rate
-
     def density_pieces(self):
         return ((0.0, math.inf, ((self.rate, 0, self.rate),)),)
 
@@ -233,9 +213,6 @@ class Uniform(ArrivalLaw):
         self._check_order(order)
         a, b = self.lower, self.upper
         return (a + b) / 2.0 if order == 1 else (a * a + a * b + b * b) / 3.0
-
-    def upper_cutoff(self):
-        return self.upper
 
     def breakpoints(self):
         return (self.lower, self.upper)
@@ -359,15 +336,13 @@ def _complement(survival: Pieces) -> Pieces:
 
 
 def _product_terms(arrival: ArrivalLaw, threshold: ThresholdLaw, weight: str):
-    """f * w as terms (c, n, r, lo, hi), or None when either law has no pieces."""
+    """f * w as terms (c, n, r, lo, hi)."""
     if weight not in ("survival", "cdf"):
         raise ValueError(f"weight must be 'survival' or 'cdf', got {weight!r}")
-    density, survival = arrival.density_pieces(), threshold.survival_pieces()
-    if density is None or survival is None:
-        return None
+    survival = threshold.survival_pieces()
     weights = survival if weight == "survival" else _complement(survival)
     product = []
-    for f_lo, f_hi, f_terms in density:
+    for f_lo, f_hi, f_terms in arrival.density_pieces():
         for w_lo, w_hi, w_terms in weights:
             lo, hi = max(f_lo, w_lo), min(f_hi, w_hi)
             if lo < hi:
@@ -384,17 +359,13 @@ def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s,
     f is the arrival density; w is the threshold survival function for
     weight="survival" (the lethal branch: the value at s = 0 is the
     lethality probability) or the threshold cdf for weight="cdf" (the
-    non-lethal branch).  Every pair of built-in laws has a closed form,
-    summed over the pieces of f * w.  Quadrature serves only ArrivalLaw
-    subclasses without pieces; it stops where the arrival tail mass drops
-    below TAIL_EPS and raises QuadratureError when it does not converge.
-    Values are finite for Re s >= 0; small negative real parts are usable
-    too (the moment differentiation relies on this), since exponential
-    tails decay faster and quadrature stops at a finite cutoff.  s is a
-    complex scalar and upper a float, giving a complex, or either is an
-    ndarray (upper of finite values), giving an ndarray of their broadcast
-    shape; the closed forms take the whole array at once, quadrature one
-    element at a time.
+    non-lethal branch).  The value is the closed form summed over the
+    pieces of f * w.  Values are finite for Re s >= 0; small negative real
+    parts are usable too (the moment differentiation relies on this), since
+    exponential tails decay faster.  s is a complex scalar and upper a
+    float, giving a complex, or either is an ndarray (upper of finite
+    values), giving an ndarray of their broadcast shape, all computed at
+    once.
     """
     terms = _product_terms(arrival, threshold, weight)
     s = np.asarray(s, dtype=complex)
@@ -402,18 +373,13 @@ def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s,
         s, upper = np.broadcast_arrays(s, np.asarray(upper, dtype=float))
         upper = upper.reshape(-1)
     x = s.reshape(-1)
-    if terms is None:
-        total = np.array([_weighted_laplace_quad(arrival, threshold, v, weight, order, u)
-                          for v, u in zip(x.tolist(), np.broadcast_to(upper, x.shape).tolist())],
-                         dtype=complex)
-    else:
-        total = np.zeros(x.shape, dtype=complex)
-        # a pole (x + r = 0 on an infinite piece) gives inf or nan, not an error
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for c, n, r, lo, hi in terms:
-                # a piece starting at or beyond upper integrates over zero width
-                top = np.minimum(np.maximum(upper, lo), hi)
-                total += _term_integral(c, n + order, x + r, lo, top)
+    total = np.zeros(x.shape, dtype=complex)
+    # a pole (x + r = 0 on an infinite piece) gives inf or nan, not an error
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for c, n, r, lo, hi in terms:
+            # a piece starting at or beyond upper integrates over zero width
+            top = np.minimum(np.maximum(upper, lo), hi)
+            total += _term_integral(c, n + order, x + r, lo, top)
     return complex(total[0]) if s.ndim == 0 else total.reshape(s.shape)
 
 
@@ -423,50 +389,7 @@ def weighted_time_integral(arrival: ArrivalLaw, threshold: ThresholdLaw, t,
 
     t is a float, giving a float, or an ndarray of finite times, giving an
     ndarray.  The survival-weighted value is p times the cdf of a lethal
-    gap.  Closed forms cover every pair of built-in laws; quadrature serves
-    only ArrivalLaw subclasses without pieces.
+    gap.
     """
     return weighted_laplace(arrival, threshold, 0.0, weight, upper=t).real
 
-
-def _weighted_laplace_quad(arrival, threshold, s, weight, order=0, upper=math.inf):
-    """Quadrature for weighted_laplace, split at law breakpoints.
-
-    Uses the laws' own density, cdf and survival methods.  The oscillatory
-    factor exp(-i Im(s) t) is handled by the cos/sin weighted rule, which
-    stays cheap for the high frequencies the inversion contour needs.
-    """
-    # imported on use: built-in laws never reach quadrature, nor load scipy
-    from scipy import integrate
-
-    w = threshold.survival if weight == "survival" else threshold.cdf
-    cutoff = min(upper, arrival.upper_cutoff())
-    if cutoff <= 0.0:
-        return 0j
-    edges = [0.0] + sorted(
-        p for p in set(arrival.breakpoints()) | set(threshold.breakpoints())
-        if 0.0 < p < cutoff
-    ) + [cutoff]
-    sigma, omega = s.real, s.imag
-
-    def envelope(t):
-        return t**order * math.exp(-sigma * t) * float(arrival.density(t)) * float(w(t))
-
-    re = im = err = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        if omega == 0.0:
-            val, e = integrate.quad(envelope, lo, hi, **_QUAD_OPTS)
-            re += val
-            err += e
-        else:
-            val, e = integrate.quad(envelope, lo, hi, weight="cos", wvar=omega, **_QUAD_OPTS)
-            re += val
-            err += e
-            val, e = integrate.quad(envelope, lo, hi, weight="sin", wvar=omega, **_QUAD_OPTS)
-            im -= val
-            err += e
-    if err > 1e-7 * max(1.0, abs(complex(re, im))):
-        raise QuadratureError(
-            f"weighted transform did not converge at s={s}: error estimate {err:.3g}"
-        )
-    return complex(re, im)

@@ -288,7 +288,7 @@ def _series_error(t: float, estimate: float, config: InversionConfig) -> Inversi
 def invert_transform(transform: Callable, t: float,
                      config: InversionConfig | None = None,
                      tail_limit: float = 0.0) -> float:
-    """Invert an arbitrary transform at t > 0 (the inversion self-test hook).
+    """Invert an arbitrary transform at finite t > 0 (the inversion self-test hook).
 
     transform takes an ndarray of s and returns its values elementwise (a
     callable written for one complex s, with math or cmath, can be passed as
@@ -301,8 +301,8 @@ def invert_transform(transform: Callable, t: float,
     acceleration degenerates or does not settle; raises InversionError with
     the achieved estimate when all attempts stay above the target.
     """
-    if not t > 0:
-        raise ValueError(f"inversion requires t > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"inversion requires a finite t > 0, got {t}")
     config = config or InversionConfig()
     values, estimates = _invert_series(lambda s: transform(s)[np.newaxis],
                                        np.array([t], dtype=float), config, [tail_limit])
@@ -331,7 +331,7 @@ class GridInversion:
 
 def invert_grid(model: ShockModel, ts, config: InversionConfig | None = None, *,
                 pdf: bool = True, cdf: bool = True) -> GridInversion:
-    """h(t) and P(W <= t) at every t > 0 of ts by one batched inversion.
+    """h(t) and P(W <= t) at every finite t > 0 of ts by one batched inversion.
 
     Both come from the same L_h values on each t's contour, the cdf by
     inverting L_h(s)/s.  At k = 1 the lethal branch is subtracted from L_h
@@ -346,8 +346,9 @@ def invert_grid(model: ShockModel, ts, config: InversionConfig | None = None, *,
     """
     config = config or InversionConfig()
     ts = np.array(ts, dtype=float).reshape(-1)
-    if not np.all(ts > 0):
-        raise ValueError(f"inversion requires t > 0, got {ts.min()}")
+    bad = ~((ts > 0) & (ts < math.inf))
+    if bad.any():
+        raise ValueError(f"inversion requires a finite t > 0, got {ts[bad][0]}")
     evaluator = TransformEvaluator(model)
     single = model.k == 1
 

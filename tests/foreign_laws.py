@@ -1,21 +1,22 @@
-"""A law without pieces, for the quadrature fallback.
+"""A law from outside the package, and the tests' own integration bound.
 
-Kept apart from the test modules, which import scipy, so that a fresh
-interpreter can build it and show that the fallback loads scipy itself.
+Gamma2 plugs into the model as any user-written law does, through its
+pieces, so the tests check the piece algebra on a law that no built-in one
+covers.  tail_bound gives the tests' quadrature references a finite range.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import optimize
 
 from deltashock import ArrivalLaw
-from deltashock.distributions import TAIL_EPS
 
 
 @dataclass(frozen=True)
 class Gamma2(ArrivalLaw):
-    """Gamma(2, rate) gaps: a law without pieces, so it takes the quadrature path."""
+    """Gamma(2, rate) gaps: a law that no built-in one covers."""
 
     rate: float
 
@@ -35,6 +36,19 @@ class Gamma2(ArrivalLaw):
         self._check_order(order)
         return 2.0 / self.rate if order == 1 else 6.0 / self.rate**2
 
-    def upper_cutoff(self):
-        # (1 + x) exp(-x) < TAIL_EPS well before x = -2 ln(TAIL_EPS)
-        return -2.0 * math.log(TAIL_EPS) / self.rate
+    def density_pieces(self):
+        # r^2 t e^(-r t)
+        return ((0.0, math.inf, ((self.rate**2, 1, self.rate),)),)
+
+    def survival_pieces(self):
+        # (1 + r t) e^(-r t)
+        return ((0.0, math.inf, ((1.0, 0, self.rate), (self.rate, 1, self.rate))),)
+
+
+def tail_bound(law, eps=1e-12):
+    """The t at which law's survival mass falls to eps: the upper end of a
+    reference quadrature over the law's whole support."""
+    hi = 1.0
+    while law.survival(hi) > eps:
+        hi *= 2.0
+    return optimize.brentq(lambda t: float(law.survival(t)) - eps, 0.0, hi, xtol=1e-14)

@@ -643,7 +643,7 @@ class TestMain:
             assert "analysis.grid" in capsys.readouterr().err
 
 
-# A fresh interpreter that imports this deltashock (and tests/foreign_laws.py).
+# A fresh interpreter that imports this deltashock.
 # `loaded()` lists the scipy modules and the process-pool module it holds; the
 # body binds `result`, which goes to the last stdout line as JSON.
 COLD_PRELUDE = """
@@ -665,8 +665,7 @@ COLD_MODELS = {
 
 
 def run_cold(body, *args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(Path(deltashock.__file__).resolve().parents[1]), str(Path(__file__).parent)]))
+    env = dict(os.environ, PYTHONPATH=str(Path(deltashock.__file__).resolve().parents[1]))
     proc = subprocess.run([sys.executable, "-c", f"{COLD_PRELUDE}\n{body}\nprint(json.dumps(result))",
                            *map(str, args)], env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
@@ -761,19 +760,6 @@ class TestColdCallSites:
         assert result["before"] == []
         assert "scipy.special" in result["loaded"]
         assert result["value"] == exp_const_cdf(model, 4.0)
-
-    def test_foreign_law_quadrature(self):
-        from foreign_laws import Gamma2
-
-        # the model computes p by quadrature as it is built
-        body = ("from deltashock import Constant, ShockModel\nfrom foreign_laws import Gamma2\n"
-                "before = loaded()\n"
-                "p = ShockModel(2, Gamma2(1.3), Constant(0.8)).lethal_prob\n"
-                "result = {'before': before, 'loaded': loaded(), 'p': p}")
-        result = run_cold(body)
-        assert result["before"] == []
-        assert "scipy.integrate" in result["loaded"]
-        assert result["p"] == ShockModel(2, Gamma2(1.3), Constant(0.8)).lethal_prob
 
     def test_two_workers_load_the_pool(self, tmp_path):
         path = cold_config(tmp_path, "exp-constant", workers=2)

@@ -1,28 +1,24 @@
 """Law-level checks: densities, cdfs, sampling, moments, weighted transforms."""
 
 import math
-import warnings
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from scipy import integrate
 
 from deltashock import (
+    ArrivalLaw,
     Constant,
     Exponential,
-    QuadratureError,
+    ProbabilityLaw,
     ShockModel,
-    TransformEvaluator,
     Uniform,
     ks_statistic,
     weighted_laplace,
 )
-from deltashock import distributions
-from deltashock.distributions import (
-    _weighted_laplace_quad,
-    weighted_time_integral,
-)
-from foreign_laws import Gamma2
+from deltashock.distributions import weighted_time_integral
+from foreign_laws import Gamma2, tail_bound
 
 LAW_PAIRS = [
     (Exponential(1.0), Constant(1.0)),
@@ -46,7 +42,7 @@ BUILTIN_PAIRS = [
 def direct_weighted_quad(arrival, threshold, s, weight, order=0, upper=None):
     """Independent oracle: plain quadrature of t^order exp(-st) f(t) w(t)."""
     w_fn = threshold.survival if weight == "survival" else threshold.cdf
-    upper = arrival.upper_cutoff() if upper is None else upper
+    upper = tail_bound(arrival) if upper is None else upper
     points = [p for p in (*arrival.breakpoints(), *threshold.breakpoints()) if 0 < p < upper] or None
 
     def part(trig):
@@ -65,7 +61,7 @@ def numeric_density(law, t, h=1e-6):
 
 def plain_transform_quad(arrival, s):
     """Independent oracle: direct quadrature of exp(-st) f(t)."""
-    upper = arrival.upper_cutoff()
+    upper = tail_bound(arrival)
     points = [p for p in arrival.breakpoints() if 0 < p < upper] or None
     re, _ = integrate.quad(
         lambda t: math.exp(-s.real * t) * math.cos(s.imag * t) * float(arrival.density(t)),
@@ -101,7 +97,7 @@ class TestDensity:
 
     @pytest.mark.parametrize("law", [Exponential(0.6), Exponential(2.5), Uniform(0.0, 2.0), Uniform(1.0, 4.5)])
     def test_density_integrates_to_one(self, law):
-        upper = law.upper_cutoff()
+        upper = tail_bound(law)
         points = [p for p in law.breakpoints() if 0 < p < upper] or None
         total, _ = integrate.quad(lambda t: float(law.density(t)), 0, upper,
                                   points=points, epsabs=1e-12, epsrel=1e-10, limit=200)
@@ -217,38 +213,15 @@ class TestWeightedLaplace:
         points += [complex(rng.uniform(0, 2.5), rng.uniform(-30, 30)) for _ in range(10)]
         for s in points:
             closed = weighted_laplace(arrival, threshold, s, weight)
-            quad_val = _weighted_laplace_quad(arrival, threshold, complex(s), weight)
+            quad_val = direct_weighted_quad(arrival, threshold, complex(s), weight)
             assert closed == pytest.approx(quad_val, rel=1e-8, abs=1e-10)
         for upper in (0.2, 0.9, 1.7, 6.0):
             closed = weighted_time_integral(arrival, threshold, upper, weight)
-            quad_val = _weighted_laplace_quad(arrival, threshold, 0j, weight, upper=upper)
+            quad_val = direct_weighted_quad(arrival, threshold, 0j, weight, upper=upper)
             assert closed == pytest.approx(quad_val.real, rel=1e-8, abs=1e-10)
         first = weighted_laplace(arrival, threshold, 0.0, weight, order=1)
-        quad_val = _weighted_laplace_quad(arrival, threshold, 0j, weight, order=1)
+        quad_val = direct_weighted_quad(arrival, threshold, 0j, weight, order=1)
         assert first == pytest.approx(quad_val, rel=1e-8, abs=1e-10)
-
-    @pytest.mark.parametrize("arrival,threshold", BUILTIN_PAIRS)
-    def test_builtin_pairs_never_reach_quadrature(self, arrival, threshold, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("a built-in pair reached integrate.quad")
-
-        monkeypatch.setattr(integrate, "quad", refuse)
-        model = ShockModel(2, arrival, threshold)
-        model.failure_moments()
-        model.mean_nonlethal_gap()
-        TransformEvaluator(model)(complex(0.4, 3.0))
-        for weight in ("survival", "cdf"):
-            weighted_laplace(arrival, threshold, complex(0.2, -7.0), weight)
-            weighted_time_integral(arrival, threshold, 1.3, weight)
-
-    def test_quadrature_guard_catches_a_foreign_law(self, monkeypatch):
-        """The fallback imports scipy.integrate as it runs, so the patch above reaches it."""
-        def refuse(*args, **kwargs):
-            raise AssertionError("a foreign law reached integrate.quad")
-
-        monkeypatch.setattr(integrate, "quad", refuse)
-        with pytest.raises(AssertionError, match="foreign law reached"):
-            weighted_laplace(Gamma2(1.3), Constant(0.8), complex(0.2, -7.0), "survival")
 
     @pytest.mark.parametrize("arrival,threshold", LAW_PAIRS)
     def test_weights_sum_to_plain_transform(self, arrival, threshold):
@@ -266,7 +239,7 @@ class TestWeightedLaplace:
     def test_survival_weight_at_zero_is_lethal_mass(self):
         got = weighted_laplace(Exponential(1.0), Constant(1.0), 0.0, "survival")
         assert got.real == pytest.approx(1.0 - math.exp(-1.0), abs=1e-12)
-        quad_val = _weighted_laplace_quad(Exponential(1.0), Constant(1.0), 0.0, "survival")
+        quad_val = direct_weighted_quad(Exponential(1.0), Constant(1.0), 0j, "survival")
         assert got == pytest.approx(quad_val, abs=1e-10)
 
     def test_unknown_weight_rejected(self):
@@ -275,9 +248,13 @@ class TestWeightedLaplace:
 
 
 class TestQuadratureFallback:
+    """Gamma2, a law from outside the package, as arrival and as threshold
+    law, against exact values and the tests' own quadrature."""
+
     def test_threshold_without_pieces(self):
-        """Exponential(1) gaps under a Gamma(2, r) threshold: the lethal
-        branch is E(1 - e^-((1 + s) delta)) / (1 + s) = (1 - (r/(r+1+s))^2) / (1 + s)
+        """Exponential(1) gaps under a Gamma(2, r) threshold, a threshold with
+        a t e^-(r t) piece: the lethal branch is
+        E(1 - e^-((1 + s) delta)) / (1 + s) = (1 - (r/(r+1+s))^2) / (1 + s)
         and the non-lethal one 1/(1 + s) less that."""
         arrival, r = Exponential(1.0), 1.5
         for s in (0j, complex(0.4, 3.0)):
@@ -286,14 +263,6 @@ class TestQuadratureFallback:
             assert got == pytest.approx(lethal, rel=1e-9)
             got = weighted_laplace(arrival, Gamma2(r), s, "cdf")
             assert got == pytest.approx(1.0 / (1.0 + s) - lethal, rel=1e-9)
-
-    def test_unconverged_quadrature_raises(self, monkeypatch):
-        # one subinterval cannot resolve 40 radians per unit time
-        monkeypatch.setattr(distributions, "_QUAD_OPTS", {**distributions._QUAD_OPTS, "limit": 1})
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # quad's own IntegrationWarning
-            with pytest.raises(QuadratureError, match="did not converge at s=.*error estimate"):
-                weighted_laplace(Gamma2(1.0), Constant(1.0), complex(0.1, 40.0), "survival")
 
     @pytest.mark.parametrize("threshold", [Constant(0.8), Exponential(0.7), Uniform(0.5, 1.5)])
     @pytest.mark.parametrize("weight", ["survival", "cdf"])
@@ -312,6 +281,36 @@ class TestQuadratureFallback:
         model = ShockModel(2, Gamma2(1.3), threshold)
         moment = direct_weighted_quad(model.arrivals, threshold, 0j, "cdf", order=1).real
         assert model.mean_nonlethal_gap() == pytest.approx(moment / model.survive_prob, rel=1e-9)
+
+
+@dataclass(frozen=True)
+class GapsWithoutPieces(ArrivalLaw):
+    """Gamma2 in every method but density_pieces."""
+
+    rate: float
+    density, cdf, sample, raw_moment, survival_pieces = (
+        Gamma2.density, Gamma2.cdf, Gamma2.sample, Gamma2.raw_moment, Gamma2.survival_pieces)
+
+
+@dataclass(frozen=True)
+class ThresholdWithoutPieces(ProbabilityLaw):
+    """Constant in every method but survival_pieces."""
+
+    tau: float
+    cdf, sample = Constant.cdf, Constant.sample
+
+
+class TestLawsWithoutPieces:
+    """The model's integrals are closed forms over the laws' pieces, so a law
+    that gives none is refused as it is built, naming what it lacks."""
+
+    def test_arrival_law_without_density_pieces(self):
+        with pytest.raises(TypeError, match="density_pieces"):
+            ShockModel(2, GapsWithoutPieces(1.3), Constant(0.8))
+
+    def test_threshold_law_without_survival_pieces(self):
+        with pytest.raises(TypeError, match="survival_pieces"):
+            ShockModel(2, Exponential(1.0), ThresholdWithoutPieces(0.8))
 
 
 # Nodes with |s| below and above 1, so that both branches of _phi_powers run
@@ -359,6 +358,6 @@ class TestWeightedTimeIntegral:
 
     def test_full_mass_recovers_weighted_transform_at_zero(self):
         for arrival, threshold in LAW_PAIRS:
-            full = weighted_time_integral(arrival, threshold, arrival.upper_cutoff() + 1.0, "survival")
+            full = weighted_time_integral(arrival, threshold, tail_bound(arrival) + 1.0, "survival")
             assert full == pytest.approx(
                 weighted_laplace(arrival, threshold, 0.0, "survival").real, abs=1e-9)

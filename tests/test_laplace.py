@@ -128,6 +128,10 @@ class TestInvertTransform:
         with pytest.raises(ValueError):
             invert_transform(lambda s: 1.0 / (s + 1.0), 0.0)
 
+    def test_refuses_infinite_time(self):
+        with pytest.raises(ValueError, match="finite t > 0, got inf"):
+            invert_transform(lambda s: 1.0 / (s + 1.0), math.inf)
+
     def test_no_finite_acceleration_reported_without_estimate(self):
         with pytest.raises(InversionError, match="degenerated at t=1.0") as err:
             invert_transform(lambda s: np.full(s.shape, complex(math.nan, 0.0)), 1.0)
@@ -296,6 +300,13 @@ class TestInvertGrid:
         model = ShockModel(2, Exponential(1.0), Constant(1.0))
         with pytest.raises(ValueError):
             invert_grid(model, [0.5, 0.0])
+
+    def test_refuses_infinite_times(self):
+        """An infinite time is refused before any contour runs, not
+        returned as a nan cell with its InversionError."""
+        model = ShockModel(2, Exponential(1.0), Constant(1.0))
+        with pytest.raises(ValueError, match="finite t > 0, got inf"):
+            invert_grid(model, [1.0, math.inf])
 
     def test_windows_are_quarter_octaves(self):
         above = np.nextafter(2.0, 3.0)

@@ -14,6 +14,7 @@ from deltashock import (
     Uniform,
     UnrealizableModelError,
 )
+from foreign_laws import tail_bound
 
 LN2 = math.log(2.0)
 
@@ -79,7 +80,7 @@ class TestConditionalDensities:
 
     @pytest.mark.parametrize("model", MODELS[:4])
     def test_both_integrate_to_one(self, model):
-        upper = model.arrivals.upper_cutoff()
+        upper = tail_bound(model.arrivals)
         points = [p for p in {*model.arrivals.breakpoints(), *model.threshold.breakpoints()}
                   if 0 < p < upper]
         for density in (model.alpha_density, model.beta_density):
@@ -91,7 +92,7 @@ class TestConditionalDensities:
     @pytest.mark.parametrize("model", MODELS)
     def test_mixture_reconstructs_gap_density(self, model):
         p, q = model.lethal_prob, model.survive_prob
-        for t in np.linspace(0.01, model.arrivals.upper_cutoff(), 60):
+        for t in np.linspace(0.01, tail_bound(model.arrivals), 60):
             alpha = 0.0 if q == 0.0 else float(model.alpha_density(t))
             mix = p * float(model.beta_density(t)) + q * alpha
             assert mix == pytest.approx(float(model.arrivals.density(t)), abs=1e-12)
@@ -184,7 +185,7 @@ class TestNonlethalGapMean:
         assert model.mean_nonlethal_gap() == pytest.approx(0.9 + 1.0 / 1.3, abs=1e-12)
         # same value through the generic conditional-density route
         quad_val, _ = integrate.quad(lambda t: t * float(model.alpha_density(t)),
-                                     0, model.arrivals.upper_cutoff(), points=[0.9], limit=300)
+                                     0, tail_bound(model.arrivals), points=[0.9], limit=300)
         assert model.mean_nonlethal_gap() == pytest.approx(quad_val, abs=1e-9)
 
     def test_uniform_tail_midpoint(self):

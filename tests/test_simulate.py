@@ -130,8 +130,8 @@ class TestStatistics:
         assert d < 1.63 / math.sqrt(report.runs)
 
     def test_ks_against_general_pair_by_inversion(self):
-        # quadrature-backed transforms: keep the node count and tolerance
-        # modest, the KS budget at 2e4 runs is 1.2e-2
+        # a modest node count and tolerance suffice: the KS budget at 2e4
+        # runs is 1.2e-2
         from scipy.interpolate import PchipInterpolator
         from deltashock import InversionConfig, invert_grid
         model = ShockModel(2, Exponential(1.0), Exponential(0.7))
