@@ -25,7 +25,7 @@ from .distributions import (
     Uniform,
     weighted_laplace,
 )
-from .gaussian import ApproxErrorReport, NormalApprox, approx_error
+from .gaussian import NormalApprox
 from .laplace import (
     GridInversion,
     InversionConfig,

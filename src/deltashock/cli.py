@@ -363,6 +363,20 @@ def _delta_se(observed: float, expected: float, se: float):
     return delta, bool(abs(delta) <= 3.0)
 
 
+def _normal_error(approx: NormalApprox, grid, normal_pdf, inverted) -> dict:
+    """The normal approximation's largest pdf gap (sup_norm) and cdf gap
+    (ks_distance) from the inverted curves over the cells where both settled,
+    and the count of those cells: curves.csv's filled rows.  Null gaps if none."""
+    settled = np.array([error is None for error in inverted.errors])
+    if not settled.any():
+        return {"sup_norm": None, "ks_distance": None, "points": 0}
+    return {
+        "sup_norm": float(np.max(np.abs(normal_pdf[settled] - inverted.pdf[settled]))),
+        "ks_distance": float(np.max(np.abs(approx.cdf(grid[settled]) - inverted.cdf[settled]))),
+        "points": int(settled.sum()),
+    }
+
+
 def _resolve_grid(cfg: RunConfig, moments) -> np.ndarray:
     grid = cfg.analysis.grid
     sd = math.sqrt(moments.variance)
@@ -399,9 +413,10 @@ def cmd_analyze(cfg: RunConfig) -> int:
     if family == "exponential_constant":
         # a value the series refuses (nan) is an empty cell
         closed_pdfs = [None if math.isnan(v) else v for v in exp_const_pdf(model, grid).tolist()]
+    normal_pdf = approx.pdf(grid)
     rows, failures = [], []
     for t, closed_pdf, pdf, normal, cdf, error in zip(
-            grid.tolist(), closed_pdfs, inverted.pdf.tolist(), approx.pdf(grid).tolist(),
+            grid.tolist(), closed_pdfs, inverted.pdf.tolist(), normal_pdf.tolist(),
             inverted.cdf.tolist(), inverted.errors):
         if error is not None:
             pdf = cdf = None
@@ -421,6 +436,7 @@ def cmd_analyze(cfg: RunConfig) -> int:
             "variance_relative_spread": (max(variances) - min(variances)) / abs(general.variance),
         },
         "normal_approximation": {"center": approx.center, "scale": approx.scale},
+        "approximation_error": {"normal": _normal_error(approx, grid, normal_pdf, inverted)},
         "grid": {"t_min": float(grid[0]), "t_max": float(grid[-1]), "points": len(grid)},
         "inversion_failures": failures,
     }

@@ -239,7 +239,9 @@ def _pdf_series(lam: float, tau: float, k: int):
         return base_log + j * log_lam - _log_factorial(j) + (j + k - 1) * np.log(x0)
 
     def terms(t, j, log_h):
-        u = i_tau / np.maximum(t - j * tau, 0.0)
+        # a subnormal x0 overflows u to inf, which reads as past the step
+        with np.errstate(over="ignore"):
+            u = i_tau / np.maximum(t - j * tau, 0.0)
         # log1p(-u) is -inf at a step; clamped to LOG_TINY it still gives
         # (x/x0)^e - 1 = -1 for e >= 1, and 0 for e = 0 (the step indicator)
         shrink = np.expm1((j + k - 1) * np.maximum(np.log1p(-u), LOG_TINY))

@@ -1,11 +1,13 @@
-"""Normal approximation to the failure-time density, with error diagnostics.
+"""Normal approximation to the failure-time density and cdf.
 
 The failure time is a sum of k i.i.d. inter-lethal segments, so for large k
 it is approximately Gaussian with mean k*mu and variance k*sigma^2.  The
-approximation is never auto-selected: approx_error always quantifies how
-far it sits from the numerically inverted density and cdf, which exist for
-every model and every k, so callers can judge whether their k is large
-enough.  The distance from simulation is what `compare` reports.
+approximation is never auto-selected.  `analyze` writes its pdf next to the
+inverted curves and reports, in summary.json's approximation_error.normal
+block, its largest density and cdf gaps from them over the grid cells where
+both inverted values settled.  That is a statistic over the grid: at k = 1
+the supremum can lie below the first grid time, t_max / points.  The
+distance from simulation is what `compare` reports.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laplace import InversionConfig, invert_grid
-from .model import MomentSummary, ShockModel
+from .model import MomentSummary
 
-__all__ = ["NormalApprox", "ApproxErrorReport", "approx_error"]
+__all__ = ["NormalApprox"]
 
 # libm's erf elementwise, as an object array; ks_statistic evaluates the cdf
 # at no more than a tenth of compare's samples, so the per-element call is
@@ -50,42 +51,3 @@ class NormalApprox:
         t = np.asarray(t, dtype=float)
         z = (t - self.center) / (self.scale * math.sqrt(2.0))
         return (0.5 * (1.0 + np.asarray(_erf(z), dtype=float)))[()]
-
-
-@dataclass(frozen=True)
-class ApproxErrorReport:
-    """Sup-norm (densities) and KS distance (cdfs) against the inversion."""
-
-    sup_norm: float
-    ks_distance: float
-    grid_lo: float
-    grid_hi: float
-    points: int
-
-
-def approx_error(model: ShockModel) -> ApproxErrorReport:
-    """Quantify the model's Gaussian approximation error against the
-    inverted transform.
-
-    The approximation is NormalApprox.from_moments(model.failure_moments()).
-    The grid spans center +/- 5 scale in 400 points, clipped to strictly
-    positive times.
-    The inversion target is 1e-4: ample for these diagnostics, and it keeps
-    kink-adjacent grid points from aborting the sweep.  The first point that
-    fails to invert raises its InversionError.
-    """
-    approx = NormalApprox.from_moments(model.failure_moments())
-    lo = max(approx.center - 5.0 * approx.scale, 1e-9 * approx.scale)
-    hi = approx.center + 5.0 * approx.scale
-    grid = np.linspace(lo, hi, 400)
-    inverted = invert_grid(model, grid, InversionConfig(target_error=1e-4))
-    error = next((e for e in inverted.errors if e is not None), None)
-    if error is not None:
-        raise error
-    return ApproxErrorReport(
-        sup_norm=float(np.max(np.abs(approx.pdf(grid) - inverted.pdf))),
-        ks_distance=float(np.max(np.abs(approx.cdf(grid) - inverted.cdf))),
-        grid_lo=float(lo),
-        grid_hi=float(hi),
-        points=len(grid),
-    )

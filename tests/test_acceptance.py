@@ -17,7 +17,6 @@ from deltashock import (
     ShockModel,
     SimulationConfig,
     Uniform,
-    approx_error,
     exp_const_moments,
     exp_const_pdf,
     invert_density,
@@ -27,7 +26,15 @@ from deltashock import (
     unif_const_mean,
     unif_const_variance_published,
 )
-from deltashock.cli import EXIT_OK, cmd_compare, cmd_simulate, parse_config
+from deltashock.cli import (
+    EXIT_OK,
+    OutputSpec,
+    RunConfig,
+    cmd_analyze,
+    cmd_compare,
+    cmd_simulate,
+    parse_config,
+)
 from tests.test_closedform import integrate_series_pdf
 
 LN2 = math.log(2.0)
@@ -153,14 +160,18 @@ def test_acceptance_5_uniform_case_audit(tmp_path):
            f"and flagged in compare.json")
 
 
-def test_acceptance_6_normal_approximation_ladder():
-    """Gaussian KS error is nonincreasing in k and below 0.05 at k=100."""
+def test_acceptance_6_normal_approximation_ladder(tmp_path):
+    """Gaussian KS error, as analyze reports it, is nonincreasing in k and
+    below 0.05 at k=100."""
     start = time.perf_counter()
     distances = []
     for k in (1, 5, 20, 100):
-        model = ShockModel(k, Exponential(1.0), Constant(1.0))
-        error = approx_error(model)
-        distances.append(error.ks_distance)
+        out = tmp_path / f"k{k}"
+        config = RunConfig(model=ShockModel(k, Exponential(1.0), Constant(1.0)),
+                           output=OutputSpec(directory=str(out)))
+        assert cmd_analyze(config) == EXIT_OK
+        summary = json.loads((out / "summary.json").read_text())
+        distances.append(summary["approximation_error"]["normal"]["ks_distance"])
     assert all(a >= b for a, b in zip(distances, distances[1:]))
     assert distances[-1] < 0.05
     elapsed = time.perf_counter() - start

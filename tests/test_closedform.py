@@ -220,6 +220,14 @@ class TestSeriesPdf:
         assert exp_const_pdf(model, 0.0) == 0.0
         assert exp_const_pdf(model, -1.0) == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_times_are_zero_without_a_warning(self):
+        # i tau / x0 overflows to inf at these times, past every step
+        model = exp_const(1.0, LN2, 3)
+        assert exp_const_pdf(model, 5e-324) == 0.0
+        assert exp_const_pdf(model, 1e-310) == 0.0
+        assert exp_const_pdf(model, np.array([5e-324, 1e-310, 1.0]))[:2].tolist() == [0.0, 0.0]
+
     def test_step_convention_at_threshold(self):
         # at t = tau the two zero-exponent step terms cancel exactly
         model = exp_const(1.0, 1.0, 1)

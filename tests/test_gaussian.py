@@ -1,5 +1,7 @@
-"""Normal approximation values and its error diagnostics."""
+"""Normal approximation values, and the error analyze reports for it."""
 
+import csv
+import json
 import math
 
 import numpy as np
@@ -8,17 +10,19 @@ import pytest
 from deltashock import (
     Constant,
     Exponential,
+    GridInversion,
+    InversionError,
     NormalApprox,
     ShockModel,
     SimulationConfig,
     Uniform,
-    approx_error,
     exp_const_cdf,
     exp_const_pdf,
     ks_statistic,
     run_batch,
 )
-from deltashock import gaussian
+from deltashock import cli, gaussian
+from deltashock.cli import EXIT_OK, OutputSpec, RunConfig, cmd_analyze
 
 
 def model_approx(model):
@@ -113,51 +117,73 @@ class TestErf:
         assert np.mean(ulps <= 2.0) > 1.0 - 1e-5
 
 
-class TestApproxError:
-    def test_inversion_and_series_references_agree(self):
-        model = ShockModel(5, Exponential(1.0), Constant(1.0))
-        approx = model_approx(model)
-        by_inversion = approx_error(model)
-        grid = np.linspace(by_inversion.grid_lo, by_inversion.grid_hi, by_inversion.points)
-        series_pdf = np.array([exp_const_pdf(model, t) for t in grid])
-        series_cdf = np.array([exp_const_cdf(model, t) for t in grid])
-        sup_norm = np.max(np.abs(approx.pdf(grid) - series_pdf))
-        ks = np.max(np.abs(approx.cdf(grid) - series_cdf))
-        assert by_inversion.ks_distance == pytest.approx(ks, abs=1e-3)
-        assert by_inversion.sup_norm == pytest.approx(sup_norm, abs=1e-3)
+def analyze_block(tmp_path, model):
+    """cmd_analyze on the model's default grid: the summary's normal error
+    block, and the rows of curves.csv as (t, pdf_inverted, cdf_inverted)."""
+    out = tmp_path / f"k{model.k}"
+    assert cmd_analyze(RunConfig(model=model, output=OutputSpec(str(out)))) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    with open(out / "curves.csv", newline="") as handle:
+        rows = [(float(row["t"]), row["pdf_inverted"], row["cdf_inverted"])
+                for row in csv.DictReader(handle)]
+    return summary["approximation_error"]["normal"], rows
 
-    def test_grid_spans_five_scales_above_zero(self):
+
+class TestApproxError:
+    """analyze's approximation_error.normal block, through cmd_analyze."""
+
+    def test_inversion_and_series_references_agree(self, tmp_path):
         model = ShockModel(5, Exponential(1.0), Constant(1.0))
         approx = model_approx(model)
-        report = approx_error(model)
-        assert report.points == 400
-        # center - 5 scale < 0 here, so the grid starts just above 0
-        assert report.grid_lo == 1e-9 * approx.scale
-        assert report.grid_hi == approx.center + 5.0 * approx.scale
+        block, rows = analyze_block(tmp_path, model)
+        grid = np.array([t for t, pdf, cdf in rows if pdf and cdf])
+        sup_norm = np.max(np.abs(approx.pdf(grid) - exp_const_pdf(model, grid)))
+        ks = np.max(np.abs(approx.cdf(grid) - exp_const_cdf(model, grid)))
+        assert block["ks_distance"] == pytest.approx(ks, abs=1e-3)
+        assert block["sup_norm"] == pytest.approx(sup_norm, abs=1e-3)
 
     @pytest.mark.parametrize("model", [
         ShockModel(1, Exponential(1.0), Constant(1.0)),
         ShockModel(3, Exponential(1.0), Exponential(1.0)),
         ShockModel(2, Uniform(0.0, 2.0), Uniform(0.5, 1.5)),
     ], ids=["exp-const-k1", "exp-exp-k3", "unif-unif-k2"])
-    def test_tracks_simulation(self, model):
+    def test_tracks_simulation(self, tmp_path, model):
         approx = model_approx(model)
         report = run_batch(model, SimulationConfig(runs=100_000, seed=31))
-        by_inversion = approx_error(model)
+        block, _ = analyze_block(tmp_path, model)
         # the grid holds the KS supremum to within the sampling noise
-        assert by_inversion.ks_distance == pytest.approx(ks_statistic(report, approx.cdf),
-                                                         abs=0.01)
+        assert block["ks_distance"] == pytest.approx(ks_statistic(report, approx.cdf), abs=0.01)
         if model.k == 1:
             # the single-hit law is badly non-Gaussian; both routes must say so
-            assert by_inversion.ks_distance > 0.15
+            assert block["ks_distance"] > 0.15
 
     @pytest.mark.parametrize("arrivals,threshold", [
         (Exponential(1.0), Exponential(1.0)),
         (Uniform(0.5, 2.5), Constant(1.1)),
     ], ids=["exp-exp", "unif-const"])
-    def test_ks_ladder_is_nonincreasing(self, arrivals, threshold):
-        distances = []
-        for k in (1, 5, 20, 100):
-            model = ShockModel(k, arrivals, threshold)
-            distances.append(approx_error(model).ks_distance)
+    def test_ks_ladder_is_nonincreasing(self, tmp_path, arrivals, threshold):
+        distances = [analyze_block(tmp_path, ShockModel(k, arrivals, threshold))[0]["ks_distance"]
+                     for k in (1, 5, 20, 100)]
         assert all(a >= b for a, b in zip(distances, distances[1:]))
+
+    def test_points_count_the_filled_curve_rows(self, tmp_path):
+        # k = 1 Uniform(0, 2)+Constant(1) leaves cells of its default grid empty
+        model = ShockModel(1, Uniform(0.0, 2.0), Constant(1.0))
+        block, rows = analyze_block(tmp_path, model)
+        t, pdf, cdf = np.array([row for row in rows if row[1] and row[2]], dtype=float).T
+        assert 0 < len(t) < len(rows)
+        assert block["points"] == len(t)
+        approx = model_approx(model)
+        assert block["sup_norm"] == np.max(np.abs(approx.pdf(t) - pdf))
+        assert block["ks_distance"] == np.max(np.abs(approx.cdf(t) - cdf))
+
+    def test_no_settled_cell_gives_null_gaps(self, tmp_path, monkeypatch):
+        def unsettled(model, ts, config):
+            nan = np.full(len(ts), np.nan)
+            return GridInversion(pdf=nan, cdf=nan,
+                                 errors=tuple(InversionError(f"t={t}") for t in ts))
+
+        monkeypatch.setattr(cli, "invert_grid", unsettled)
+        block, rows = analyze_block(tmp_path, ShockModel(3, Exponential(1.0), Constant(1.0)))
+        assert block == {"sup_norm": None, "ks_distance": None, "points": 0}
+        assert rows and not any(pdf or cdf for _, pdf, cdf in rows)
