@@ -1,13 +1,13 @@
 """Command-line front end: analyze, simulate, compare, invert.
 
 A single JSON config file describes the model, the analysis grid, the
-simulation batch and the output location; flags can override the seed, run
-count, grid and output directory.  Commands write plot-ready CSV curves and
-a JSON summary; everything is deterministic given the effective config, so
-outputs are byte-stable across invocations and worker counts.
+simulation batch and the output location; a command's flags override the
+parts it reads.  Commands write plot-ready CSV curves and a JSON summary;
+everything is deterministic given the effective config, so outputs are
+byte-stable across invocations and worker counts.
 
-Exit codes: 0 success, 1 config/validation error, 2 numeric failure,
-3 comparison FAIL.
+Exit codes: 0 success, 1 config/validation or usage error, 2 numeric
+failure, 3 comparison FAIL.
 """
 
 from __future__ import annotations
@@ -669,25 +669,31 @@ def _parse_grid_flag(text: str) -> GridSpec:
 
 
 def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if args.seed is not None or args.runs is not None:
-        simulation = _checked(
-            "--seed/--runs: simulation", replace, cfg.simulation,
-            runs=args.runs if args.runs is not None else cfg.simulation.runs,
-            seed=args.seed if args.seed is not None else cfg.simulation.seed,
-        )
-        cfg = replace(cfg, simulation=simulation)
-    if args.grid is not None:
-        cfg = replace(cfg, analysis=replace(cfg.analysis, grid=_parse_grid_flag(args.grid)))
-    if args.out is not None:
-        cfg = replace(cfg, output=_checked("--out: output", replace, cfg.output, directory=args.out))
+    """cfg under the flags given; a command has only those of what it reads."""
+    given = {name: value for name, value in vars(args).items() if value is not None}
+    simulation = {name: given[name] for name in ("runs", "seed") if name in given}
+    if simulation:
+        cfg = replace(cfg, simulation=_checked(
+            "--seed/--runs: simulation", replace, cfg.simulation, **simulation))
+    if "grid" in given:
+        cfg = replace(cfg, analysis=replace(cfg.analysis, grid=_parse_grid_flag(given["grid"])))
+    if "out" in given:
+        cfg = replace(cfg, output=_checked("--out: output", replace, cfg.output, directory=given["out"]))
     return cfg
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error exits with EXIT_CONFIG, not argparse's 2 (EXIT_NUMERIC here)."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"{self.prog}: error: {message}\n")
 
 
 # built on the first main call and kept: a process that calls main many times
 # (as the benchmark does) would otherwise rebuild it, about 1 ms, every call
 @functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="deltashock",
         description="Failure-time analysis and simulation for multi-hit shock models.",
     )
@@ -700,10 +706,13 @@ def _build_parser() -> argparse.ArgumentParser:
     ]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON config file")
-        cmd.add_argument("--out", help="output directory (overrides output.directory)")
-        cmd.add_argument("--seed", type=int, help="simulation seed override")
-        cmd.add_argument("--runs", type=int, help="simulation run-count override")
-        cmd.add_argument("--grid", help="analysis grid override, MIN:MAX:POINTS")
+        if name != "invert":
+            cmd.add_argument("--out", help="output directory (overrides output.directory)")
+        if name == "analyze":
+            cmd.add_argument("--grid", help="analysis grid override, MIN:MAX:POINTS")
+        if name in ("simulate", "compare"):
+            cmd.add_argument("--seed", type=int, help="simulation seed override")
+            cmd.add_argument("--runs", type=int, help="simulation run-count override")
         if name == "invert":
             cmd.add_argument("--time", type=float, required=True, help="time at which to invert")
             cmd.add_argument("--what", choices=["density", "cdf"], default="density")

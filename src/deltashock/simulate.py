@@ -5,10 +5,11 @@ own generator keyed by (seed, i), and chunk summaries are merged in index
 order, so results are bit-identical regardless of worker count.  Moments
 stream through a single-pass accumulator (merged with the parallel
 central-moment formulas up to fourth order, which the variance standard
-error needs).  The first SAMPLE_RESERVOIR failure times are kept for the
-empirical cdf in one array, allocated once at its final size, filled chunk
-by chunk and sorted in place, so the batch holds the retained sample only
-once.  The batch reads nothing of the analytic routes it checks.
+error needs), and gap counts as their exact integer total, so memory does
+not grow with 1/p.  The first SAMPLE_RESERVOIR failure times are kept for
+the empirical cdf in one array, allocated once at its final size, filled
+chunk by chunk and sorted in place, so the batch holds the retained sample
+only once.  The batch reads nothing of the analytic routes it checks.
 
 A chunk is sampled in one of two ways.  An arrival law may draw whole runs
 at once for the model's threshold law (ArrivalLaw.sample_failures).
@@ -128,7 +129,7 @@ class _Moments:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Summary of one batch: empirical moments, counts, cdf material."""
+    """Summary of one batch: moments, mean shock count, retained sorted times."""
 
     runs: int
     seed: int
@@ -137,22 +138,9 @@ class SimulationReport:
     se_mean: float | None
     se_variance: float | None
     mean_shock_count: float
-    shock_count_histogram: np.ndarray
     sorted_times: np.ndarray
     min_time: float
     max_time: float
-
-    def shock_count_probability(self, n: int) -> float:
-        """Empirical P(N = n)."""
-        if 0 <= n < len(self.shock_count_histogram):
-            return self.shock_count_histogram[n] / self.runs
-        return 0.0
-
-    def empirical_cdf(self, t):
-        """Right-continuous empirical cdf from the retained samples."""
-        return np.searchsorted(self.sorted_times, np.asarray(t), side="right") / len(
-            self.sorted_times
-        )
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -163,31 +151,26 @@ def _waves(model, rng, n_runs, max_gaps):
     """Vectorized waves over the still-active runs of a batch.
 
     Each wave draws one gap per active run, then one threshold per active
-    run, and yields (wave, active, z, lethal, lethal_counts) with the lethal
-    counts as they stood before this wave.  Every active run has received
-    exactly `wave` gaps, so the gap count of a run equals the wave index at
-    which it finishes.
+    run, and yields (active, z, lethal, lethal_counts) with the lethal
+    counts as they stood before this wave.
     """
     lethal_counts = np.zeros(n_runs, dtype=np.int64)
     active = np.arange(n_runs)
-    wave = 0
-    while active.size:
-        wave += 1
-        if wave > max_gaps:
-            raise UnrealizableModelError(
-                f"{active.size} runs still unfinished after {max_gaps} gaps each"
-            )
+    for _ in range(max_gaps):
         z = np.asarray(model.arrivals.sample(rng, size=active.size), dtype=float)
         delta = np.asarray(model.threshold.sample(rng, size=active.size), dtype=float)
         lethal = z <= delta
-        yield wave, active, z, lethal, lethal_counts
+        yield active, z, lethal, lethal_counts
         lethal_counts[active] += lethal
         active = active[lethal_counts[active] < model.k]
+        if not active.size:
+            return
+    raise UnrealizableModelError(f"{active.size} runs still unfinished after {max_gaps} gaps each")
 
 
 def _split_times(model, rng, n_runs, max_gaps):
-    """(times, gap counts) from the arrival law's split sampler, or None
-    when the law has no such sampler for the model's threshold."""
+    """(times, exact integer gap total) from the arrival law's split sampler,
+    or None when the law has no such sampler for the model's threshold."""
     split = model.arrivals.sample_failures(rng, model.k, model.threshold, n_runs)
     if split is None:
         return None
@@ -197,39 +180,31 @@ def _split_times(model, rng, n_runs, max_gaps):
         raise UnrealizableModelError(
             f"{int((gap_counts > max_gaps).sum())} runs need more than {max_gaps} gaps each"
         )
-    return times, gap_counts.astype(np.int64)
+    return times, int(gap_counts.astype(np.int64).sum())
 
 
 def _wave_times(model, rng, n_runs, max_gaps):
-    """(times, gap counts) summed over the waves of the kernel."""
+    """(times, gap total) summed over the waves: a wave gives each active run one gap."""
     times = np.zeros(n_runs)
-    gap_counts = np.zeros(n_runs, dtype=np.int64)
-    for wave, active, z, _, _ in _waves(model, rng, n_runs, max_gaps):
+    gaps = 0
+    for active, z, _, _ in _waves(model, rng, n_runs, max_gaps):
         times[active] += z
-        gap_counts[active] = wave
-    return times, gap_counts
+        gaps += active.size
+    return times, gaps
 
 
 def _simulate_chunk(model, n_runs, seed, chunk_index, max_gaps):
     """Failure times and summaries of one chunk, drawn from its own stream."""
     rng = _chunk_rng(seed, chunk_index)
     split = _split_times(model, rng, n_runs, max_gaps)
-    times, gap_counts = split if split is not None else _wave_times(model, rng, n_runs, max_gaps)
+    times, gaps = split if split is not None else _wave_times(model, rng, n_runs, max_gaps)
     return {
         "moments": _Moments.from_array(times),
         "times": times,
-        "shock_counts": np.bincount(gap_counts),
+        "gaps": gaps,
         "min": float(times.min()),
         "max": float(times.max()),
     }
-
-
-def _merge_bincounts(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if len(a) < len(b):
-        a, b = b, a
-    out = a.copy()
-    out[: len(b)] += b
-    return out
 
 
 def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
@@ -248,7 +223,7 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
     )
 
     moments = _Moments()
-    shock_counts = np.zeros(1, dtype=np.int64)
+    gaps = 0
     kept = np.empty(min(config.runs, SAMPLE_RESERVOIR))
     filled = 0
     t_min, t_max = math.inf, -math.inf
@@ -269,7 +244,7 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
         # reservoir outlives it
         for r in results:
             moments = moments.merge(r["moments"])
-            shock_counts = _merge_bincounts(shock_counts, r["shock_counts"])
+            gaps += r["gaps"]
             t_min = min(t_min, r["min"])
             t_max = max(t_max, r["max"])
             part = r["times"][: len(kept) - filled]
@@ -292,9 +267,8 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
         variance=variance,
         se_mean=se_mean,
         se_variance=se_variance,
-        # the gap total, exactly, as an integer dot product
-        mean_shock_count=int(np.arange(len(shock_counts)) @ shock_counts) / config.runs,
-        shock_count_histogram=shock_counts,
+        # the exact integer gap total over the run count
+        mean_shock_count=gaps / config.runs,
         sorted_times=kept,
         min_time=t_min,
         max_time=t_max,
@@ -313,7 +287,7 @@ def simulate_segments(model: ShockModel, runs: int, seed: int) -> np.ndarray:
     segments = np.zeros((runs, model.k))
     acc = np.zeros(runs)
     waves = _waves(model, _chunk_rng(seed, 0), runs, MAX_GAPS_PER_RUN)
-    for _, active, z, lethal, lethal_counts in waves:
+    for active, z, lethal, lethal_counts in waves:
         acc[active] += z
         newly = active[lethal]
         segments[newly, lethal_counts[newly]] = acc[newly]

@@ -16,7 +16,7 @@ def _kernel_gaps(model, runs, seed, count):
     lethal, nonlethal = [], []
     for index in range(-(-runs // CHUNK_SIZE)):
         size = min(CHUNK_SIZE, runs - index * CHUNK_SIZE)
-        for _, _, z, hit, _ in _waves(model, _chunk_rng(seed, index), size, 10**9):
+        for _, z, hit, _ in _waves(model, _chunk_rng(seed, index), size, 10**9):
             lethal.append(z[hit])
             nonlethal.append(z[~hit])
     lethal, nonlethal = np.concatenate(lethal)[:count], np.concatenate(nonlethal)[:count]
@@ -29,14 +29,32 @@ def kernel_gaps():
     return _kernel_gaps
 
 
+def _chunk_sizes(runs):
+    return [min(CHUNK_SIZE, runs - start) for start in range(0, runs, CHUNK_SIZE)]
+
+
 def _kernel_times(model, runs, seed):
     """Failure times of `runs` runs summed from the wave kernel's gaps, one
     stream per chunk as in run_batch: the reference for the split sampler."""
-    sizes = [min(CHUNK_SIZE, runs - start) for start in range(0, runs, CHUNK_SIZE)]
     return np.concatenate([_wave_times(model, _chunk_rng(seed, index), size, 10**9)[0]
-                           for index, size in enumerate(sizes)])
+                           for index, size in enumerate(_chunk_sizes(runs))])
 
 
 @pytest.fixture
 def kernel_times():
     return _kernel_times
+
+
+def _split_counts(model, runs, seed):
+    """The gap count of each of `runs` runs from the arrival law's split
+    sampler, one stream per chunk: exactly the counts run_batch draws for a
+    model that has the split, as integers."""
+    counts = [model.arrivals.sample_failures(_chunk_rng(seed, index), model.k, model.threshold,
+                                             size)[1]
+              for index, size in enumerate(_chunk_sizes(runs))]
+    return np.concatenate(counts).astype(np.int64)
+
+
+@pytest.fixture
+def split_counts():
+    return _split_counts

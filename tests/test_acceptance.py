@@ -66,7 +66,7 @@ def test_acceptance_1_moment_triple_agreement():
            f"mean(k=3)=6.0 ({elapsed:.2f}s)")
 
 
-def test_acceptance_2_simulation_concordance():
+def test_acceptance_2_simulation_concordance(split_counts):
     """1e6 runs reproduce the analytic moments and the shock-count law."""
     start = time.perf_counter()
     model = ShockModel(3, Exponential(1.0), Constant(LN2))
@@ -76,10 +76,13 @@ def test_acceptance_2_simulation_concordance():
     var_z = abs(batch.variance - moments.variance) / batch.se_variance
     assert mean_z <= 3.0
     assert var_z <= 3.0
+    # the gap counts that batch drew, run by run
+    counts = split_counts(model, batch.runs, 20240817)
+    assert batch.mean_shock_count == int(counts.sum()) / batch.runs
     for n in range(model.k, model.k + 11):
         pmf = model.shock_count_pmf(n)
         se = math.sqrt(pmf * (1.0 - pmf) / batch.runs)
-        assert abs(batch.shock_count_probability(n) - pmf) <= 3.0 * se
+        assert abs(np.mean(counts == n) - pmf) <= 3.0 * se
     elapsed = time.perf_counter() - start
     assert elapsed < 10.0
     report(f"ACCEPTANCE 2 PASS: 1e6-run simulation within 3 SE (mean z={mean_z:.2f}, "

@@ -586,6 +586,55 @@ class TestMain:
         assert summary["report"]["runs"] == 500
         assert summary["report"]["seed"] == 7
 
+    # the flags after --config of each subcommand, as README's synopsis lists them
+    SYNOPSIS = {
+        "analyze": {"--out", "--grid"},
+        "simulate": {"--out", "--seed", "--runs"},
+        "compare": {"--out", "--seed", "--runs"},
+        "invert": {"--time", "--what"},
+    }
+    FLAG_VALUES = {"--out": "dir", "--grid": "1:2:3", "--seed": "9", "--runs": "5",
+                   "--time": "2", "--what": "cdf"}
+
+    @pytest.mark.parametrize("flag", sorted(FLAG_VALUES))
+    @pytest.mark.parametrize("command", sorted(SYNOPSIS))
+    def test_each_subcommand_takes_only_the_flags_it_reads(self, capsys, command, flag):
+        argv = [command, "--config", "config.json", flag, self.FLAG_VALUES[flag]]
+        if command == "invert" and flag != "--time":
+            argv += ["--time", "2"]
+        if flag in self.SYNOPSIS[command]:
+            assert cli._build_parser().parse_args(argv).command == command
+        else:
+            with pytest.raises(SystemExit) as exc:
+                cli._build_parser().parse_args(argv)
+            assert exc.value.code == EXIT_CONFIG
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["analyze", "--seed", "9", "--runs", "5"],
+        ["analyze", "--bogus", "1"],
+        ["invert", "--time", "2", "--out", "elsewhere", "--grid", "1:2:3"],
+        ["invert"],
+        ["simulate", "--runs", "many"],
+    ], ids=["analyze-seed-runs", "unknown-flag", "invert-out-grid", "invert-no-time",
+            "not-an-int"])
+    def test_usage_errors_exit_1(self, tmp_path, capsys, argv):
+        """Usage errors exit with the config code, not argparse's 2, which
+        is the numeric-failure code, and run nothing."""
+        path = write_config(tmp_path, exp_config(tmp_path / "out"))
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], "--config", str(path), *argv[1:]])
+        assert exc.value.code == EXIT_CONFIG
+        assert "deltashock" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["analyze", "--help"], ["invert", "--help"]])
+    def test_help_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: deltashock")
+
     def test_grid_override(self, tmp_path):
         path = write_config(tmp_path, exp_config(tmp_path / "ignored"))
         out = tmp_path / "g"

@@ -33,20 +33,22 @@ UNIFORM_HEAD = ShockModel(1, Uniform(0.0, 2.0), Constant(1.0))
 
 
 class TestDeterminism:
-    def test_same_seed_same_report(self):
+    def test_same_seed_same_report(self, split_counts):
         cfg = SimulationConfig(runs=150_000, seed=42)
         a, b = run_batch(BENCH, cfg), run_batch(BENCH, cfg)
         assert a.mean == b.mean and a.variance == b.variance
         assert np.array_equal(a.sorted_times, b.sorted_times)
-        assert np.array_equal(a.shock_count_histogram, b.shock_count_histogram)
+        assert a.mean_shock_count == b.mean_shock_count
+        assert a.mean_shock_count == int(split_counts(BENCH, 150_000, 42).sum()) / 150_000
 
-    def test_worker_count_never_changes_results(self):
+    def test_worker_count_never_changes_results(self, split_counts):
         base = run_batch(BENCH, SimulationConfig(runs=200_000, seed=7, workers=1))
         pooled = run_batch(BENCH, SimulationConfig(runs=200_000, seed=7, workers=3))
         assert base.mean == pooled.mean
         assert base.variance == pooled.variance
         assert np.array_equal(base.sorted_times, pooled.sorted_times)
-        assert np.array_equal(base.shock_count_histogram, pooled.shock_count_histogram)
+        assert base.mean_shock_count == pooled.mean_shock_count
+        assert pooled.mean_shock_count == int(split_counts(BENCH, 200_000, 7).sum()) / 200_000
 
     @pytest.mark.parametrize("workers, runs, opened", [
         (5000, CHUNK_SIZE + 7, 2),
@@ -82,12 +84,13 @@ class TestDeterminism:
         assert pooled.mean == base.mean and pooled.variance == base.variance
         assert np.array_equal(pooled.sorted_times, base.sorted_times)
 
-    def test_chunk_boundary_sizes(self):
+    def test_chunk_boundary_sizes(self, split_counts):
         for runs in (CHUNK_SIZE - 1, CHUNK_SIZE, CHUNK_SIZE + 7):
             report = run_batch(BENCH, SimulationConfig(runs=runs, seed=3))
             assert report.runs == runs
             assert len(report.sorted_times) == runs
-            assert report.shock_count_histogram.sum() == runs
+            # the gap total over every run, exactly
+            assert report.mean_shock_count == int(split_counts(BENCH, runs, 3).sum()) / runs
 
 
 class TestStatistics:
@@ -97,12 +100,12 @@ class TestStatistics:
         assert abs(report.mean - moments.mean) <= 3 * report.se_mean
         assert abs(report.variance - moments.variance) <= 3 * report.se_variance
 
-    def test_single_hit_first_shock_probability(self):
+    def test_single_hit_first_shock_probability(self, split_counts):
         model = ShockModel(1, Exponential(1.0), Constant(1.0))
-        report = run_batch(model, SimulationConfig(runs=1_000_000, seed=8))
+        counts = split_counts(model, 1_000_000, 8)
         p = model.lethal_prob
-        se = math.sqrt(p * (1 - p) / report.runs)
-        assert abs(report.shock_count_probability(1) - p) <= 3 * se
+        se = math.sqrt(p * (1 - p) / len(counts))
+        assert abs(np.mean(counts == 1) - p) <= 3 * se
 
     def test_mean_shock_count(self):
         report = run_batch(BENCH, SimulationConfig(runs=1_000_000, seed=9))
@@ -110,11 +113,11 @@ class TestStatistics:
         se = math.sqrt(BENCH.k * BENCH.survive_prob / BENCH.lethal_prob**2 / report.runs)
         assert abs(report.mean_shock_count - BENCH.k / BENCH.lethal_prob) <= 3 * se
 
-    def test_every_gap_lethal_degenerate_counts(self):
+    def test_every_gap_lethal_degenerate_counts(self, split_counts):
         model = ShockModel(4, Exponential(2.0), Constant(1e9))
         report = run_batch(model, SimulationConfig(runs=50_000, seed=2))
         assert report.mean_shock_count == 4.0
-        assert report.shock_count_probability(4) == 1.0
+        assert np.all(split_counts(model, 50_000, 2) == 4)
         se = math.sqrt(model.failure_moments().variance / report.runs)
         assert abs(report.mean - 2.0) <= 3 * se
 
@@ -214,13 +217,12 @@ class TestSplitSampler:
         [BENCH, RARE, ShockModel(3, Exponential(1.0), Exponential(1.0)), RARE_EXP],
         ids=["p05", "p01", "exp-p05", "exp-p01"],
     )
-    def test_shock_counts_follow_the_negative_binomial(self, model):
+    def test_shock_counts_follow_the_negative_binomial(self, split_counts, model):
         # chi-square over cells holding at least 50 expected runs each; the
         # tail beyond the last cell is one more cell
         from scipy.stats import chi2
         runs = 200_000
-        report = run_batch(model, SimulationConfig(runs=runs, seed=5))
-        observed = report.shock_count_histogram
+        observed = np.bincount(split_counts(model, runs, 5))
         cells, expected, lo, mass = [], [], 0, 0.0
         for n in range(len(observed)):
             mass += model.shock_count_pmf(n)
@@ -265,20 +267,21 @@ class TestSplitSampler:
             run_batch(model, SimulationConfig(runs=10, seed=0))
 
     @staticmethod
-    def _same_on_one_and_two_workers(model):
+    def _same_on_one_and_two_workers(model, split_counts):
         runs = 2 * CHUNK_SIZE + 5
         base = run_batch(model, SimulationConfig(runs=runs, seed=13, workers=1))
         pooled = run_batch(model, SimulationConfig(runs=runs, seed=13, workers=2))
         assert (base.mean, base.variance, base.se_variance) == (
             pooled.mean, pooled.variance, pooled.se_variance)
         assert np.array_equal(base.sorted_times, pooled.sorted_times)
-        assert np.array_equal(base.shock_count_histogram, pooled.shock_count_histogram)
+        assert base.mean_shock_count == pooled.mean_shock_count
+        assert pooled.mean_shock_count == int(split_counts(model, runs, 13).sum()) / runs
 
-    def test_worker_count_never_changes_rare_results(self):
-        self._same_on_one_and_two_workers(RARE)
+    def test_worker_count_never_changes_rare_results(self, split_counts):
+        self._same_on_one_and_two_workers(RARE, split_counts)
 
-    def test_worker_count_never_changes_exponential_threshold_results(self):
-        self._same_on_one_and_two_workers(RARE_EXP)
+    def test_worker_count_never_changes_exponential_threshold_results(self, split_counts):
+        self._same_on_one_and_two_workers(RARE_EXP, split_counts)
 
 
 class TestSegments:
@@ -314,30 +317,28 @@ class TestReportShape:
         assert report.se_variance is None
         assert report.runs == 1
 
-    def test_shock_count_probability_outside_the_histogram(self):
-        report = run_batch(BENCH, SimulationConfig(runs=1_000, seed=5))
-        counts = len(report.shock_count_histogram)
-        assert math.fsum(report.shock_count_probability(n) for n in range(counts)) == 1.0
-        assert report.shock_count_probability(counts) == 0.0
-        assert report.shock_count_probability(-1) == 0.0
-
     def test_reservoir_caps_samples_but_not_counts(self, monkeypatch):
         # the reservoir ends inside the second of three chunks
         monkeypatch.setattr(simulate, "SAMPLE_RESERVOIR", 100_000)
         report = run_batch(BENCH, SimulationConfig(runs=150_000, seed=21))
         assert len(report.sorted_times) == 100_000
-        assert report.shock_count_histogram.sum() == 150_000
-        every = np.concatenate([
-            simulate._simulate_chunk(BENCH, n, 21, i, simulate.MAX_GAPS_PER_RUN)["times"]
-            for i, n in enumerate((CHUNK_SIZE, CHUNK_SIZE, 150_000 - 2 * CHUNK_SIZE))])
+        chunks = [simulate._simulate_chunk(BENCH, n, 21, i, simulate.MAX_GAPS_PER_RUN)
+                  for i, n in enumerate((CHUNK_SIZE, CHUNK_SIZE, 150_000 - 2 * CHUNK_SIZE))]
+        every = np.concatenate([chunk["times"] for chunk in chunks])
+        # the gap total covers every run, not only the retained ones
+        assert report.mean_shock_count == sum(chunk["gaps"] for chunk in chunks) / 150_000
         assert report.sorted_times.tobytes() == np.sort(every[:100_000]).tobytes()
         # the moments cover every run, not only the retained ones
         assert report.mean == pytest.approx(every.mean(), rel=1e-13, abs=0.0)
         assert report.variance == pytest.approx(every.var(ddof=1), rel=1e-12, abs=0.0)
         assert abs(report.mean - every[:100_000].mean()) > 1e-6
 
-    @pytest.mark.parametrize("model", [BENCH, ShockModel(3, Exponential(1.0), Exponential(1.0))],
-                             ids=["exp-const", "exp-exp"])
+    @pytest.mark.parametrize("model", [
+        BENCH,
+        ShockModel(3, Exponential(1.0), Exponential(1.0)),
+        # p about 1e-6: some 3e6 gaps per run, which a batch only adds up
+        ShockModel(3, Exponential(1.0), Constant(1e-6)),
+    ], ids=["exp-const", "exp-exp", "rare-1e-6"])
     def test_peak_memory_holds_the_sample_once(self, model):
         # 2^20 runs keep 10^6 times in 8 MB; a chunk's working arrays add
         # about a third of that, and a second copy of the sample would add 8 MB
@@ -349,13 +350,6 @@ class TestReportShape:
             tracemalloc.stop()
         assert len(report.sorted_times) == simulate.SAMPLE_RESERVOIR
         assert peak <= 1.5 * report.sorted_times.nbytes
-
-    def test_empirical_cdf_monotone_ends_at_one(self):
-        report = run_batch(BENCH, SimulationConfig(runs=10_000, seed=1))
-        grid = np.linspace(0, report.max_time, 200)
-        values = report.empirical_cdf(grid)
-        assert np.all(np.diff(values) >= 0.0)
-        assert values[-1] == 1.0
 
     def test_memory_does_not_grow_with_chunks(self, monkeypatch):
         # every gap lethal: one draw of k gaps per run and gammas of shape 0,
