@@ -309,13 +309,19 @@ def _cdf_series(lam: float, tau: float, k: int):
     i = np.arange(k + 1)
     choose_log = np.array([math.log(math.comb(k, v)) for v in i.tolist()])
     sign = (-1.0) ** i
+    m = np.arange(1.0, k)
 
     def negbin_log(j):
         # log C(j + k - 1, j)
         return _log_factorial(j + k - 1) - _log_factorial(j) - math.lgamma(k)
 
     def log_head(t, j):
-        return negbin_log(j) - lam * tau * j
+        # log C(j + k - 1, j) as the sum over m = 1..k-1 of log1p(j/m), whose
+        # rounding is on the scale of the sum itself: negbin_log, a difference
+        # of two log factorials near 2e6 at j = 2e5, keeps it only to about
+        # 1e-9, noise that swamps the head's (k-1)/j^2 curvature near its
+        # peak and so moves the row _peak_rows finds
+        return np.log1p(np.asarray(j)[..., None] / m).sum(axis=-1) - lam * tau * j
 
     def terms(t, j, log_h):
         # rebuilt from (j + i) tau, as the series is written, rather than
