@@ -312,7 +312,11 @@ def _cdf_series(lam: float, tau: float, k: int):
     m = np.arange(1.0, k)
 
     def negbin_log(j):
-        # log C(j + k - 1, j)
+        # log C(j + k - 1, j) for terms, kept though log_head's log1p sum finds
+        # the peak better: on the 10-point rare-p01 analyze grid (k = 3, p =
+        # 0.01) this cdf is within 1.14e-10 of a 40-digit mpmath sum, 4.1e-12
+        # from t = 674.8 up; the log1p sum here is 1.95e-10 off, 8.8e-11 to
+        # 9.2e-11 from t = 674.8 up, and fails TestFrozenLadder's rare-p01 grid
         return _log_factorial(j + k - 1) - _log_factorial(j) - math.lgamma(k)
 
     def log_head(t, j):

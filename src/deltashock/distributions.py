@@ -255,8 +255,8 @@ def _phi(x: np.ndarray) -> np.ndarray:
     """(1 - exp(-x)) / x elementwise, cancellation-free (value 1 at x = 0).
 
     Splitting 1 - exp(-a-ib) into -expm1(-a) + exp(-a)(1 - cos b) and
-    exp(-a) sin b keeps full precision for small |x|, which the moment
-    differentiation needs.
+    exp(-a) sin b keeps full precision for small |x|, which the transform
+    moments' circle around 0 needs.
     """
     a, b = x.real, x.imag
     decay = np.exp(-a)
@@ -361,7 +361,7 @@ def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s,
     lethality probability) or the threshold cdf for weight="cdf" (the
     non-lethal branch).  The value is the closed form summed over the
     pieces of f * w.  Values are finite for Re s >= 0; small negative real
-    parts are usable too (the moment differentiation relies on this), since
+    parts are usable too (the transform moments' circle relies on this), since
     exponential tails decay faster.  s is a complex scalar and upper a
     float, giving a complex, or either is an ndarray (upper of finite
     values), giving an ndarray of their broadcast shape, all computed at

@@ -628,6 +628,46 @@ class TestMomentsFromTransform:
         assert from_transform.mean == pytest.approx(closed.mean, rel=1e-5)
         assert from_transform.variance == pytest.approx(closed.variance, rel=1e-5)
 
+    @pytest.mark.parametrize("model, rel", [(model, 1e-13) for model in BUILTIN_PAIRS] + [
+        # p about 0.01: some 300 gaps per run
+        (ShockModel(3, Exponential(1.0), Constant(-math.log(0.99))), 1e-11),
+        (ShockModel(3, Exponential(1.0), Exponential(99.0)), 1e-11),
+        (ShockModel(3, Uniform(0.0, 2.0), Constant(0.02)), 1e-11),
+    ])
+    def test_matches_closed_moments_to_rounding(self, model, rel):
+        from_transform = moments_from_transform(model)
+        closed = model.failure_moments()
+        assert from_transform.mean == pytest.approx(closed.mean, rel=rel, abs=0.0)
+        assert from_transform.variance == pytest.approx(closed.variance, rel=rel, abs=0.0)
+
+    @pytest.mark.parametrize("p, rel", [(1e-4, 1e-9), (1e-6, 1e-7)])
+    def test_rare_lethality_variance(self, p, rel):
+        # what error is left comes from rounding in 1 - L_nonlethal near 0
+        model = ShockModel(3, Exponential(1.0), Constant(-math.log1p(-p)))
+        closed = model.failure_moments()
+        assert moments_from_transform(model).variance == pytest.approx(closed.variance, rel=rel,
+                                                                       abs=0.0)
+
+    def test_reads_no_closed_moments(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the transform route read the closed moments")
+
+        monkeypatch.setattr(ShockModel, "failure_moments", refuse)
+        model = ShockModel(3, Exponential(1.0), Constant(LN2))
+        assert moments_from_transform(model).mean == pytest.approx(6.0, rel=1e-13)
+
+    def test_refuses_a_nan_on_the_circle(self, monkeypatch):
+        evaluate = TransformEvaluator.__call__
+
+        def pole_on_circle(self, s):
+            value = evaluate(self, s)
+            if np.ndim(value):
+                value[5] = np.nan
+            return value
+
+        monkeypatch.setattr(TransformEvaluator, "__call__", pole_on_circle)
+        with pytest.raises(InversionError, match=r"zero or not finite at s=\("):
+            moments_from_transform(ShockModel(3, Exponential(1.0), Constant(LN2)))
 
     def test_unbracketed_scale_raises(self):
         # p = 1e-300: L_h stays below 0.5 down to s = 1e-3 / 2^200

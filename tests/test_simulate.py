@@ -341,7 +341,10 @@ class TestReportShape:
     ], ids=["exp-const", "exp-exp", "rare-1e-6"])
     def test_peak_memory_holds_the_sample_once(self, model):
         # 2^20 runs keep 10^6 times in 8 MB; a chunk's working arrays add
-        # about a third of that, and a second copy of the sample would add 8 MB
+        # about a third of that, and a second copy of the sample would add 8 MB.
+        # A one-run batch first, so that what a process allocates once (about
+        # 0.77 MB) is not charged to the batch measured
+        run_batch(model, SimulationConfig(runs=1, seed=3))
         tracemalloc.start()
         try:
             report = run_batch(model, SimulationConfig(runs=1 << 20, seed=3))
