@@ -29,13 +29,7 @@ from .closedform import (
     unif_const_mean,
     unif_const_variance_published,
 )
-from .distributions import (
-    ArrivalLaw,
-    Constant,
-    Exponential,
-    Uniform,
-    weighted_time_integral,
-)
+from .distributions import ArrivalLaw, Constant, Exponential, Uniform
 from .gaussian import NormalApprox
 from .laplace import (
     InversionConfig,
@@ -493,79 +487,34 @@ def cmd_simulate(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _pchip(x, y):
-    """Fritsch & Carlson's monotone cubic through strictly increasing nodes x,
-    as a function of an array t; past either end it extends the end piece.
-
-    A port of scipy 1.17's PchipInterpolator that gives the same floats: its
-    node slopes (weighted harmonic means, Moler's one-sided ends, secants
-    for two nodes), CubicHermiteSpline's power-basis coefficients and
-    PPoly's interval search and summation order.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
-    if len(m) == 1:
-        d = np.concatenate((m, m))
-    else:
-        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
-        smooth = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0) & (m[:-1] != 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            inner = np.where(smooth, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)), 0.0)
-        d = np.concatenate(([_pchip_end(h[0], h[1], m[0], m[1])], inner,
-                            [_pchip_end(h[-1], h[-2], m[-1], m[-2])]))
-    curl = (d[:-1] + d[1:] - 2 * m) / h
-    c3, c2, c1, c0 = curl / h, (m - d[:-1]) / h - curl, d[:-1], y[:-1]
-
-    def interp(t):
-        i = np.clip(np.searchsorted(x, t, "right") - 1, 0, len(h) - 1)
-        s = t - x[i]
-        return c0[i] + c1[i] * s + c2[i] * (s * s) + c3[i] * ((s * s) * s)
-
-    return interp
-
-
-def _pchip_end(h0, h1, m0, m1):
-    """The one-sided three-point end slope, kept from overshooting."""
-    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
-    if np.sign(d) != np.sign(m0):
-        return 0.0
-    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
-        return 3.0 * m0
-    return d
-
-
-def _inverted_cdf_interpolant(model, inv_cfg, t_hi):
-    """Monotone interpolant of the inverted cdf, cheap to evaluate on samples.
-
-    At k = 1 the cdf has a genuine corner wherever the single-gap lethal
-    branch density jumps, which a shape-preserving fit cannot carry with one
-    derivative per node; that head term, the time integral of the lethal
-    branch, is split off and only the smooth remainder is interpolated.
-    Grid nodes where the inversion will not settle (kink neighbourhoods)
-    are skipped and bridged by the interpolant.
-    """
+def _settled_cdf(model, inv_cfg, t_hi):
+    """compare's KS nodes and the inverted cdf at them: 512 times up to t_hi
+    and the laws' corners, less the nodes where the inversion will not
+    settle (kink neighbourhoods).  Raises InversionError if none settles."""
     cfg = replace(inv_cfg, target_error=max(inv_cfg.target_error, 1e-6))
-
-    def head(t):
-        """The cdf's lethal-branch term at k = 1, where it has the corners."""
-        if model.k > 1:
-            return 0.0
-        return weighted_time_integral(model.arrivals, model.threshold, t, "survival")
-
     corners = {p for p in (*model.arrivals.breakpoints(), *model.threshold.breakpoints())
                if 0.0 < p < t_hi}
-    grid = np.array(sorted(set(np.linspace(t_hi / 512.0, t_hi, 512)) | corners))
-    inverted = invert_grid(model, grid, cfg, pdf=False)
-    settled = ~np.isnan(inverted.cdf)
-    nodes = np.concatenate(([0.0], grid[settled]))
-    values = np.concatenate(([0.0], inverted.cdf[settled])) - head(nodes)
-    interp = _pchip(nodes, np.maximum.accumulate(values))
+    nodes = np.array(sorted(set(np.linspace(t_hi / 512.0, t_hi, 512)) | corners))
+    cdf = invert_grid(model, nodes, cfg, pdf=False).cdf
+    settled = ~np.isnan(cdf)
+    if not settled.any():
+        raise InversionError(f"the cdf settled at none of the {len(nodes)} KS nodes "
+                             f"up to t = {t_hi:.17g}")
+    return nodes[settled], cdf[settled]
 
-    def cdf(t):
-        t = np.clip(np.asarray(t, dtype=float), 0.0, t_hi)
-        return np.clip(interp(t) + head(t), 0.0, 1.0)
 
-    return cdf
+def _ks_at_nodes(samples, nodes, cdf):
+    """max over the nodes t of max(F_n(t) - F(t), F(t) - F_n(t-)), with F_n
+    the ecdf of the sorted samples and F(t) the cdf value at each node.
+
+    A supremum over a subset of times never exceeds the full KS statistic,
+    so against the true cdf its KS test rejects no more often than its level.
+    At the samples themselves it is the dense formula's float bit for bit.
+    """
+    n = len(samples)
+    at = np.searchsorted(samples, nodes, "right") / n
+    below = np.searchsorted(samples, nodes, "left") / n
+    return float(np.max(np.maximum(at - cdf, cdf - below)))
 
 
 def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int:
@@ -579,11 +528,10 @@ def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int
     analytic = analytic_model if analytic_model is not None else sim_model
     report = run_batch(sim_model, cfg.simulation)
     general, family, approx, moments = _analytic(analytic)
-    inv_cfg = cfg.analysis.inversion
 
     t_hi = max(report.max_time, general.mean + 8.0 * math.sqrt(general.variance))
-    inverted_cdf = _inverted_cdf_interpolant(analytic, inv_cfg, t_hi)
-    ks_exact = ks_statistic(report, inverted_cdf)
+    nodes, inverted_cdf = _settled_cdf(analytic, cfg.analysis.inversion, t_hi)
+    ks_exact = _ks_at_nodes(report.sorted_times, nodes, inverted_cdf)
     ks_normal = ks_statistic(report, approx.cdf)
     # the KS statistic sees only the retained samples, not every run
     samples = len(report.sorted_times)

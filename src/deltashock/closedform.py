@@ -177,7 +177,8 @@ def _series_sums(k: int, tau: float, ts: np.ndarray, log_head,
         if not log_ratio < 0.0:
             return False
         log_bound = k * math.log(2.0) + outer + log_ratio - math.log(-math.expm1(log_ratio))
-        log_tail = math.log(SERIES_TAIL * largest) if largest > 0.0 else -math.inf
+        # a sum of logs: SERIES_TAIL * largest underflows to 0 at 2^-1015 and below
+        log_tail = math.log(SERIES_TAIL) + math.log(largest) if largest > 0.0 else -math.inf
         return log_bound < max(log_tail, LOG_TINY)
 
     def magnitudes(values, n):

@@ -10,6 +10,7 @@ import sys
 from fractions import Fraction
 from dataclasses import fields, replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from deltashock import (
     Constant,
     Exponential,
     InversionConfig,
+    InversionError,
     ShockModel,
     SimulationConfig,
     exp_const_cdf,
@@ -400,6 +402,7 @@ class TestCompare:
         payload = json.loads((tmp_path / "out" / "compare.json").read_text())
         assert payload["verdict"] == "FAIL"
         assert payload["checks"]["mean_within_3se"] is False
+        assert payload["checks"]["ks_exact_below_critical"] is False
 
     def test_normal_ks_shrinks_at_large_hit_count(self, tmp_path):
         ks = {}
@@ -422,70 +425,12 @@ class TestCompare:
         assert ks["samples"] == 5_000
         assert ks["critical_alpha_001"] == 1.63 / math.sqrt(5_000)
 
-
-def monotone_nodes(rng, n):
-    """n strictly increasing nodes from 0 and nondecreasing values, about a
-    third of whose steps are flat."""
-    nodes = np.concatenate(([0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1)))) * rng.choice(
-        [1e-3, 1.0, 40.0])
-    steps = rng.exponential(size=n) * (rng.random(n) < 2 / 3)
-    return nodes, np.cumsum(steps) - steps[0]
-
-
-class TestPchip:
-    """cli._pchip gives the floats of scipy's PchipInterpolator."""
-
-    @staticmethod
-    def assert_same_bits(nodes, values, t):
-        from scipy.interpolate import PchipInterpolator
-
-        expected = PchipInterpolator(nodes, values)(t)
-        assert cli._pchip(nodes, values)(t).tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("seed", range(40))
-    def test_random_monotone_nodes(self, seed):
-        rng = np.random.default_rng(seed)
-        nodes, values = monotone_nodes(rng, int(rng.integers(3, 600)))
-        last = nodes[-1]
-        t = np.concatenate((nodes, [0.0, last, last * (1 + 1e-12), last * 1.5, last + 100.0],
-                            rng.uniform(0.0, last, 2_000)))
-        self.assert_same_bits(nodes, values, t)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_values_that_turn(self, seed):
-        # compare passes nondecreasing values; these reach the end-slope
-        # clamp, which needs a change of sign
-        rng = np.random.default_rng(seed)
-        nodes = np.cumsum(rng.uniform(0.1, 1.0, 50))
-        values = rng.normal(size=50) * (rng.random(50) < 0.8)
-        self.assert_same_bits(nodes, values, np.linspace(nodes[0] - 1.0, nodes[-1] + 1.0, 2_001))
-
-    @pytest.mark.parametrize("n", [3, 4])
-    def test_few_nodes(self, n):
-        rng = np.random.default_rng(n)
-        for _ in range(50):
-            nodes, values = monotone_nodes(rng, n)
-            self.assert_same_bits(nodes, values, np.linspace(0.0, 1.5 * nodes[-1], 301))
-
-    @pytest.mark.parametrize("values", [[0.0, 0.0], [0.0, 0.3], [0.2, 0.9]])
-    def test_two_nodes_take_the_secant(self, values):
-        # scipy gives both ends the secant slope, so the cubic is the line
-        nodes, values = np.array([0.0, 2.5]), np.array(values)
-        t = np.linspace(0.0, 4.0, 81)
-        self.assert_same_bits(nodes, values, t)
-        interp = cli._pchip(nodes, values)
-        assert np.allclose(interp(t), values[0] + (values[1] - values[0]) * t / 2.5,
-                           rtol=0.0, atol=1e-15)
-
-    def test_compare_nodes(self):
-        # the nodes compare builds: the inverted cdf on 512 grid points
-        model = ShockModel(3, Exponential(1.0), Constant(LN2))
-        grid = np.linspace(40.0 / 512, 40.0, 512)
-        inverted = cli.invert_grid(model, grid, InversionConfig(target_error=1e-6), pdf=False)
-        nodes = np.concatenate(([0.0], grid))
-        values = np.maximum.accumulate(np.concatenate(([0.0], inverted.cdf)))
-        t = np.random.default_rng(0).uniform(0.0, 40.0, 20_000)
-        self.assert_same_bits(nodes, values, np.concatenate((nodes, t)))
+    def test_no_settled_node_is_a_numeric_failure(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "invert_grid", lambda model, ts, *args, **kwargs: SimpleNamespace(
+            cdf=np.full(len(ts), np.nan)))
+        cfg = parse_config(exp_config(tmp_path / "out", runs=2_000))
+        with pytest.raises(InversionError, match="settled at none"):
+            cmd_compare(cfg)
 
 
 class TestInvert:

@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import gammainc, gammaln
@@ -282,6 +282,15 @@ class TestSeriesPdf:
             exact = high_precision_pdf(mpmath, tau, k, t)
             assert abs(exp_const_pdf(model, t) - exact) <= 1e-10 * exact
 
+    def test_far_tail_below_the_tail_bound_underflow(self):
+        """Past t = 1990 on exp+Constant(ln 2), k = 3, the largest kept term
+        is at most 2^-1015, where SERIES_TAIL times it underflows to 0."""
+        mpmath = pytest.importorskip("mpmath")
+        ts = [1990.0, 2000.0, 2050.0, 2100.0]
+        got = exp_const_pdf(exp_const(1.0, LN2, 3), np.array(ts))
+        exact = [high_precision_pdf(mpmath, LN2, 3, t) for t in ts]
+        assert np.allclose(got, exact, rtol=1e-10, atol=2.0**-1068)
+
     @pytest.mark.parametrize("lam,tau,k", [(1.0, 1.0, 1), (1.0, 1.0, 2), (1.0, 0.5, 2)])
     def test_integrates_to_one(self, lam, tau, k):
         model = exp_const(lam, tau, k)
@@ -337,6 +346,12 @@ class TestSeriesCdf:
             errors.append(abs(exp_const_cdf(model, t) - exact))
         assert 0.0 < max(loop_errors) < 1e-11
         assert max(errors) <= max(loop_errors)
+
+    def test_kept_terms_below_the_tail_bound_underflow(self):
+        # p = 1e-4, k = 3: some 8e7 rows, and a largest kept term at most 2^-1015
+        model = exp_const(1.0, -math.log1p(-1e-4), 3)
+        value = exp_const_cdf(model, 8036.006383190049)
+        assert math.isnan(value) or 0.0 <= value <= 1.0
 
     def test_limits(self):
         model = exp_const(1.0, 1.0, 2)
@@ -575,6 +590,8 @@ class TestPeakRows:
         fractions=st.lists(st.floats(0.0, 1.2), min_size=1, max_size=4),
         on_step=st.booleans(),
     )
+    # t = 2^18 tau, where differenced log factorials flipped the cdf head's slope
+    @example(p=10**-4.96875, k=3, fractions=[1.0], on_step=False)
     def test_series_heads(self, p, k, fractions, on_step):
         """The pdf's and the cdf's heads, on a grid of times whose last rows
         run from SERIES_BLOCK to 2^18 (the brute force reads every row)."""

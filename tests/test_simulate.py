@@ -21,14 +21,15 @@ from deltashock import (
     run_batch,
     simulate_segments,
 )
-from deltashock import InversionConfig, NormalApprox, simulate
-from deltashock import cli
+from deltashock import InversionConfig, NormalApprox, exp_const_cdf, simulate
+from deltashock import cli, distributions, laplace
+from deltashock import model as model_module
 
 LN2 = math.log(2.0)
 BENCH = ShockModel(3, Exponential(1.0), Constant(LN2))
 RARE = ShockModel(3, Exponential(1.0), Constant(-math.log(0.99)))  # p = 0.01
 RARE_EXP = ShockModel(3, Exponential(1.0), Exponential(99.0))  # p = 0.01
-# k = 1: compare's inverted cdf carries the lethal-branch head
+# k = 1: the single-gap lethal branch puts corners in the cdf
 UNIFORM_HEAD = ShockModel(1, Uniform(0.0, 2.0), Constant(1.0))
 
 
@@ -412,31 +413,40 @@ def _dense_ks(samples, analytic_cdf):
     return float(np.max(np.maximum(grid_hi - cdf_vals, cdf_vals - grid_lo)))
 
 
-def _counting(function, received, at=0):
-    """function, appending to received the size of each call's argument `at`."""
-    def counted(*args):
-        received.append(np.size(args[at]))
-        return function(*args)
+def _counting(function, received):
+    """function, appending to received the size of the largest array among
+    each call's arguments, or 1 if none is an array."""
+    def counted(*args, **kwargs):
+        received.append(max((a.size for a in (*args, *kwargs.values())
+                             if isinstance(a, np.ndarray)), default=1))
+        return function(*args, **kwargs)
     return counted
+
+
+def _compare_cdf(model, report):
+    """compare's KS nodes for report's samples, the inverted cdf at them,
+    and a cdf through them: np.interp over the running maximum of those
+    values, from (0, 0), kinked at every node."""
+    moments = model.failure_moments()
+    t_hi = max(report.max_time, moments.mean + 8.0 * math.sqrt(moments.variance))
+    nodes, cdf = cli._settled_cdf(model, InversionConfig(), t_hi)
+    through = np.concatenate(([0.0], nodes)), np.concatenate(([0.0], np.maximum.accumulate(cdf)))
+    return nodes, cdf, lambda t: np.interp(t, *through)
 
 
 @functools.cache
 def _uniform_head_case():
-    """Failure times of UNIFORM_HEAD and its compare-style inverted cdf."""
+    """Failure times of UNIFORM_HEAD and a cdf through its inverted cdf."""
     report = run_batch(UNIFORM_HEAD, SimulationConfig(runs=100_000, seed=11))
-    moments = UNIFORM_HEAD.failure_moments()
-    t_hi = max(report.max_time, moments.mean + 8.0 * math.sqrt(moments.variance))
-    return report.sorted_times, cli._inverted_cdf_interpolant(UNIFORM_HEAD, InversionConfig(), t_hi)
+    return report.sorted_times, _compare_cdf(UNIFORM_HEAD, report)[2]
 
 
 @functools.cache
 def _bench_case():
-    """A 10^6-run BENCH batch with compare's inverted and normal cdfs."""
+    """A 10^6-run BENCH batch, a cdf through its inverted cdf and its normal cdf."""
     report = run_batch(BENCH, SimulationConfig(runs=1_000_000, seed=4))
-    moments = BENCH.failure_moments()
-    t_hi = max(report.max_time, moments.mean + 8.0 * math.sqrt(moments.variance))
-    inverted = cli._inverted_cdf_interpolant(BENCH, InversionConfig(), t_hi)
-    return report, inverted, NormalApprox.from_moments(moments).cdf
+    inverted = _compare_cdf(BENCH, report)[2]
+    return report, inverted, NormalApprox.from_moments(BENCH.failure_moments()).cdf
 
 
 class TestKsStatistic:
@@ -470,6 +480,9 @@ class TestKsStatistic:
         "uniform_head": None,
     }
 
+    # cdfs whose floats never fall as t rises
+    EXACT = ("true", "shifted", "step", "ecdf")
+
     @settings(max_examples=200, deadline=None)
     @given(
         n=st.one_of(st.sampled_from([1, 63, 64, 65, 1000]), st.integers(1, 100_000)),
@@ -477,8 +490,9 @@ class TestKsStatistic:
         widen=st.sampled_from([0.0, 0.25]),
         tie_step=st.sampled_from([0.0, 1e-3, 0.25]),
         name=st.sampled_from(sorted(CDFS)),
+        keep=st.sampled_from([1.0, 0.1, 1e-4]),
     )
-    def test_matches_the_dense_formula_bitwise(self, n, seed, widen, tie_step, name):
+    def test_matches_the_dense_formula_bitwise(self, n, seed, widen, tie_step, name, keep):
         rng = np.random.default_rng(seed)
         if name == "uniform_head":
             base, cdf = _uniform_head_case()
@@ -489,10 +503,19 @@ class TestKsStatistic:
         samples = samples * (1.0 + widen) - widen
         if tie_step:
             samples = np.round(samples / tie_step) * tie_step
+        ordered = np.sort(samples)
         if name == "ecdf":
-            ordered = np.sort(samples)
             cdf = lambda x: np.searchsorted(ordered, x, side="right") / n
-        assert ks_statistic(samples, cdf) == _dense_ks(samples, cdf)
+        dense = _dense_ks(samples, cdf)
+        assert ks_statistic(samples, cdf) == dense
+        # compare's statistic at nodes: the dense formula at the samples
+        # themselves, and never above it at some of them or, for a cdf that
+        # never falls, at times between them
+        assert cli._ks_at_nodes(ordered, ordered, cdf(ordered)) == dense
+        nodes = rng.choice(ordered, size=max(1, round(keep * n)), replace=False)
+        if name in self.EXACT:
+            nodes = np.concatenate((nodes, rng.uniform(-0.5, 2.5, size=len(nodes))))
+        assert cli._ks_at_nodes(ordered, nodes, cdf(nodes)) <= dense
 
     @pytest.mark.parametrize("below", range(2, 2 * 64 + 2))
     def test_supremum_at_every_offset_in_a_block(self, below):
@@ -532,17 +555,25 @@ class TestKsStatistic:
                 report.sorted_times, cdf)
         assert sum(received) <= 0.1 * 2 * len(report.sorted_times)
 
-    def test_k1_head_sees_a_tenth_of_the_samples(self, tmp_path, monkeypatch):
-        received = []
-        monkeypatch.setattr(cli, "weighted_time_integral",
-                            _counting(cli.weighted_time_integral, received, at=2))
+    def test_compare_nodes_stay_below_the_exact_statistic(self):
+        # the inverted cdf at the nodes is within the target of the closed form
+        report = run_batch(BENCH, SimulationConfig(runs=100_000, seed=8))
+        nodes, cdf, _ = _compare_cdf(BENCH, report)
+        exact = ks_statistic(report, lambda t: exp_const_cdf(BENCH, t))
+        assert cli._ks_at_nodes(report.sorted_times, nodes, cdf) <= exact + 1e-6
+
+    def test_k1_compare_passes_weighted_laplace_no_sample_array(self, tmp_path, monkeypatch):
+        sizes = []
+        for module in (distributions, laplace, model_module):
+            monkeypatch.setattr(module, "weighted_laplace", _counting(module.weighted_laplace, sizes))
         cfg = cli.RunConfig(
             model=ShockModel(1, Uniform(0.0, 2.0), Uniform(0.5, 1.5)),
             simulation=SimulationConfig(runs=1_000_000, seed=3),
             output=cli.OutputSpec(directory=str(tmp_path)),
         )
         assert cli.cmd_compare(cfg) == cli.EXIT_OK
-        assert 0 < sum(received) <= 0.1 * 1_000_000
+        # the contours' arrays, whatever the run count
+        assert 0 < max(sizes) <= 0.01 * 1_000_000
 
     def test_peak_memory_stays_below_one_sample_copy(self):
         report, inverted, _ = _bench_case()
