@@ -45,7 +45,6 @@ from .simulate import (
     SimulationReport,
     ks_statistic,
     run_batch,
-    simulate_segments,
 )
 
 __version__ = "0.1.0"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -113,6 +114,15 @@ def _log_factorial(n) -> np.ndarray:
                     LOG_FACTORIALS[np.minimum(n, LOG_FACTORIAL_TABLE - 1)], stirling)
 
 
+def _binomials(k: int) -> list[int]:
+    """C(k, i) for i = 0..k, exact integers from the recurrence
+    C(k, i + 1) = C(k, i) (k - i) / (i + 1), one product per step."""
+    row = [1]
+    for i in range(k):
+        row.append(row[-1] * (k - i) // (i + 1))
+    return row
+
+
 def _peak_rows(t: np.ndarray, last: np.ndarray, log_head) -> np.ndarray:
     """The first row j in 0..last of each time whose head exceeds the next
     one's (last where none does): the largest head, as log h_j is concave.
@@ -142,9 +152,9 @@ def _peak_rows(t: np.ndarray, last: np.ndarray, log_head) -> np.ndarray:
     return lo
 
 
-@np.errstate(divide="ignore", invalid="ignore")
-def _series_sums(k: int, tau: float, ts: np.ndarray, log_head,
-                 terms) -> tuple[list[float], list[float]]:
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _series_sums(k: int, tau: float, ts: np.ndarray, log_head, terms,
+                 max_scale: float) -> tuple[list[float], list[float]]:
     """math.fsum of the terms of rows j = 0..floor(t/tau) of a series at every
     time t > 0 of the 1-D array ts, over only the rows that matter, and the
     sum of their absolute values, the scale of the terms' own rounding.
@@ -153,7 +163,13 @@ def _series_sums(k: int, tau: float, ts: np.ndarray, log_head,
     that broadcast: a term (j, i) is at most C(k, i) h_j, so row j adds at
     most 2^k h_j, and log h_j is concave in j.  terms(t, j, log_h) gives the
     terms of the rows j along a new last axis.  Both may take logs of zero
-    and of negative numbers; numpy's warnings for those are off here.
+    and of negative numbers, and their products may overflow; numpy's
+    warnings for those are off here.
+
+    A time gets nan for both sums without a walk where one row it keeps,
+    its largest head's (row 0 if it is summed whole), alone has a sum of
+    |terms| above max_scale or not a number, and after its walk where its
+    kept |terms| add up past the float range.
 
     The times go in blocks of about SERIES_NODES terms, one (times, rows,
     terms) array per step.  A time of at most SERIES_BLOCK rows is summed
@@ -192,11 +208,17 @@ def _series_sums(k: int, tau: float, ts: np.ndarray, log_head,
     j_max = np.floor(ts / tau).astype(np.int64)
     step = np.arange(SERIES_BLOCK)
     width = max(1, SERIES_NODES // (min(int(j_max.max(initial=0)) + 1, SERIES_BLOCK) * (k + 1)))
-    sums, abs_sums = [], []
+    sums, abs_sums = [math.nan] * len(ts), [math.nan] * len(ts)
     for start in range(0, len(ts), width):
         t, last = ts[start:start + width, None], j_max[start:start + width]
-        lo = _peak_rows(t, np.where(last < SERIES_BLOCK, 0, last), log_head)
-        lo = np.clip(lo - SERIES_BLOCK // 2, 0, np.maximum(last + 1 - SERIES_BLOCK, 0))
+        # a time of at most SERIES_BLOCK rows is summed whole, so row 0 will do
+        peak = _peak_rows(t, np.where(last < SERIES_BLOCK, 0, last), log_head)
+        walk = np.abs(block(t, peak[:, None])[1]).sum(axis=(1, 2)) <= max_scale
+        index = np.flatnonzero(walk) + start
+        t, last, peak = t[walk], last[walk], peak[walk]
+        if not len(t):
+            continue
+        lo = np.clip(peak - SERIES_BLOCK // 2, 0, np.maximum(last + 1 - SERIES_BLOCK, 0))
         # times that all start at row 0 share one row of j, and of log j!
         rows = min(int(last.max()) + 1, SERIES_BLOCK)
         log_h, first = block(t, lo[:, None] + step[:rows] if lo.any() else step[:rows])
@@ -221,9 +243,11 @@ def _series_sums(k: int, tau: float, ts: np.ndarray, log_head,
                     largest[i] = max(largest[i], m)
                     scales[i] += a
                     edge[i] = pair
-        sums += [math.fsum(itertools.chain.from_iterable(rows.ravel().tolist() for rows in parts))
-                 for parts in kept]
-        abs_sums += scales
+        for i, parts, scale in zip(index.tolist(), kept, scales):
+            if math.isfinite(scale):
+                sums[i] = math.fsum(itertools.chain.from_iterable(
+                    rows.ravel().tolist() for rows in parts))
+                abs_sums[i] = scale
     return sums, abs_sums
 
 
@@ -231,7 +255,9 @@ def _pdf_series(lam: float, tau: float, k: int):
     """(log_head, terms) of the exp_const_pdf series; see there."""
     log_lam = math.log(lam)
     i_tau = np.arange(1, k + 1) * tau
-    signed_choose = np.array([(-1.0) ** i * math.comb(k, i) for i in range(1, k + 1)])
+    # inf for a C(k, i) past the float range, whose terms then refuse their time
+    signed_choose = np.array([(-1.0) ** i * (float(c) if c <= sys.float_info.max else math.inf)
+                              for i, c in enumerate(_binomials(k)) if i])
 
     def log_head(t, j):
         base_log = k * math.log(lam) - lam * t - math.lgamma(k)
@@ -252,17 +278,25 @@ def _pdf_series(lam: float, tau: float, k: int):
     return log_head, terms
 
 
-def _series_at(model: ShockModel, t, series, clamp):
+def _series_at(model: ShockModel, t, series, clamp, bound):
     """clamp(sum) of a series at each t > 0 of a float or an array, 0.0 at
-    t <= 0, and nan where SERIES_TRUST refuses the sum."""
+    t <= 0, and nan where SERIES_TRUST refuses the sum.
+
+    bound(lam, p) bounds the series' true value.  A computed sum exceeds it
+    only by its own rounding, about 2^-52 times its sum of |terms|, so a time
+    with one kept row whose 2^-52 sum of |terms| alone is above
+    2 SERIES_TRUST bound is one the rule refuses after its walk: it is
+    refused before it (see _series_sums).
+    """
     lam, tau, k = _exp_const(model)
+    max_scale = 2.0 * SERIES_TRUST * bound(lam, -math.expm1(-lam * tau)) * 2.0**52
     times = np.asarray(t, dtype=float)
     flat = times.reshape(-1)
     if not np.isfinite(flat).all():
         raise ValueError(f"times must be finite, got {t!r}")
     values = np.zeros(flat.shape)
     positive = np.flatnonzero(flat > 0.0)
-    sums, scales = _series_sums(k, tau, flat[positive], *series(lam, tau, k))
+    sums, scales = _series_sums(k, tau, flat[positive], *series(lam, tau, k), max_scale)
     values[positive] = [clamp(total) if 2.0**-52 * scale <= SERIES_TRUST * abs(total) else math.nan
                         for total, scale in zip(sums, scales)]
     return float(values[0]) if times.ndim == 0 else values.reshape(times.shape)
@@ -299,7 +333,9 @@ def exp_const_pdf(model: ShockModel, t):
     p = 0.5, k = 6 at p = 0.1 and k = 4 at p = 0.01, and nearly every one is
     refused at k = 20, 8 and 5.  Use the inverted transform there.
     """
-    return _series_at(model, t, _pdf_series, lambda total: max(total, 0.0))
+    # W is the first lethal gap plus an independent rest, so h <= sup(f Gbar)/p = lam/p
+    return _series_at(model, t, _pdf_series, lambda total: max(total, 0.0),
+                      lambda lam, p: lam / p)
 
 
 def _cdf_series(lam: float, tau: float, k: int):
@@ -308,7 +344,7 @@ def _cdf_series(lam: float, tau: float, k: int):
     from scipy.special import gammainc
 
     i = np.arange(k + 1)
-    choose_log = np.array([math.log(math.comb(k, v)) for v in i.tolist()])
+    choose_log = np.array([math.log(c) for c in _binomials(k)])
     sign = (-1.0) ** i
     m = np.arange(1.0, k)
 
@@ -352,7 +388,8 @@ def exp_const_cdf(model: ShockModel, t):
     rule.  On the default 200-point analyze grid every value is kept through
     k = 10 at p = 0.5, k = 5 at p = 0.1 and k = 3 at p = 0.01.
     """
-    return _series_at(model, t, _cdf_series, lambda total: min(max(total, 0.0), 1.0))
+    return _series_at(model, t, _cdf_series, lambda total: min(max(total, 0.0), 1.0),
+                      lambda lam, p: 1.0)
 
 
 def exp_const_moments(model: ShockModel) -> MomentSummary:

@@ -20,14 +20,15 @@ numpy operations over every window or time in the batch.  For k = 1 the
 density jumps wherever the lethal-branch density f*Gbar does, so that
 branch (whose transform and pointwise values are both known) is subtracted
 before inversion and added back, leaving a continuous series target.
-Moments come from log L_h's Taylor coefficients at 0, one FFT on a circle
-around it, an oracle independent of the closed moment formulas.
+Moments come from the Taylor coefficients at 0 of log L_h = k log L_seg,
+one FFT of the segment's log transform on a circle around 0, an oracle
+independent of the closed moment formulas.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -423,13 +424,17 @@ def moments_from_transform(model: ShockModel) -> MomentSummary:
     """Failure-time moments from log L_h's Taylor coefficients at s = 0.
 
     log L_h is the cumulant generating function at -s, so c_1 = -mean and
-    c_2 = variance / 2, without the mean^2 cancellation.  Cauchy's integral
-    on the circle |s| = r = 0.25/mean by the trapezoid rule, one FFT of log
-    L_h at CIRCLE_NODES nodes, gives each c_m r^m; it reads only L_h.
+    c_2 = variance / 2, without the mean^2 cancellation.  log L_h = k log
+    L_seg, with L_seg the transform of one segment (the model at k = 1), so
+    the coefficients are k times the segment's, and the circle is the
+    segment's whatever k.  Cauchy's integral on the circle |s| = r =
+    0.25/segment mean by the trapezoid rule, one FFT of log L_seg at
+    CIRCLE_NODES nodes, gives each segment coefficient times r^m; it reads
+    only the transform.
     """
-    evaluator = TransformEvaluator(model)
+    evaluator = TransformEvaluator(replace(model, k=1))
 
-    # crude scale: find eps with L_h(eps) > 0.5, then mean ~ -log L / eps
+    # crude scale: find eps with L_seg(eps) > 0.5, then segment mean ~ -log L / eps
     eps = 1e-3
     for _ in range(200):
         value = evaluator(complex(eps, 0.0)).real
@@ -448,11 +453,11 @@ def moments_from_transform(model: ShockModel) -> MomentSummary:
         s = complex(nodes[np.flatnonzero(bad)[0]])
         raise InversionError(f"transform is zero or not finite at s={s}; cannot take log")
     taylor = np.fft.fft(np.log(values)) / CIRCLE_NODES
-    mean = -taylor[1].real / radius
-    variance = 2.0 * taylor[2].real / (radius * radius)
+    segment_mean = -taylor[1].real / radius
+    segment_variance = 2.0 * taylor[2].real / (radius * radius)
     return MomentSummary(
-        mean=mean,
-        variance=variance,
-        segment_mean=mean / model.k,
-        segment_variance=variance / model.k,
+        mean=model.k * segment_mean,
+        variance=model.k * segment_variance,
+        segment_mean=segment_mean,
+        segment_variance=segment_variance,
     )

@@ -40,7 +40,6 @@ __all__ = [
     "SimulationConfig",
     "SimulationReport",
     "run_batch",
-    "simulate_segments",
     "ks_statistic",
 ]
 
@@ -147,28 +146,28 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
 
 
-def _waves(model, rng, n_runs, max_gaps):
+def _waves(model, rng, n_runs):
     """Vectorized waves over the still-active runs of a batch.
 
     Each wave draws one gap per active run, then one threshold per active
-    run, and yields (active, z, lethal, lethal_counts) with the lethal
-    counts as they stood before this wave.
+    run, and yields (active, z, lethal).
     """
     lethal_counts = np.zeros(n_runs, dtype=np.int64)
     active = np.arange(n_runs)
-    for _ in range(max_gaps):
+    for _ in range(MAX_GAPS_PER_RUN):
         z = np.asarray(model.arrivals.sample(rng, size=active.size), dtype=float)
         delta = np.asarray(model.threshold.sample(rng, size=active.size), dtype=float)
         lethal = z <= delta
-        yield active, z, lethal, lethal_counts
+        yield active, z, lethal
         lethal_counts[active] += lethal
         active = active[lethal_counts[active] < model.k]
         if not active.size:
             return
-    raise UnrealizableModelError(f"{active.size} runs still unfinished after {max_gaps} gaps each")
+    raise UnrealizableModelError(
+        f"{active.size} runs still unfinished after {MAX_GAPS_PER_RUN} gaps each")
 
 
-def _split_times(model, rng, n_runs, max_gaps):
+def _split_times(model, rng, n_runs):
     """(times, exact integer gap total) from the arrival law's split sampler,
     or None when the law has no such sampler for the model's threshold."""
     split = model.arrivals.sample_failures(rng, model.k, model.threshold, n_runs)
@@ -176,28 +175,27 @@ def _split_times(model, rng, n_runs, max_gaps):
         return None
     times, gap_counts = split
     # compared as floats, before a count too large for int64 could wrap
-    if gap_counts.max() > max_gaps:
-        raise UnrealizableModelError(
-            f"{int((gap_counts > max_gaps).sum())} runs need more than {max_gaps} gaps each"
-        )
+    if gap_counts.max() > MAX_GAPS_PER_RUN:
+        over = int((gap_counts > MAX_GAPS_PER_RUN).sum())
+        raise UnrealizableModelError(f"{over} runs need more than {MAX_GAPS_PER_RUN} gaps each")
     return times, int(gap_counts.astype(np.int64).sum())
 
 
-def _wave_times(model, rng, n_runs, max_gaps):
+def _wave_times(model, rng, n_runs):
     """(times, gap total) summed over the waves: a wave gives each active run one gap."""
     times = np.zeros(n_runs)
     gaps = 0
-    for active, z, _, _ in _waves(model, rng, n_runs, max_gaps):
+    for active, z, _ in _waves(model, rng, n_runs):
         times[active] += z
         gaps += active.size
     return times, gaps
 
 
-def _simulate_chunk(model, n_runs, seed, chunk_index, max_gaps):
+def _simulate_chunk(model, n_runs, seed, chunk_index):
     """Failure times and summaries of one chunk, drawn from its own stream."""
     rng = _chunk_rng(seed, chunk_index)
-    split = _split_times(model, rng, n_runs, max_gaps)
-    times, gaps = split if split is not None else _wave_times(model, rng, n_runs, max_gaps)
+    split = _split_times(model, rng, n_runs)
+    times, gaps = split if split is not None else _wave_times(model, rng, n_runs)
     return {
         "moments": _Moments.from_array(times),
         "times": times,
@@ -219,7 +217,6 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
         [min(CHUNK_SIZE, config.runs - i * CHUNK_SIZE) for i in range(n_chunks)],
         repeat(config.seed, n_chunks),
         range(n_chunks),
-        repeat(MAX_GAPS_PER_RUN, n_chunks),
     )
 
     moments = _Moments()
@@ -273,26 +270,6 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
         min_time=t_min,
         max_time=t_max,
     )
-
-
-def simulate_segments(model: ShockModel, runs: int, seed: int) -> np.ndarray:
-    """The k inter-lethal segment lengths of each run, shape (runs, k).
-
-    Segment i is the elapsed time from the (i-1)-th lethal shock (or the
-    start) to the i-th; the row sum is the failure time.  Used to check the
-    segment decomposition empirically (i.i.d. segments with the per-segment
-    moments).  Like run_batch, it refuses a run that needs more than
-    MAX_GAPS_PER_RUN gaps.
-    """
-    segments = np.zeros((runs, model.k))
-    acc = np.zeros(runs)
-    waves = _waves(model, _chunk_rng(seed, 0), runs, MAX_GAPS_PER_RUN)
-    for active, z, lethal, lethal_counts in waves:
-        acc[active] += z
-        newly = active[lethal]
-        segments[newly, lethal_counts[newly]] = acc[newly]
-        acc[newly] = 0.0
-    return segments
 
 
 def ks_statistic(report, analytic_cdf) -> float:

@@ -16,7 +16,7 @@ def _kernel_gaps(model, runs, seed, count):
     lethal, nonlethal = [], []
     for index in range(-(-runs // CHUNK_SIZE)):
         size = min(CHUNK_SIZE, runs - index * CHUNK_SIZE)
-        for _, z, hit, _ in _waves(model, _chunk_rng(seed, index), size, 10**9):
+        for _, z, hit in _waves(model, _chunk_rng(seed, index), size):
             lethal.append(z[hit])
             nonlethal.append(z[~hit])
     lethal, nonlethal = np.concatenate(lethal)[:count], np.concatenate(nonlethal)[:count]
@@ -36,13 +36,41 @@ def _chunk_sizes(runs):
 def _kernel_times(model, runs, seed):
     """Failure times of `runs` runs summed from the wave kernel's gaps, one
     stream per chunk as in run_batch: the reference for the split sampler."""
-    return np.concatenate([_wave_times(model, _chunk_rng(seed, index), size, 10**9)[0]
+    return np.concatenate([_wave_times(model, _chunk_rng(seed, index), size)[0]
                            for index, size in enumerate(_chunk_sizes(runs))])
 
 
 @pytest.fixture
 def kernel_times():
     return _kernel_times
+
+
+def _chunk_segments(model, rng, n_runs):
+    """The k inter-lethal segment lengths of each run of one chunk."""
+    segments = np.zeros((n_runs, model.k))
+    lethal_counts = np.zeros(n_runs, dtype=np.int64)
+    elapsed = np.zeros(n_runs)
+    for active, z, lethal in _waves(model, rng, n_runs):
+        elapsed[active] += z
+        ended = active[lethal]
+        segments[ended, lethal_counts[ended]] = elapsed[ended]
+        lethal_counts[ended] += 1
+        elapsed[ended] = 0.0
+    return segments
+
+
+def _kernel_segments(model, runs, seed):
+    """The k inter-lethal segment lengths of each of `runs` runs, shape
+    (runs, k), from the wave kernel's gaps, one stream per chunk as in
+    kernel_times.  Segment i is the time from the (i-1)-th lethal shock (or
+    the start) to the i-th, so a row sums to the run's failure time."""
+    return np.concatenate([_chunk_segments(model, _chunk_rng(seed, index), size)
+                           for index, size in enumerate(_chunk_sizes(runs))])
+
+
+@pytest.fixture
+def kernel_segments():
+    return _kernel_segments
 
 
 def _split_counts(model, runs, seed):

@@ -454,6 +454,19 @@ class TestMain:
         assert main(["analyze", "--config", str(path)]) == EXIT_OK
         assert (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [0.5, 0.01])
+    @pytest.mark.parametrize("k", [100, 1000, 10**4])
+    def test_analyze_at_large_hit_counts(self, tmp_path, k, p):
+        """Where the series refuses all or nearly all cells of the default
+        grid: analyze exits 0 without a warning, and the transform's moments
+        agree with the other routes to near rounding."""
+        config = exp_config(tmp_path / "out", k=k, tau=-math.log1p(-p))
+        del config["analysis"]
+        assert main(["analyze", "--config", str(write_config(tmp_path, config))]) == EXIT_OK
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["method_agreement"]["variance_relative_spread"] < 1e-12
+
     def test_config_error_exit_code(self, tmp_path):
         path = write_config(tmp_path, {"model": {"k": 0}})
         assert main(["analyze", "--config", str(path)]) == EXIT_CONFIG

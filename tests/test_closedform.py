@@ -389,7 +389,7 @@ class TestSeriesWindow:
             full = math.fsum(every.ravel().tolist())
             with mock.patch.object(closedform, "SERIES_BLOCK", block):
                 (window,), (scale,) = closedform._series_sums(k, tau, np.array([t]),
-                                                             log_head, terms)
+                                                             log_head, terms, math.inf)
                 assert window == exp_const_frozen(model, t, series)
             tail = 2.0 * closedform.SERIES_TAIL * float(np.abs(every).max())
             assert abs(window - full) <= tail + math.ulp(full) + 2.0 * math.ulp(0.0)
@@ -417,7 +417,7 @@ class TestSeriesWindow:
 
         walked, frozen_walked = set(), set()
         sums, _ = closedform._series_sums(k, tau, np.array([t]), log_head,
-                                          recording_terms(walked))
+                                          recording_terms(walked), math.inf)
         frozen_terms = recording_terms(frozen_walked)
         frozen = series_sum_frozen(k, int(t / tau), lambda j: log_head(t, j),
                                    lambda j, log_h: frozen_terms(t, j, log_h))
@@ -467,7 +467,8 @@ class TestSeriesGrid:
             assert closed_form(model, ts[sub]).tobytes() == values[sub].tobytes()
             # the engine's sums are the frozen walk's, and a value is its
             # clamped sum unless the sum's rounding scale refuses it
-            sums, scales = closedform._series_sums(k, tau, ts[positive], *series(lam, tau, k))
+            sums, scales = closedform._series_sums(k, tau, ts[positive], *series(lam, tau, k),
+                                                   math.inf)
             frozen = [exp_const_frozen(model, t, series) for t in ts[positive].tolist()]
             assert np.array(sums).tobytes() == np.array(frozen).tobytes()
             refused = 2.0**-52 * np.array(scales) > closedform.SERIES_TRUST * np.abs(sums)
@@ -523,6 +524,35 @@ class TestSeriesRefusal:
                 assert kept.all()
             both = kept & ~np.isnan(reference)
             assert np.all(np.abs(series - reference)[both] <= 1e-7 * scale)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("p", [0.5, 0.01])
+    def test_large_hit_count_is_refused_without_a_warning(self, p):
+        """At k = 10^4 the middle C(k, i) overflow a float, so every time of
+        the default analyze grid is refused before its walk: the pdf is nan
+        there, and nothing raises or warns."""
+        model = exp_const(1.0, -math.log1p(-p), 10**4)
+        moments = model.failure_moments()
+        t_max = moments.mean + 6.0 * math.sqrt(moments.variance)
+        assert np.isnan(exp_const_pdf(model, np.linspace(t_max / 200, t_max, 200))).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_hit_count_cdf_is_refused_without_a_warning(self):
+        """The cdf at k = 10^4 and p = 0.01, at its mean and 3 sd above, where
+        the row of its largest head overflows.  Below the mean, and near the
+        mean at p = 0.5, that row's gammainc factors underflow to 0, so it
+        refuses nothing, and the walk runs on over rows of 10^4 terms each
+        until memory runs out (ROADMAP item 16)."""
+        model = exp_const(1.0, -math.log1p(-0.01), 10**4)
+        moments = model.failure_moments()
+        ts = moments.mean + math.sqrt(moments.variance) * np.array([0.0, 3.0])
+        assert np.isnan(exp_const_cdf(model, ts)).all()
+
+
+class TestBinomials:
+    def test_recurrence_is_math_comb(self):
+        for k in range(201):
+            assert closedform._binomials(k) == [math.comb(k, i) for i in range(k + 1)]
 
 
 class TestLogFactorial:

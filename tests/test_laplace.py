@@ -633,6 +633,10 @@ class TestMomentsFromTransform:
         (ShockModel(3, Exponential(1.0), Constant(-math.log(0.99))), 1e-11),
         (ShockModel(3, Exponential(1.0), Exponential(99.0)), 1e-11),
         (ShockModel(3, Uniform(0.0, 2.0), Constant(0.02)), 1e-11),
+    ] + [
+        # the segment's circle does not shrink as k grows
+        (ShockModel(k, Exponential(1.0), Constant(-math.log1p(-p))), 1e-12)
+        for k in (1000, 10**5) for p in (0.5, 0.01)
     ])
     def test_matches_closed_moments_to_rounding(self, model, rel):
         from_transform = moments_from_transform(model)

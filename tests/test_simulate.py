@@ -19,7 +19,6 @@ from deltashock import (
     UnrealizableModelError,
     ks_statistic,
     run_batch,
-    simulate_segments,
 )
 from deltashock import InversionConfig, NormalApprox, exp_const_cdf, simulate
 from deltashock import cli, distributions, laplace
@@ -286,9 +285,9 @@ class TestSplitSampler:
 
 
 class TestSegments:
-    def test_segments_are_uncorrelated_and_on_the_moments(self):
+    def test_segments_are_uncorrelated_and_on_the_moments(self, kernel_segments):
         model = ShockModel(3, Exponential(1.0), Constant(1.0))
-        segments = simulate_segments(model, 50_000, seed=11)
+        segments = kernel_segments(model, 50_000, seed=11)
         moments = model.failure_moments()
         n = segments.size
         assert abs(segments.mean() - moments.segment_mean) <= 4 * math.sqrt(moments.segment_variance / n)
@@ -298,16 +297,19 @@ class TestSegments:
         assert abs(corr) < 4.0 / math.sqrt(len(first))
 
     def test_run_cap_applies(self, monkeypatch):
-        slow = ShockModel(3, Exponential(1.0), Constant(0.01))
+        # a model without the split sampler: the wave kernel's own cap
+        slow = ShockModel(3, Uniform(0.0, 2.0), Constant(0.01))
         monkeypatch.setattr(simulate, "MAX_GAPS_PER_RUN", 10)
-        with pytest.raises(UnrealizableModelError):
-            simulate_segments(slow, 100, seed=0)
+        with pytest.raises(UnrealizableModelError, match="after 10 gaps"):
+            run_batch(slow, SimulationConfig(runs=100, seed=0))
 
-    def test_rows_sum_to_failure_times(self):
+    def test_rows_sum_to_failure_times(self, kernel_segments, kernel_times):
         model = ShockModel(2, Uniform(0.0, 2.0), Constant(1.0))
-        segments = simulate_segments(model, 1000, seed=4)
+        segments = kernel_segments(model, 1000, seed=4)
         assert segments.shape == (1000, 2)
         assert np.all(segments > 0.0)
+        times = kernel_times(model, 1000, seed=4)
+        assert np.allclose(segments.sum(axis=1), times, rtol=1e-12, atol=0.0)
 
 
 class TestReportShape:
@@ -323,7 +325,7 @@ class TestReportShape:
         monkeypatch.setattr(simulate, "SAMPLE_RESERVOIR", 100_000)
         report = run_batch(BENCH, SimulationConfig(runs=150_000, seed=21))
         assert len(report.sorted_times) == 100_000
-        chunks = [simulate._simulate_chunk(BENCH, n, 21, i, simulate.MAX_GAPS_PER_RUN)
+        chunks = [simulate._simulate_chunk(BENCH, n, 21, i)
                   for i, n in enumerate((CHUNK_SIZE, CHUNK_SIZE, 150_000 - 2 * CHUNK_SIZE))]
         every = np.concatenate([chunk["times"] for chunk in chunks])
         # the gap total covers every run, not only the retained ones
