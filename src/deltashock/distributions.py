@@ -85,7 +85,8 @@ class ArrivalLaw(ProbabilityLaw):
 
         A run fails at its k-th gap at or below its own threshold draw.  The
         gap counts come back as floats holding exact integers, so that a
-        caller can compare them with a cap before casting them.  A law that
+        caller can compare them with a cap before any integer could wrap,
+        and sum them exactly below it.  A law that
         returns None (the default, and Exponential's answer for any threshold
         but a Constant or an Exponential one) draws nothing from rng, and is
         simulated gap by gap.
@@ -129,8 +130,13 @@ class Exponential(ArrivalLaw):
         t = np.asarray(t, dtype=float)
         return np.where(t > 0, -np.expm1(-self.rate * np.maximum(t, 0.0)), 0.0)[()]
 
-    def sample(self, rng, size):
-        return rng.exponential(scale=1.0 / self.rate, size=size)
+    def sample(self, rng, size, out=None):
+        # a standard draw times 1 / rate, bit for bit what rng.exponential
+        # draws; sample_failures passes `out`, an array of `size`, to draw
+        # into it in place
+        draws = rng.standard_exponential(size, out=out)
+        draws *= 1.0 / self.rate
+        return draws
 
     def sample_failures(self, rng, k, threshold, size):
         # Memorylessness splits every gap at the threshold.  A segment's
@@ -139,37 +145,47 @@ class Exponential(ArrivalLaw):
         # N = M_1 + ... + M_k.  Nothing is subtracted, so no digits are lost
         # as p -> 0; a count too large for any cap overflows to inf.  The k
         # exponentials of each run are drawn one row of `size` at a time,
-        # the stream order of a single (k, size) draw, so that a chunk holds
-        # one row of them.
+        # the stream order of a single (k, size) draw.  Every step writes
+        # into three arrays of `size`.
+        if not isinstance(threshold, (Constant, Exponential)):
+            return None
+        draws, nonlethal = np.empty(size), np.zeros(size)
         if isinstance(threshold, Constant):
             # E ~ Exp(rate), c = tau: the remainder E - M tau, independent of
             # M, is a lethal gap, and each non-lethal gap is tau plus an
             # Exp(rate) excess, so a run lasts E_1 + ... + E_k + Gamma(N)/rate.
             # standard_gamma(0) is 0 and draws nothing.
-            times, nonlethal = np.zeros(size), np.zeros(size)
+            times = np.zeros(size)
             with np.errstate(over="ignore"):
                 for _ in range(k):
-                    draws = self.sample(rng, size)
-                    times += draws
-                    nonlethal += np.floor(draws / threshold.tau)
-            times += rng.standard_gamma(nonlethal) / self.rate
-            return times, nonlethal + k
-        if isinstance(threshold, Exponential):
-            # A gap Z ~ Exp(rate) is lethal against delta ~ Exp(mu) with
-            # p = rate / (rate + mu), and min(Z, delta) ~ Exp(rate + mu) is
-            # independent of which one is smaller.  A lethal gap is that
-            # minimum; a non-lethal one is the minimum plus an Exp(rate)
-            # excess.  So a run lasts Gamma(N + k)/(rate + mu) + Gamma(N)/rate.
-            min_rate = self.rate + threshold.rate
-            c = math.log1p(self.rate / threshold.rate)  # > 0 wherever p > 0
-            nonlethal = np.zeros(size)
-            with np.errstate(over="ignore"):
-                for _ in range(k):
-                    nonlethal += np.floor(rng.standard_exponential(size) / c)
-            gaps = nonlethal + k
-            times = rng.standard_gamma(gaps) / min_rate + rng.standard_gamma(nonlethal) / self.rate
-            return times, gaps
-        return None
+                    times += self.sample(rng, size, out=draws)
+                    draws /= threshold.tau
+                    nonlethal += np.floor(draws, out=draws)
+            rng.standard_gamma(nonlethal, out=draws)
+            draws /= self.rate
+            times += draws
+            nonlethal += k
+            return times, nonlethal
+        # A gap Z ~ Exp(rate) is lethal against delta ~ Exp(mu) with
+        # p = rate / (rate + mu), and min(Z, delta) ~ Exp(rate + mu) is
+        # independent of which one is smaller.  A lethal gap is that
+        # minimum; a non-lethal one is the minimum plus an Exp(rate)
+        # excess.  So a run lasts Gamma(N + k)/(rate + mu) + Gamma(N)/rate.
+        c = math.log1p(self.rate / threshold.rate)  # > 0 wherever p > 0
+        with np.errstate(over="ignore"):
+            for _ in range(k):
+                rng.standard_exponential(out=draws)
+                draws /= c
+                nonlethal += np.floor(draws, out=draws)
+        gaps = nonlethal + k
+        times = rng.standard_gamma(gaps, out=draws)
+        times /= self.rate + threshold.rate
+        # the sampler reads each shape before it writes that element's
+        # draw, so the second gamma may overwrite its own shapes
+        rng.standard_gamma(nonlethal, out=nonlethal)
+        nonlethal /= self.rate
+        times += nonlethal
+        return times, gaps
 
     def raw_moment(self, order):
         self._check_order(order)

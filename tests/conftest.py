@@ -16,7 +16,7 @@ def _kernel_gaps(model, runs, seed, count):
     lethal, nonlethal = [], []
     for index in range(-(-runs // CHUNK_SIZE)):
         size = min(CHUNK_SIZE, runs - index * CHUNK_SIZE)
-        for _, z, hit in _waves(model, _chunk_rng(seed, index), size):
+        for _, z, hit, _ in _waves(model, _chunk_rng(seed, index), size):
             lethal.append(z[hit])
             nonlethal.append(z[~hit])
     lethal, nonlethal = np.concatenate(lethal)[:count], np.concatenate(nonlethal)[:count]
@@ -50,7 +50,7 @@ def _chunk_segments(model, rng, n_runs):
     segments = np.zeros((n_runs, model.k))
     lethal_counts = np.zeros(n_runs, dtype=np.int64)
     elapsed = np.zeros(n_runs)
-    for active, z, lethal in _waves(model, rng, n_runs):
+    for active, z, lethal, _ in _waves(model, rng, n_runs):
         elapsed[active] += z
         ended = active[lethal]
         segments[ended, lethal_counts[ended]] = elapsed[ended]

@@ -446,6 +446,27 @@ BENCH_MODELS = {
     "rare-p01": ShockModel(3, Exponential(1.0), Constant(-math.log(0.99))),
 }
 BENCH_POINTS = {"exp-const": 200, "exp-exp": 12, "rare-p01": 10}
+# (t, cdf) on rare-p01's 10-point default grid: the floats of a 40-digit sum
+# of exp_const_cdf's series, with tau = -ln 0.99 and q = e^-tau,
+#   with mpmath.workdps(40): sum over j >= 0 of C(j + 2, j) q^j times the sum
+#   over i in 0..3 with (j + i) tau < t of (-1)^i C(3, i) q^i
+#   mpmath.gammainc(j + 3, 0, t - (j + i) tau, regularized=True),
+# stopping at the first j with j + 3 > t whose term is below 1e-45.  No sum
+# moves by 1e-35 at 60 digits.  exp_const_cdf is up to 1.14e-10 off them,
+# about as far as the ladders are (1.10e-10 new, 1.84e-10 frozen), so as a
+# reference it would measure its own error as much as theirs.
+RARE_P01_CDF = np.array([
+    (134.95197178658077, 0.15827820365104528),
+    (269.90394357316154, 0.5068757390061913),
+    (404.8559153597423, 0.7674554470710625),
+    (539.8078871463231, 0.9035523794627291),
+    (674.7598589329039, 0.9631908599444532),
+    (809.7118307194846, 0.9867418878188745),
+    (944.6638025060654, 0.9954232616406866),
+    (1079.6157742926462, 0.9984705664687481),
+    (1214.567746079227, 0.999501817244113),
+    (1349.5197178658077, 0.9998410495452844),
+])
 
 
 class TestFrozenLadder:
@@ -490,8 +511,12 @@ class TestFrozenLadder:
         model = BENCH_MODELS[name]
         grid = default_grid(model, BENCH_POINTS[name])
         new, frozen = self.both(model, grid, 1e-8)
+        if name == "rare-p01":
+            assert np.array_equal(grid, RARE_P01_CDF[:, 0])
+            self.no_farther(new.cdf, frozen.cdf, RARE_P01_CDF[:, 1])
         if name != "exp-exp":
             self.no_farther(new.pdf, frozen.pdf, exp_const_pdf(model, grid))
+        if name == "exp-const":
             self.no_farther(new.cdf, frozen.cdf, exp_const_cdf(model, grid))
 
     @pytest.mark.parametrize("name", sorted(BENCH_MODELS))

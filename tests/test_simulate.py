@@ -312,6 +312,114 @@ class TestSegments:
         assert np.allclose(segments.sum(axis=1), times, rtol=1e-12, atol=0.0)
 
 
+def _frozen_split(model, rng, size):
+    """Exponential.sample_failures as it was before it wrote in place."""
+    law, threshold, k = model.arrivals, model.threshold, model.k
+    if not isinstance(law, Exponential):
+        return None
+    if isinstance(threshold, Constant):
+        times, nonlethal = np.zeros(size), np.zeros(size)
+        for _ in range(k):
+            draws = rng.exponential(scale=1.0 / law.rate, size=size)
+            times += draws
+            nonlethal += np.floor(draws / threshold.tau)
+        times += rng.standard_gamma(nonlethal) / law.rate
+        return times, nonlethal + k
+    if isinstance(threshold, Exponential):
+        min_rate = law.rate + threshold.rate
+        c = math.log1p(law.rate / threshold.rate)
+        nonlethal = np.zeros(size)
+        for _ in range(k):
+            nonlethal += np.floor(rng.standard_exponential(size) / c)
+        gaps = nonlethal + k
+        return rng.standard_gamma(gaps) / min_rate + rng.standard_gamma(nonlethal) / law.rate, gaps
+    return None
+
+
+def _frozen_wave_times(model, rng, n_runs):
+    """The wave loop as it was before it kept the active runs compacted: it
+    gathers and scatters through the run index every wave."""
+    times = np.zeros(n_runs)
+    gaps = 0
+    lethal_counts = np.zeros(n_runs, dtype=np.int64)
+    active = np.arange(n_runs)
+    while active.size:
+        z = np.asarray(model.arrivals.sample(rng, size=active.size), dtype=float)
+        delta = np.asarray(model.threshold.sample(rng, size=active.size), dtype=float)
+        times[active] += z
+        gaps += active.size
+        lethal_counts[active] += z <= delta
+        active = active[lethal_counts[active] < model.k]
+    return times, gaps
+
+
+def _frozen_chunk(model, n_runs, seed, chunk_index):
+    """simulate._simulate_chunk on the frozen kernels, with the moments and
+    the gap total taken as they were before they were taken in place."""
+    rng = simulate._chunk_rng(seed, chunk_index)
+    split = _frozen_split(model, rng, n_runs)
+    if split is None:
+        times, gaps = _frozen_wave_times(model, rng, n_runs)
+    else:
+        times, gaps = split[0], int(split[1].astype(np.int64).sum())
+    mean = float(times.mean())
+    d = times - mean
+    d2 = d * d
+    moments = simulate._Moments(n_runs, mean, float(d2.sum()), float((d2 * d).sum()),
+                                float((d2 * d2).sum()))
+    return {"moments": moments, "times": times, "gaps": gaps,
+            "min": float(times.min()), "max": float(times.max())}
+
+
+class TestFrozenKernels:
+    """The in-place sampler, the compacted wave loop and the in-place
+    moments give every output bit of the kernels they replaced."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("threshold", [Uniform(0.5, 1.5), Exponential(1.0)],
+                             ids=["uniform", "exponential"])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_wave_loop(self, k, threshold, seed):
+        model = ShockModel(k, Uniform(0.0, 2.0), threshold)
+        times, gaps = simulate._wave_times(model, simulate._chunk_rng(seed, 0), CHUNK_SIZE)
+        frozen_times, frozen_gaps = _frozen_wave_times(
+            model, simulate._chunk_rng(seed, 0), CHUNK_SIZE)
+        assert times.tobytes() == frozen_times.tobytes()
+        assert gaps == frozen_gaps
+
+    @pytest.mark.parametrize("rate", [1.0, 2.5, 0.7, 1e-3])
+    def test_exponential_draws(self, rate):
+        law, size = Exponential(rate), 10_000
+        frozen = np.random.default_rng(3).exponential(scale=1.0 / rate, size=size)
+        assert law.sample(np.random.default_rng(3), size).tobytes() == frozen.tobytes()
+        out = np.empty(size)
+        assert law.sample(np.random.default_rng(3), size, out=out) is out
+        assert out.tobytes() == frozen.tobytes()
+
+    @pytest.mark.parametrize("runs", [1, 1000, 150_000])
+    @pytest.mark.parametrize("model", [
+        BENCH,
+        RARE,
+        ShockModel(3, Exponential(1.0), Exponential(1.0)),
+        RARE_EXP,
+        # rates other than 1, where scaling by a rate and by its inverse differ
+        ShockModel(2, Exponential(2.5), Constant(0.3)),
+        ShockModel(2, Exponential(0.7), Exponential(3.0)),
+        ShockModel(1, Exponential(1.0), Uniform(0.0, 2.0)),
+        ShockModel(3, Uniform(0.0, 2.0), Constant(1.0)),
+    ], ids=["exp-const", "rare-p01", "exp-exp", "rare-exp", "rate-const", "rate-exp",
+            "k1-exp-uniform", "wave"])
+    def test_batch(self, monkeypatch, model, runs):
+        config = SimulationConfig(runs=runs, seed=7)
+        report = run_batch(model, config)
+        monkeypatch.setattr(simulate, "_simulate_chunk", _frozen_chunk)
+        frozen = run_batch(model, config)
+        assert report.sorted_times.tobytes() == frozen.sorted_times.tobytes()
+        fields = ("mean", "variance", "se_mean", "se_variance", "mean_shock_count",
+                  "min_time", "max_time")
+        assert [getattr(report, f) for f in fields] == [getattr(frozen, f) for f in fields]
+
+
 class TestReportShape:
     def test_single_run_has_null_variance(self):
         report = run_batch(BENCH, SimulationConfig(runs=1, seed=0))
@@ -336,26 +444,29 @@ class TestReportShape:
         assert report.variance == pytest.approx(every.var(ddof=1), rel=1e-12, abs=0.0)
         assert abs(report.mean - every[:100_000].mean()) > 1e-6
 
-    @pytest.mark.parametrize("model", [
-        BENCH,
-        ShockModel(3, Exponential(1.0), Exponential(1.0)),
+    @pytest.mark.parametrize("model, runs, bound", [
+        (BENCH, 1 << 20, 1.27),
+        (ShockModel(3, Exponential(1.0), Exponential(1.0)), 1 << 20, 1.27),
         # p about 1e-6: some 3e6 gaps per run, which a batch only adds up
-        ShockModel(3, Exponential(1.0), Constant(1e-6)),
-    ], ids=["exp-const", "exp-exp", "rare-1e-6"])
-    def test_peak_memory_holds_the_sample_once(self, model):
-        # 2^20 runs keep 10^6 times in 8 MB; a chunk's working arrays add
-        # about a third of that, and a second copy of the sample would add 8 MB.
-        # A one-run batch first, so that what a process allocates once (about
-        # 0.77 MB) is not charged to the batch measured
+        (ShockModel(3, Exponential(1.0), Constant(1e-6)), 1 << 20, 1.27),
+        (ShockModel(3, Uniform(0.0, 2.0), Constant(1.0)), 200_000, 3.63),
+    ], ids=["exp-const", "exp-exp", "rare-1e-6", "wave"])
+    def test_peak_memory_holds_the_sample_once(self, model, runs, bound):
+        # 2^20 runs keep 10^6 times in 8 MB, and the split sampler's chunk
+        # adds three or four arrays of 512 KB: 1.22 times the sample, measured.
+        # 2 * 10^5 runs keep 1.6 MB, and a wave chunk adds about eight such
+        # arrays, 3.58 times the sample.  A second copy of the sample would
+        # add 1 more.  A one-run batch first, so that what a process
+        # allocates once (about 0.77 MB) is not charged to the batch measured
         run_batch(model, SimulationConfig(runs=1, seed=3))
         tracemalloc.start()
         try:
-            report = run_batch(model, SimulationConfig(runs=1 << 20, seed=3))
+            report = run_batch(model, SimulationConfig(runs=runs, seed=3))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(report.sorted_times) == simulate.SAMPLE_RESERVOIR
-        assert peak <= 1.5 * report.sorted_times.nbytes
+        assert len(report.sorted_times) == min(runs, simulate.SAMPLE_RESERVOIR)
+        assert peak <= bound * report.sorted_times.nbytes
 
     def test_memory_does_not_grow_with_chunks(self, monkeypatch):
         # every gap lethal: one draw of k gaps per run and gammas of shape 0,
@@ -496,18 +607,7 @@ class TestKsStatistic:
     )
     def test_matches_the_dense_formula_bitwise(self, n, seed, widen, tie_step, name, keep):
         rng = np.random.default_rng(seed)
-        if name == "uniform_head":
-            base, cdf = _uniform_head_case()
-            samples = rng.choice(base, size=n)
-        else:
-            samples, cdf = rng.uniform(0.0, 2.0, size=n), self.CDFS[name]
-        # widened samples fall outside the support, where F sits at 0 or 1
-        samples = samples * (1.0 + widen) - widen
-        if tie_step:
-            samples = np.round(samples / tie_step) * tie_step
-        ordered = np.sort(samples)
-        if name == "ecdf":
-            cdf = lambda x: np.searchsorted(ordered, x, side="right") / n
+        samples, ordered, cdf = self._case(rng, n, widen, tie_step, name)
         dense = _dense_ks(samples, cdf)
         assert ks_statistic(samples, cdf) == dense
         # compare's statistic at nodes: the dense formula at the samples
@@ -519,14 +619,50 @@ class TestKsStatistic:
             nodes = np.concatenate((nodes, rng.uniform(-0.5, 2.5, size=len(nodes))))
         assert cli._ks_at_nodes(ordered, nodes, cdf(nodes)) <= dense
 
-    @pytest.mark.parametrize("below", range(2, 2 * 64 + 2))
-    def test_supremum_at_every_offset_in_a_block(self, below):
-        # `below` distinct samples under the support, where F = 0, then m
-        # samples with F = j/m: the supremum is (i+1)/n - F at i = below - 1
-        m = 300
+    @classmethod
+    def _case(cls, rng, n, widen, tie_step, name):
+        """n samples, sorted and not, and the named cdf."""
+        if name == "uniform_head":
+            base, cdf = _uniform_head_case()
+            samples = rng.choice(base, size=n)
+        else:
+            samples, cdf = rng.uniform(0.0, 2.0, size=n), cls.CDFS[name]
+        # widened samples fall outside the support, where F sits at 0 or 1
+        samples = samples * (1.0 + widen) - widen
+        if tie_step:
+            samples = np.round(samples / tie_step) * tie_step
+        ordered = np.sort(samples)
+        if name == "ecdf":
+            cdf = lambda x: np.searchsorted(ordered, x, side="right") / n
+        return samples, ordered, cdf
+
+    # the hypothesis cases stop at 10^5 samples, whose blocks are 64 long
+    @pytest.mark.parametrize("n, block", [(300_000, 128), (1_000_000, 256)])
+    @pytest.mark.parametrize("name", sorted(CDFS))
+    def test_matches_the_dense_formula_bitwise_in_longer_blocks(self, n, block, name):
+        assert simulate._ks_block(n) == block
+        for seed, widen, tie_step in ((1, 0.0, 0.0), (2, 0.25, 1e-3)):
+            samples, _, cdf = self._case(np.random.default_rng(seed), n, widen, tie_step, name)
+            assert ks_statistic(samples, cdf) == _dense_ks(samples, cdf)
+
+    @staticmethod
+    def _supremum_at(below, n):
+        """`below` distinct samples under the support, where F = 0, then
+        m = n - below samples with F = j/m: the supremum is (i+1)/n - F at
+        i = below - 1."""
+        m = n - below
         samples = np.concatenate((-1.0 - np.arange(below), np.arange(1, m + 1) * (2.0 / m)))
         cdf = Uniform(0.0, 2.0).cdf
-        assert ks_statistic(samples, cdf) == _dense_ks(samples, cdf) == below / len(samples)
+        assert ks_statistic(samples, cdf) == _dense_ks(samples, cdf) == below / n
+
+    @pytest.mark.parametrize("below", range(2, 2 * 64 + 2))
+    def test_supremum_at_every_offset_in_a_block(self, below):
+        self._supremum_at(below, below + 300)
+
+    @pytest.mark.parametrize("below", range(2, 128 + 2))
+    def test_supremum_at_every_offset_in_a_longer_block(self, below):
+        # 3 * 10^5 samples fall in blocks of 128
+        self._supremum_at(below, 300_000)
 
     def test_tolerates_a_wobble_below_the_slack(self):
         # the wobble makes F fall on the flat parts outside [0, 2]
