@@ -21,7 +21,6 @@ from .distributions import (
     Constant,
     Exponential,
     ProbabilityLaw,
-    ThresholdLaw,
     Uniform,
     weighted_laplace,
 )

@@ -362,7 +362,13 @@ def _cdf_series(lam: float, tau: float, k: int):
         # of two log factorials near 2e6 at j = 2e5, keeps it only to about
         # 1e-9, noise that swamps the head's (k-1)/j^2 curvature near its
         # peak and so moves the row _peak_rows finds
-        return np.log1p(np.asarray(j)[..., None] / m).sum(axis=-1) - lam * tau * j
+        j = np.asarray(j)
+        # the row's largest gamma factor P(a, x) is at most its Chernoff
+        # bound (x/a)^a e^(a - x) for x < a; that log is concave in j, and
+        # meets 0 with zero slope at x = a, where the bound reaches 1
+        a, x = j + k, lam * np.maximum(t - j * tau, 0.0)
+        chernoff = np.where(x < a, a - x + a * np.log(x / a), 0.0)
+        return np.log1p(j[..., None] / m).sum(axis=-1) - lam * tau * j + chernoff
 
     def terms(t, j, log_h):
         # rebuilt from (j + i) tau, as the series is written, rather than
@@ -381,12 +387,16 @@ def exp_const_cdf(model: ShockModel, t):
 
     Each series term integrates to exp(-lam c) * P(j+k, lam (t-c)) with
     c = (j+i)tau and P the regularized lower incomplete gamma, weighted by
-    (-1)^i C(k,i) C(j+k-1, j).  With q = e^(-lam tau), P <= 1 and
-    q^i <= 1, a term is at most C(k,i) C(j+k-1, j) q^j, a head log-concave
-    in j, so the sum walks the same windows as exp_const_pdf (see
-    _series_sums), and a value is refused (nan) by the same SERIES_TRUST
-    rule.  On the default 200-point analyze grid every value is kept through
-    k = 10 at p = 0.5, k = 5 at p = 0.1 and k = 3 at p = 0.01.
+    (-1)^i C(k,i) C(j+k-1, j).  With q = e^(-lam tau) and P rising in its
+    second argument, a term is at most C(k,i) times the head
+    C(j+k-1, j) q^j P(a, x), a = j + k, x = lam (t - j tau), with P(a, x)
+    taken as 1 for x >= a and as its Chernoff bound (x/a)^a e^(a - x)
+    below.  That head is log-concave in j, so the sum walks the same
+    windows as exp_const_pdf (see _series_sums) and stops where the P
+    factors underflow, and a value is refused (nan) by the same
+    SERIES_TRUST rule.  On the default 200-point analyze grid every value
+    is kept through k = 10 at p = 0.5, k = 5 at p = 0.1 and k = 3 at
+    p = 0.01.
     """
     return _series_at(model, t, _cdf_series, lambda total: min(max(total, 0.0), 1.0),
                       lambda lam, p: 1.0)

@@ -22,13 +22,11 @@ import numpy as np
 
 __all__ = [
     "ProbabilityLaw",
-    "ThresholdLaw",
     "ArrivalLaw",
     "Exponential",
     "Uniform",
     "Constant",
     "weighted_laplace",
-    "weighted_time_integral",
 ]
 
 # A law in pieces: ((lo, hi, ((c, n, r), ...)), ...) stands for the sum of
@@ -60,11 +58,6 @@ class ProbabilityLaw(ABC):
         """The survival function as contiguous pieces from t = 0."""
 
 
-# A threshold law needs nothing beyond the base surface; the constant
-# threshold below is the degenerate member of this family.
-ThresholdLaw = ProbabilityLaw
-
-
 class ArrivalLaw(ProbabilityLaw):
     """Gap law: adds a density, its pieces and raw moments.
 
@@ -78,7 +71,7 @@ class ArrivalLaw(ProbabilityLaw):
     def density_pieces(self) -> Pieces:
         """The density as pieces (see Pieces)."""
 
-    def sample_failures(self, rng: np.random.Generator, k: int, threshold: ThresholdLaw,
+    def sample_failures(self, rng: np.random.Generator, k: int, threshold: ProbabilityLaw,
                         size: int):
         """Failure times and gap counts of `size` runs under the threshold
         law, drawn without stepping gap by gap, or None.
@@ -351,7 +344,7 @@ def _complement(survival: Pieces) -> Pieces:
     return tuple(p for p in pieces if p[2])
 
 
-def _product_terms(arrival: ArrivalLaw, threshold: ThresholdLaw, weight: str):
+def _product_terms(arrival: ArrivalLaw, threshold: ProbabilityLaw, weight: str):
     """f * w as terms (c, n, r, lo, hi)."""
     if weight not in ("survival", "cdf"):
         raise ValueError(f"weight must be 'survival' or 'cdf', got {weight!r}")
@@ -368,7 +361,7 @@ def _product_terms(arrival: ArrivalLaw, threshold: ThresholdLaw, weight: str):
     return tuple(product)
 
 
-def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s,
+def weighted_laplace(arrival: ArrivalLaw, threshold: ProbabilityLaw, s,
                      weight: str, *, order: int = 0, upper=math.inf):
     """Integral of t**order exp(-s t) f(t) w(t) over [0, upper].
 
@@ -397,15 +390,3 @@ def weighted_laplace(arrival: ArrivalLaw, threshold: ThresholdLaw, s,
             top = np.minimum(np.maximum(upper, lo), hi)
             total += _term_integral(c, n + order, x + r, lo, top)
     return complex(total[0]) if s.ndim == 0 else total.reshape(s.shape)
-
-
-def weighted_time_integral(arrival: ArrivalLaw, threshold: ThresholdLaw, t,
-                           weight: str):
-    """Integral of f(u) w(u) over [0, t], w as in weighted_laplace.
-
-    t is a float, giving a float, or an ndarray of finite times, giving an
-    ndarray.  The survival-weighted value is p times the cdf of a lethal
-    gap.
-    """
-    return weighted_laplace(arrival, threshold, 0.0, weight, upper=t).real
-

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import weighted_laplace, weighted_time_integral
+from .distributions import weighted_laplace
 from .model import MomentSummary, ShockModel
 
 __all__ = [
@@ -384,7 +384,8 @@ def invert_grid(model: ShockModel, ts, config: InversionConfig | None = None, *,
     if cdf:
         value = values[-1]
         if single:
-            value = value + weighted_time_integral(model.arrivals, model.threshold, ts, "survival")
+            value = value + weighted_laplace(model.arrivals, model.threshold, 0.0, "survival",
+                                             upper=ts).real
         bad = np.isnan(value) | (value < -slack) | (value > 1.0 + slack)
         value = checked(-1, value, bad, "inverted cdf at t={t} is {value:.3g}, outside [0, 1]")
         cdf_values = np.where(value > 1.0, 1.0, np.where(value < 0.0, 0.0, value))

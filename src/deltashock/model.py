@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .distributions import ArrivalLaw, ThresholdLaw, weighted_laplace
+from .distributions import ArrivalLaw, ProbabilityLaw, weighted_laplace
 
 __all__ = ["ShockModel", "MomentSummary", "UnrealizableModelError"]
 
@@ -51,7 +51,7 @@ class ShockModel:
 
     k: int
     arrivals: ArrivalLaw
-    threshold: ThresholdLaw
+    threshold: ProbabilityLaw
 
     def __post_init__(self):
         if not (is_integer(self.k) and self.k >= 1):

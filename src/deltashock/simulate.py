@@ -63,12 +63,10 @@ SAMPLE_RESERVOIR = 1_000_000
 MAX_GAPS_PER_RUN = 10**9
 # Asymptotic one-sample Kolmogorov-Smirnov critical constant at alpha = 0.01.
 KS_CRITICAL_001 = 1.63
-# ks_statistic bounds the distance over blocks of order statistics, at least
-# KS_MIN_BLOCK long (see _ks_block), and evaluates the cdf inside a block
-# only when the bound can reach the supremum.  KS_SLACK widens that test and
-# is the largest decrease of the cdf among its evaluated values that the
-# statistic tolerates.
-KS_MIN_BLOCK = 64
+# ks_statistic bounds the distance over blocks of order statistics (see
+# _ks_block), and evaluates the cdf inside a block only when the bound can
+# reach the supremum.  KS_SLACK widens that test and is the largest decrease
+# of the cdf among its evaluated values that the statistic tolerates.
 KS_SLACK = 1e-9
 
 
@@ -351,13 +349,16 @@ def ks_statistic(report, analytic_cdf) -> float:
 
 def _ks_block(n):
     """The block length for n samples: the power of 2 nearest sqrt(n) / 4 in
-    log scale, and at least KS_MIN_BLOCK.
+    log scale, and at least 1 (256 at 10^6 samples).
 
     The edges take 2n / block evaluations of the cdf and each of L live
     blocks another block, a total least at block = sqrt(2n / L); sqrt(n) / 4
-    is that optimum for L = 32.  Any length gives the same statistic.
+    is that optimum for L = 32.  A cdf near the sample's keeps more blocks
+    live: on 10^6 exp+constant times, blocks of 512 save 14% of the normal
+    cdf's evaluations and quadruple those of one through the inverted cdf.
+    Any length gives the same statistic.
     """
-    return max(KS_MIN_BLOCK, 2 ** round(math.log2(math.sqrt(n) / 4)))
+    return max(1, 2 ** round(math.log2(math.sqrt(n) / 4)))
 
 
 def _cdf_at(analytic_cdf, samples, idx):

@@ -353,10 +353,76 @@ class TestSeriesCdf:
         value = exp_const_cdf(model, 8036.006383190049)
         assert math.isnan(value) or 0.0 <= value <= 1.0
 
+    def test_rows_built_where_the_gamma_factors_are_small(self):
+        """A row's gamma factors are at most their Chernoff bound in its head,
+        so the walk stops where they make the rows negligible.  At p = 1e-4
+        the time above takes 8,961 rows (7,875,329 with heads that leave the
+        factors out); at k = 10^4, from 3 sd below the mean to 3 sd above,
+        the row of the largest head overflows, so each time is refused from
+        that one row (without the factors, p = 0.5 walked some 12 s a time,
+        and p = 0.01 at 3 sd below ran out of 3 GB)."""
+        built = []
+        real = closedform._cdf_series
+
+        def spied(lam, tau, k):
+            log_head, terms = real(lam, tau, k)
+
+            def counted(t, j, log_h):
+                built.append(math.prod(np.broadcast_shapes(np.shape(t), np.shape(j))))
+                return terms(t, j, log_h)
+            return log_head, counted
+
+        with mock.patch.object(closedform, "_cdf_series", spied):
+            value = exp_const_cdf(exp_const(1.0, -math.log1p(-1e-4), 3), 8036.006383190049)
+            assert math.isnan(value) or 0.0 <= value <= 1.0
+            assert sum(built) <= 64 * closedform.SERIES_BLOCK
+            for p in (0.5, 0.01):
+                model = exp_const(1.0, -math.log1p(-p), 10**4)
+                moments = model.failure_moments()
+                for z in (-3.0, 0.0, 3.0):
+                    built.clear()
+                    assert math.isnan(exp_const_cdf(model, moments.mean
+                                                    + z * math.sqrt(moments.variance)))
+                    assert sum(built) <= closedform.SERIES_BLOCK
+
     def test_limits(self):
         model = exp_const(1.0, 1.0, 2)
         assert exp_const_cdf(model, 0.0) == 0.0
         assert exp_const_cdf(model, 200.0) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestSeriesHead:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        lam=st.floats(0.2, 5.0),
+        p=st.floats(-4.0, math.log10(0.99)).map(lambda e: 10.0**e),
+        k=st.integers(1, 40),
+        fraction=st.floats(0.001, 1.5),
+    )
+    def test_head_bounds_every_term_of_its_row(self, lam, p, k, fraction):
+        """The engine's contract (see _series_sums): log |term (j, i)| is at
+        most log C(k, i) + log_head(t, j), up to rounding and underflow.  The
+        rows spread over 0..floor(t/tau), and include those around the cdf's
+        lam (t - j tau) = j + k, where its heads' gamma factor starts."""
+        tau = -math.log1p(-p) / lam
+        moments = exp_const_moments(exp_const(lam, tau, k))
+        t = fraction * (moments.mean + 6.0 * math.sqrt(moments.variance))
+        j_max = int(math.floor(t / tau))
+        turn = math.floor((lam * t - k) / (1.0 + lam * tau))
+        rows = np.unique(np.clip(np.concatenate((
+            np.linspace(0, j_max, 1024).round(), turn + np.arange(-8, 9))), 0, j_max)).astype(int)
+        log_choose = np.array([math.log(c) for c in closedform._binomials(k)])
+        # the pdf's terms are those of i = 1..k
+        for series, i in ((closedform._pdf_series, slice(1, None)),
+                          (closedform._cdf_series, slice(None))):
+            log_head, terms = series(lam, tau, k)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                log_h = log_head(t, rows)
+                log_size = np.log(np.abs(terms(t, rows[:, None], log_h[:, None])))
+            # a term below the float range rounds to a subnormal, 2^-1074 apart
+            bound = log_choose[i] + np.logaddexp(log_h[:, None], math.log(2.0**-1074))
+            assert np.all((log_size == -math.inf)
+                          | (log_size <= bound + 1e-9 * (1.0 + np.abs(bound))))
 
 
 class TestSeriesWindow:
@@ -452,12 +518,10 @@ class TestSeriesGrid:
                        for f, step in zip(fractions, on_step)])
         perm = np.array(order.sample(range(len(ts)), len(ts)))
         sub = perm[:order.randint(1, len(ts))]
-        closed = [(exp_const_pdf, closedform._pdf_series, lambda v: max(v, 0.0))]
-        if p >= 1e-2:  # the cdf's gammainc walk is slow at lower p
-            closed.append((exp_const_cdf, closedform._cdf_series,
-                           lambda v: min(max(v, 0.0), 1.0)))
         positive = ts > 0.0
-        for closed_form, series, clamp in closed:
+        for closed_form, series, clamp in (
+                (exp_const_pdf, closedform._pdf_series, lambda v: max(v, 0.0)),
+                (exp_const_cdf, closedform._cdf_series, lambda v: min(max(v, 0.0), 1.0))):
             values = closed_form(model, ts)
             assert values.shape == ts.shape
             singles = [closed_form(model, t) for t in ts.tolist()]
@@ -538,15 +602,15 @@ class TestSeriesRefusal:
 
     @pytest.mark.filterwarnings("error")
     def test_large_hit_count_cdf_is_refused_without_a_warning(self):
-        """The cdf at k = 10^4 and p = 0.01, at its mean and 3 sd above, where
-        the row of its largest head overflows.  Below the mean, and near the
-        mean at p = 0.5, that row's gammainc factors underflow to 0, so it
-        refuses nothing, and the walk runs on over rows of 10^4 terms each
-        until memory runs out (ROADMAP item 16)."""
-        model = exp_const(1.0, -math.log1p(-0.01), 10**4)
-        moments = model.failure_moments()
-        ts = moments.mean + math.sqrt(moments.variance) * np.array([0.0, 3.0])
-        assert np.isnan(exp_const_cdf(model, ts)).all()
+        """The cdf at k = 10^4 and p = 0.5 and 0.01, 3 sd below its mean, at
+        it and 3 sd above, where the row of its largest head overflows: the
+        head's Chernoff bound on the row's gammainc factors puts that row
+        where they do not underflow to 0."""
+        for p in (0.5, 0.01):
+            model = exp_const(1.0, -math.log1p(-p), 10**4)
+            moments = model.failure_moments()
+            ts = moments.mean + math.sqrt(moments.variance) * np.array([-3.0, 0.0, 3.0])
+            assert np.isnan(exp_const_cdf(model, ts)).all()
 
 
 class TestBinomials:

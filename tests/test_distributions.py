@@ -17,7 +17,6 @@ from deltashock import (
     ks_statistic,
     weighted_laplace,
 )
-from deltashock.distributions import weighted_time_integral
 from foreign_laws import Gamma2, tail_bound
 
 LAW_PAIRS = [
@@ -216,7 +215,7 @@ class TestWeightedLaplace:
             quad_val = direct_weighted_quad(arrival, threshold, complex(s), weight)
             assert closed == pytest.approx(quad_val, rel=1e-8, abs=1e-10)
         for upper in (0.2, 0.9, 1.7, 6.0):
-            closed = weighted_time_integral(arrival, threshold, upper, weight)
+            closed = weighted_laplace(arrival, threshold, 0.0, weight, upper=upper).real
             quad_val = direct_weighted_quad(arrival, threshold, 0j, weight, upper=upper)
             assert closed == pytest.approx(quad_val.real, rel=1e-8, abs=1e-10)
         first = weighted_laplace(arrival, threshold, 0.0, weight, order=1)
@@ -272,7 +271,7 @@ class TestQuadratureFallback:
             got = weighted_laplace(arrival, threshold, s, weight)
             assert got == pytest.approx(direct_weighted_quad(arrival, threshold, s, weight), abs=1e-9)
         for t in (0.3, 1.2, 4.0):
-            got = weighted_time_integral(arrival, threshold, t, weight)
+            got = weighted_laplace(arrival, threshold, 0.0, weight, upper=t).real
             expected = direct_weighted_quad(arrival, threshold, 0j, weight, upper=t).real
             assert got == pytest.approx(expected, abs=1e-10)
 
@@ -338,10 +337,10 @@ class TestWeightedTimeIntegral:
     def test_array_matches_scalar(self, arrival, threshold, weight):
         # times before, on and past every breakpoint of the pairs, and 0
         ts = np.array([0.0, 0.1, 0.3, 0.5, 0.9, 1.0, 1.2, 1.5, 2.0, 2.1, 3.7, 30.0])
-        got = weighted_time_integral(arrival, threshold, ts, weight)
+        got = weighted_laplace(arrival, threshold, 0.0, weight, upper=ts).real
         assert got.shape == ts.shape
         for t, value in zip(ts.tolist(), got.tolist()):
-            expected = weighted_time_integral(arrival, threshold, t, weight)
+            expected = weighted_laplace(arrival, threshold, 0.0, weight, upper=t).real
             assert type(expected) is float
             assert abs(value - expected) <= 1e-15 * abs(expected)
 
@@ -353,11 +352,12 @@ class TestWeightedTimeIntegral:
                 expected, _ = integrate.quad(
                     lambda u: float(arrival.density(u)) * float(w_fn(u)),
                     0.0, t, points=[0.7] if t > 0.7 else None)
-                got = weighted_time_integral(arrival, threshold, t, weight)
+                got = weighted_laplace(arrival, threshold, 0.0, weight, upper=t).real
                 assert got == pytest.approx(expected, abs=1e-10)
 
     def test_full_mass_recovers_weighted_transform_at_zero(self):
         for arrival, threshold in LAW_PAIRS:
-            full = weighted_time_integral(arrival, threshold, tail_bound(arrival) + 1.0, "survival")
+            full = weighted_laplace(arrival, threshold, 0.0, "survival",
+                                    upper=tail_bound(arrival) + 1.0).real
             assert full == pytest.approx(
                 weighted_laplace(arrival, threshold, 0.0, "survival").real, abs=1e-9)

@@ -646,10 +646,11 @@ class TestKsStatistic:
             assert ks_statistic(samples, cdf) == _dense_ks(samples, cdf)
 
     @staticmethod
-    def _supremum_at(below, n):
+    def _supremum_at(below, n, block):
         """`below` distinct samples under the support, where F = 0, then
         m = n - below samples with F = j/m: the supremum is (i+1)/n - F at
-        i = below - 1."""
+        i = below - 1, in blocks of the given length."""
+        assert simulate._ks_block(n) == block
         m = n - below
         samples = np.concatenate((-1.0 - np.arange(below), np.arange(1, m + 1) * (2.0 / m)))
         cdf = Uniform(0.0, 2.0).cdf
@@ -657,12 +658,11 @@ class TestKsStatistic:
 
     @pytest.mark.parametrize("below", range(2, 2 * 64 + 2))
     def test_supremum_at_every_offset_in_a_block(self, below):
-        self._supremum_at(below, below + 300)
+        self._supremum_at(below, below + 60_000, 64)
 
     @pytest.mark.parametrize("below", range(2, 128 + 2))
     def test_supremum_at_every_offset_in_a_longer_block(self, below):
-        # 3 * 10^5 samples fall in blocks of 128
-        self._supremum_at(below, 300_000)
+        self._supremum_at(below, 300_000, 128)
 
     def test_tolerates_a_wobble_below_the_slack(self):
         # the wobble makes F fall on the flat parts outside [0, 2]
