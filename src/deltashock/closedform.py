@@ -409,9 +409,7 @@ def exp_const_moments(model: ShockModel) -> MomentSummary:
     p = -math.expm1(-lam * tau)
     mu = 1.0 / (lam * p)
     sigma2 = (1.0 + 2.0 * lam * tau * math.exp(-lam * tau)) / (lam * lam * p * p)
-    return MomentSummary(
-        mean=k * mu, variance=k * sigma2, segment_mean=mu, segment_variance=sigma2
-    )
+    return MomentSummary.of_segment(k, mu, sigma2)
 
 
 def unif_const_mean(model: ShockModel) -> float:

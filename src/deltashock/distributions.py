@@ -9,7 +9,8 @@ value objects; sampling draws from a caller-owned numpy Generator.
 Every law gives its survival function, and an arrival law also its
 density, in pieces of c * t**n * exp(-r t).  The weighted gap integrals the
 model needs therefore have closed forms for every pair, all computed by one
-routine (weighted_laplace); a law without pieces cannot be built.
+routine (weighted_laplace), and the points where a law is not smooth are
+its pieces' ends (breakpoints); a law without pieces cannot be built.
 """
 
 from __future__ import annotations
@@ -50,8 +51,11 @@ class ProbabilityLaw(ABC):
         """An array of draws of the given size (an int or a shape) from rng."""
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Points where the cdf or density is not smooth."""
-        return ()
+        """The finite ends above 0 of the survival pieces, in order: the only
+        points where the cdf, or a density, can fail to be smooth (a density
+        jump is a survival kink)."""
+        ends = {end for lo, hi, _ in self.survival_pieces() for end in (lo, hi)}
+        return tuple(sorted(end for end in ends if 0.0 < end < math.inf))
 
     @abstractmethod
     def survival_pieces(self) -> Pieces:
@@ -64,27 +68,14 @@ class ArrivalLaw(ProbabilityLaw):
     Subclass this to plug other nonnegative laws into the model.  A law
     must give its density (density_pieces) and survival function
     (survival_pieces) in pieces; the model's integrals are their closed
-    forms.
+    forms, and its kinks (breakpoints) are the survival pieces' ends.  A
+    law describes one gap and brings no sampler of whole runs: the
+    simulator draws a new law's gaps one wave at a time.
     """
 
     @abstractmethod
     def density_pieces(self) -> Pieces:
         """The density as pieces (see Pieces)."""
-
-    def sample_failures(self, rng: np.random.Generator, k: int, threshold: ProbabilityLaw,
-                        size: int):
-        """Failure times and gap counts of `size` runs under the threshold
-        law, drawn without stepping gap by gap, or None.
-
-        A run fails at its k-th gap at or below its own threshold draw.  The
-        gap counts come back as floats holding exact integers, so that a
-        caller can compare them with a cap before any integer could wrap,
-        and sum them exactly below it.  A law that
-        returns None (the default, and Exponential's answer for any threshold
-        but a Constant or an Exponential one) draws nothing from rng, and is
-        simulated gap by gap.
-        """
-        return None
 
     @abstractmethod
     def density(self, t):
@@ -125,60 +116,11 @@ class Exponential(ArrivalLaw):
 
     def sample(self, rng, size, out=None):
         # a standard draw times 1 / rate, bit for bit what rng.exponential
-        # draws; sample_failures passes `out`, an array of `size`, to draw
-        # into it in place
+        # draws; the simulator's split sampler passes `out`, an array of
+        # `size`, to draw into it in place
         draws = rng.standard_exponential(size, out=out)
         draws *= 1.0 / self.rate
         return draws
-
-    def sample_failures(self, rng, k, threshold, size):
-        # Memorylessness splits every gap at the threshold.  A segment's
-        # non-lethal count M is Geometric(p), drawn as floor(E / c) from one
-        # exponential E with P(E >= c) = 1 - p, and a run's count is
-        # N = M_1 + ... + M_k.  Nothing is subtracted, so no digits are lost
-        # as p -> 0; a count too large for any cap overflows to inf.  The k
-        # exponentials of each run are drawn one row of `size` at a time,
-        # the stream order of a single (k, size) draw.  Every step writes
-        # into three arrays of `size`.
-        if not isinstance(threshold, (Constant, Exponential)):
-            return None
-        draws, nonlethal = np.empty(size), np.zeros(size)
-        if isinstance(threshold, Constant):
-            # E ~ Exp(rate), c = tau: the remainder E - M tau, independent of
-            # M, is a lethal gap, and each non-lethal gap is tau plus an
-            # Exp(rate) excess, so a run lasts E_1 + ... + E_k + Gamma(N)/rate.
-            # standard_gamma(0) is 0 and draws nothing.
-            times = np.zeros(size)
-            with np.errstate(over="ignore"):
-                for _ in range(k):
-                    times += self.sample(rng, size, out=draws)
-                    draws /= threshold.tau
-                    nonlethal += np.floor(draws, out=draws)
-            rng.standard_gamma(nonlethal, out=draws)
-            draws /= self.rate
-            times += draws
-            nonlethal += k
-            return times, nonlethal
-        # A gap Z ~ Exp(rate) is lethal against delta ~ Exp(mu) with
-        # p = rate / (rate + mu), and min(Z, delta) ~ Exp(rate + mu) is
-        # independent of which one is smaller.  A lethal gap is that
-        # minimum; a non-lethal one is the minimum plus an Exp(rate)
-        # excess.  So a run lasts Gamma(N + k)/(rate + mu) + Gamma(N)/rate.
-        c = math.log1p(self.rate / threshold.rate)  # > 0 wherever p > 0
-        with np.errstate(over="ignore"):
-            for _ in range(k):
-                rng.standard_exponential(out=draws)
-                draws /= c
-                nonlethal += np.floor(draws, out=draws)
-        gaps = nonlethal + k
-        times = rng.standard_gamma(gaps, out=draws)
-        times /= self.rate + threshold.rate
-        # the sampler reads each shape before it writes that element's
-        # draw, so the second gamma may overwrite its own shapes
-        rng.standard_gamma(nonlethal, out=nonlethal)
-        nonlethal /= self.rate
-        times += nonlethal
-        return times, gaps
 
     def raw_moment(self, order):
         self._check_order(order)
@@ -223,9 +165,6 @@ class Uniform(ArrivalLaw):
         a, b = self.lower, self.upper
         return (a + b) / 2.0 if order == 1 else (a * a + a * b + b * b) / 3.0
 
-    def breakpoints(self):
-        return (self.lower, self.upper)
-
     def density_pieces(self):
         return ((self.lower, self.upper, ((1.0 / (self.upper - self.lower), 0, 0.0),)),)
 
@@ -252,9 +191,6 @@ class Constant(ProbabilityLaw):
 
     def sample(self, rng, size):
         return np.full(size, self.tau)
-
-    def breakpoints(self):
-        return (self.tau,)
 
     def survival_pieces(self):
         return ((0.0, self.tau, ((1.0, 0, 0.0),)),)

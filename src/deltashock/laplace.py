@@ -456,9 +456,4 @@ def moments_from_transform(model: ShockModel) -> MomentSummary:
     taylor = np.fft.fft(np.log(values)) / CIRCLE_NODES
     segment_mean = -taylor[1].real / radius
     segment_variance = 2.0 * taylor[2].real / (radius * radius)
-    return MomentSummary(
-        mean=model.k * segment_mean,
-        variance=model.k * segment_variance,
-        segment_mean=segment_mean,
-        segment_variance=segment_variance,
-    )
+    return MomentSummary.of_segment(model.k, segment_mean, segment_variance)

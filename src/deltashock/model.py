@@ -44,6 +44,11 @@ class MomentSummary:
     segment_mean: float
     segment_variance: float
 
+    @classmethod
+    def of_segment(cls, k: int, mean: float, variance: float) -> "MomentSummary":
+        """The summary of k segments of the given mean and variance."""
+        return cls(k * mean, k * variance, mean, variance)
+
 
 @dataclass(frozen=True)
 class ShockModel:
@@ -75,15 +80,6 @@ class ShockModel:
         """q = 1 - p, the probability a gap is non-lethal."""
         return 1.0 - self.lethal_prob
 
-    def alpha_density(self, t):
-        """Density of a gap conditional on being non-lethal (Z > delta)."""
-        q = self.survive_prob
-        if q <= 0.0:
-            raise UnrealizableModelError(
-                "every gap is lethal (q = 0): the non-lethal gap law is undefined"
-            )
-        return self.arrivals.density(t) * np.asarray(self.threshold.cdf(t)) / q
-
     def beta_density(self, t):
         """Density of a gap conditional on being lethal (Z <= delta)."""
         return (
@@ -109,36 +105,23 @@ class ShockModel:
         )
         return math.exp(log_pmf)
 
-    def mean_nonlethal_gap(self) -> float:
-        """E(Z | Z > delta), the mean of the non-lethal gap law."""
-        q = self.survive_prob
-        if q <= 0.0:
-            raise UnrealizableModelError("E(Z | Z > delta) is undefined when q = 0")
-        return self._nonlethal_gap_moment() / q
-
-    def _nonlethal_gap_moment(self) -> float:
-        """E(Z; Z > delta) = q E(Z | Z > delta), free of the division by q."""
-        return weighted_laplace(self.arrivals, self.threshold, 0.0, "cdf", order=1).real
-
     def failure_moments(self) -> MomentSummary:
         """Mean and variance of the failure time.
 
         Per segment (time between consecutive lethal shocks):
             mu      = E(Z) / p
-            sigma^2 = E(Z^2)/p + (2 E(Z) E(Z|Z>delta) q - E(Z)^2) / p^2
-        and the totals are k*mu and k*sigma^2.  At p = 1 the cross term
-        vanishes and sigma^2 reduces to Var(Z).
+            sigma^2 = E(Z^2)/p + (2 E(Z) E(Z; Z>delta) - E(Z)^2) / p^2
+        and the totals are k*mu and k*sigma^2.  E(Z; Z>delta) =
+        q E(Z | Z>delta) is the non-lethal branch's first moment, taken
+        without a division by q; at p = 1 it vanishes and is not evaluated,
+        and sigma^2 reduces to Var(Z).
         """
         p = self.lethal_prob
         q = 1.0 - p
         ez = self.arrivals.raw_moment(1)
         ez2 = self.arrivals.raw_moment(2)
-        cross = 0.0 if q == 0.0 else 2.0 * ez * self._nonlethal_gap_moment()
+        cross = 0.0 if q == 0.0 else 2.0 * ez * weighted_laplace(
+            self.arrivals, self.threshold, 0.0, "cdf", order=1).real
         mu = ez / p
         sigma2 = ez2 / p + (cross - ez * ez) / (p * p)
-        return MomentSummary(
-            mean=self.k * mu,
-            variance=self.k * sigma2,
-            segment_mean=mu,
-            segment_variance=sigma2,
-        )
+        return MomentSummary.of_segment(self.k, mu, sigma2)

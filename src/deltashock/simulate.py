@@ -19,17 +19,18 @@ first 10^6-run batch of a fresh interpreter takes about 85 ms and later
 ones about 57 ms (exponential gaps, Constant(ln 2), k = 3; 2-core Xeon VM,
 Python 3.11, numpy 2.4).
 
-A chunk is sampled in one of two ways.  An arrival law may draw whole runs
-at once for the model's threshold law (ArrivalLaw.sample_failures).
-Exponential gaps do, exactly, under a constant or an exponential threshold:
-by memorylessness a run's non-lethal gap count is a sum of k geometric
-counts, each drawn from one exponential, and its failure time is those
-exponentials plus one gamma (constant threshold) or two gammas (exponential
-threshold).  A run costs k exponentials and at most two gammas instead of
-about k/p gap draws.  Every other model steps through the wave kernel
-(_waves), which the tests also use as the reference.  It keeps the active
-runs' lethal counts, and _wave_times their elapsed times, as compacted
-arrays, which drop the finished runs only after a wave that finished some.
+A chunk is sampled in one of two ways.  For Exponential gaps under a
+constant or an exponential threshold, the split sampler (_split_runs) draws
+whole runs at once, exactly: by memorylessness a run's non-lethal gap count
+is a sum of k geometric counts, each drawn from one exponential, and its
+failure time is those exponentials plus one gamma (constant threshold) or
+two gammas (exponential threshold).  A run costs k exponentials and at
+most two gammas instead of about k/p gap draws.  How a run is drawn belongs
+to the model, so no law brings a run sampler of its own.  Every other model
+steps through the wave kernel (_waves), which the tests also use as the
+reference.  It keeps the active runs' lethal counts, and _wave_times their
+elapsed times, as compacted arrays, which drop the finished runs only after
+a wave that finished some.
 Either way a run that needs more than MAX_GAPS_PER_RUN gaps raises
 UnrealizableModelError.
 """
@@ -43,6 +44,7 @@ from itertools import repeat
 
 import numpy as np
 
+from .distributions import Constant, Exponential
 from .model import ShockModel, UnrealizableModelError, is_integer
 
 __all__ = [
@@ -191,10 +193,70 @@ def _waves(model, rng, n_runs):
         f"{active.size} runs still unfinished after {MAX_GAPS_PER_RUN} gaps each")
 
 
+def _split_runs(model, rng, n_runs):
+    """Failure times and gap counts of n_runs runs, drawn without stepping
+    gap by gap, for Exponential gaps under a Constant or an Exponential
+    threshold; None, drawing nothing from rng, for any other model.
+
+    A run fails at its k-th gap at or below its own threshold draw.  The gap
+    counts come back as floats holding exact integers, so that a caller can
+    compare them with a cap before any integer could wrap, and sum them
+    exactly below it.
+    """
+    law, threshold, k = model.arrivals, model.threshold, model.k
+    if not (isinstance(law, Exponential) and isinstance(threshold, (Constant, Exponential))):
+        return None
+    # Memorylessness splits every gap at the threshold.  A segment's
+    # non-lethal count M is Geometric(p), drawn as floor(E / c) from one
+    # exponential E with P(E >= c) = 1 - p, and a run's count is
+    # N = M_1 + ... + M_k.  Nothing is subtracted, so no digits are lost
+    # as p -> 0; a count too large for any cap overflows to inf.  The k
+    # exponentials of each run are drawn one row of n_runs at a time, the
+    # stream order of a single (k, n_runs) draw.  Every step writes into
+    # three arrays of n_runs.
+    draws, nonlethal = np.empty(n_runs), np.zeros(n_runs)
+    if isinstance(threshold, Constant):
+        # E ~ Exp(rate), c = tau: the remainder E - M tau, independent of
+        # M, is a lethal gap, and each non-lethal gap is tau plus an
+        # Exp(rate) excess, so a run lasts E_1 + ... + E_k + Gamma(N)/rate.
+        # standard_gamma(0) is 0 and draws nothing.
+        times = np.zeros(n_runs)
+        with np.errstate(over="ignore"):
+            for _ in range(k):
+                times += law.sample(rng, n_runs, out=draws)
+                draws /= threshold.tau
+                nonlethal += np.floor(draws, out=draws)
+        rng.standard_gamma(nonlethal, out=draws)
+        draws /= law.rate
+        times += draws
+        nonlethal += k
+        return times, nonlethal
+    # A gap Z ~ Exp(rate) is lethal against delta ~ Exp(mu) with
+    # p = rate / (rate + mu), and min(Z, delta) ~ Exp(rate + mu) is
+    # independent of which one is smaller.  A lethal gap is that minimum; a
+    # non-lethal one is the minimum plus an Exp(rate) excess.  So a run
+    # lasts Gamma(N + k)/(rate + mu) + Gamma(N)/rate.
+    c = math.log1p(law.rate / threshold.rate)  # > 0 wherever p > 0
+    with np.errstate(over="ignore"):
+        for _ in range(k):
+            rng.standard_exponential(out=draws)
+            draws /= c
+            nonlethal += np.floor(draws, out=draws)
+    gaps = nonlethal + k
+    times = rng.standard_gamma(gaps, out=draws)
+    times /= law.rate + threshold.rate
+    # the sampler reads each shape before it writes that element's draw, so
+    # the second gamma may overwrite its own shapes
+    rng.standard_gamma(nonlethal, out=nonlethal)
+    nonlethal /= law.rate
+    times += nonlethal
+    return times, gaps
+
+
 def _split_times(model, rng, n_runs):
-    """(times, exact integer gap total) from the arrival law's split sampler,
-    or None when the law has no such sampler for the model's threshold."""
-    split = model.arrivals.sample_failures(rng, model.k, model.threshold, n_runs)
+    """(times, exact integer gap total) from the split sampler, or None for
+    a model it does not cover."""
+    split = _split_runs(model, rng, n_runs)
     if split is None:
         return None
     times, gap_counts = split

