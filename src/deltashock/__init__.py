@@ -22,6 +22,7 @@ from .distributions import (
     Exponential,
     ProbabilityLaw,
     Uniform,
+    lethal_density,
     weighted_laplace,
 )
 from .gaussian import NormalApprox

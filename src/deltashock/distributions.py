@@ -1,16 +1,17 @@
 """Probability laws for shock inter-arrival gaps and recovery thresholds.
 
 Two families are used by the shock model: the arrival law F of the gaps
-between successive shocks (needs a density, moments and Laplace-type
-integrals) and the threshold law G of the recovery time delta a gap is
-compared against (needs only cdf/survival/sampling).  Both are immutable
-value objects; sampling draws from a caller-owned numpy Generator.
-
-Every law gives its survival function, and an arrival law also its
-density, in pieces of c * t**n * exp(-r t).  The weighted gap integrals the
-model needs therefore have closed forms for every pair, all computed by one
-routine (weighted_laplace), and the points where a law is not smooth are
-its pieces' ends (breakpoints); a law without pieces cannot be built.
+between successive shocks and the threshold law G of the recovery time
+delta a gap is compared against.  A law is its pieces and a sampler: every
+law gives its survival function, and an arrival law also its density, in
+pieces of c * t**n * exp(-r t); an arrival law adds its raw moments in
+closed form.  Density, survival and cdf are evaluated from the pieces, and
+so is f times the threshold survival (lethal_density).  The weighted gap
+integrals the model needs have closed forms over the same pieces for every
+pair, all computed by one routine (weighted_laplace), and the points where
+a law is not smooth are the pieces' ends (breakpoints).  A law without
+pieces cannot be built.  Laws are immutable value objects; sampling draws
+from a caller-owned numpy Generator.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ __all__ = [
     "Uniform",
     "Constant",
     "weighted_laplace",
+    "lethal_density",
 ]
 
 # A law in pieces: ((lo, hi, ((c, n, r), ...)), ...) stands for the sum of
@@ -35,16 +37,35 @@ __all__ = [
 Pieces = tuple[tuple[float, float, tuple[tuple[float, int, float], ...]], ...]
 
 
-class ProbabilityLaw(ABC):
-    """Nonnegative law with a cdf, survival function and sampler."""
+def _terms(pieces: Pieces):
+    """Pieces as terms (c, n, r, lo, hi)."""
+    return tuple((c, n, r, lo, hi) for lo, hi, terms in pieces for c, n, r in terms)
 
-    @abstractmethod
-    def cdf(self, t):
-        """P(X <= t); 0 below the support."""
+
+def _evaluate(terms, t):
+    """The sum at each t >= 0 of c * t**n * exp(-r t) over the terms with
+    lo <= t < hi; rejects t < 0."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
+        raise ValueError("a density is only defined for t >= 0")
+    total = np.zeros(t.shape)
+    # a term outside its piece may overflow or be inf * 0; it is masked out
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, n, r, lo, hi in terms:
+            total += np.where((lo <= t) & (t < hi), c * t**n * np.exp(-r * t), 0.0)
+    return total[()]
+
+
+class ProbabilityLaw(ABC):
+    """Nonnegative law: its survival pieces and a sampler."""
 
     def survival(self, t):
-        """P(X > t) = 1 - cdf(t)."""
-        return 1.0 - self.cdf(t)
+        """P(X > t), the survival pieces' sum; 1 below t = 0."""
+        return _evaluate(_terms(self.survival_pieces()), np.maximum(t, 0.0))
+
+    def cdf(self, t):
+        """P(X <= t) = 1 - survival(t)."""
+        return 1.0 - self.survival(t)
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size):
@@ -63,32 +84,29 @@ class ProbabilityLaw(ABC):
 
 
 class ArrivalLaw(ProbabilityLaw):
-    """Gap law: adds a density, its pieces and raw moments.
+    """Gap law: adds its density pieces and raw moments.
 
     Subclass this to plug other nonnegative laws into the model.  A law
-    must give its density (density_pieces) and survival function
-    (survival_pieces) in pieces; the model's integrals are their closed
-    forms, and its kinks (breakpoints) are the survival pieces' ends.  A
-    law describes one gap and brings no sampler of whole runs: the
-    simulator draws a new law's gaps one wave at a time.
+    gives its density (density_pieces) and survival function
+    (survival_pieces) in pieces, a sampler of one gap, and its first two
+    raw moments in closed form.  Density, survival and cdf are evaluated
+    from the pieces, the model's integrals are their closed forms, and its
+    kinks (breakpoints) are the survival pieces' ends.  A law describes one
+    gap and brings no sampler of whole runs: the simulator draws a new
+    law's gaps one wave at a time.
     """
 
     @abstractmethod
     def density_pieces(self) -> Pieces:
         """The density as pieces (see Pieces)."""
 
-    @abstractmethod
     def density(self, t):
-        """Density f(t); 0 outside the support. Rejects t < 0."""
+        """Density f(t), the density pieces' sum; rejects t < 0."""
+        return _evaluate(_terms(self.density_pieces()), t)
 
     @abstractmethod
     def raw_moment(self, order: int) -> float:
         """E(X^order) for order 1 or 2, in closed form."""
-
-    @staticmethod
-    def _check_nonnegative(t) -> None:
-        if np.any(np.asarray(t) < 0):
-            raise ValueError("density is only defined for t >= 0")
 
     @staticmethod
     def _check_order(order: int) -> None:
@@ -105,14 +123,6 @@ class Exponential(ArrivalLaw):
     def __post_init__(self):
         if not 0 < self.rate < math.inf:
             raise ValueError(f"rate must be finite and > 0, got {self.rate}")
-
-    def density(self, t):
-        self._check_nonnegative(t)
-        return self.rate * np.exp(-self.rate * np.asarray(t, dtype=float))
-
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t > 0, -np.expm1(-self.rate * np.maximum(t, 0.0)), 0.0)[()]
 
     def sample(self, rng, size, out=None):
         # a standard draw times 1 / rate, bit for bit what rng.exponential
@@ -146,17 +156,6 @@ class Uniform(ArrivalLaw):
         if not self.lower < self.upper < math.inf:
             raise ValueError(f"upper must be finite and exceed lower, got ({self.lower}, {self.upper})")
 
-    def density(self, t):
-        self._check_nonnegative(t)
-        t = np.asarray(t, dtype=float)
-        inside = (t >= self.lower) & (t <= self.upper)
-        return np.where(inside, 1.0 / (self.upper - self.lower), 0.0)[()]
-
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        frac = (t - self.lower) / (self.upper - self.lower)
-        return np.clip(frac, 0.0, 1.0)[()]
-
     def sample(self, rng, size):
         return rng.uniform(self.lower, self.upper, size=size)
 
@@ -184,10 +183,6 @@ class Constant(ProbabilityLaw):
     def __post_init__(self):
         if not 0 < self.tau < math.inf:
             raise ValueError(f"tau must be finite and > 0, got {self.tau}")
-
-    def cdf(self, t):
-        t = np.asarray(t, dtype=float)
-        return np.where(t >= self.tau, 1.0, 0.0)[()]
 
     def sample(self, rng, size):
         return np.full(size, self.tau)
@@ -326,3 +321,10 @@ def weighted_laplace(arrival: ArrivalLaw, threshold: ProbabilityLaw, s,
             top = np.minimum(np.maximum(upper, lo), hi)
             total += _term_integral(c, n + order, x + r, lo, top)
     return complex(total[0]) if s.ndim == 0 else total.reshape(s.shape)
+
+
+def lethal_density(arrival: ArrivalLaw, threshold: ProbabilityLaw, t):
+    """f(t) times the threshold survival at t, the density of a lethal gap's
+    length (unconditioned), from the pieces that weighted_laplace integrates
+    for weight="survival"; rejects t < 0."""
+    return _evaluate(_product_terms(arrival, threshold, "survival"), t)

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import weighted_laplace
+from .distributions import lethal_density, weighted_laplace
 from .model import MomentSummary, ShockModel
 
 __all__ = [
@@ -338,14 +338,15 @@ def invert_grid(model: ShockModel, ts, config: InversionConfig | None = None, *,
 
     Both come from the same L_h values on each t's contour, the cdf by
     inverting L_h(s)/s.  At k = 1 the lethal branch is subtracted from L_h
-    and added back, pointwise to the density and as its time integral to
-    the cdf.  Densities smaller than DENSITY_CLAMP are 0, and so are
-    negative ones within twice the target; a density more negative than
-    that, or a cdf outside [0, 1] by more than twice the target, fails its
-    point.  Accuracy is as configured wherever h is smooth; within a small
-    neighbourhood of a density kink (multiples of a constant threshold) the
-    series converges to the local average instead, as any vertical-contour
-    Fourier method does, and those points fail.
+    and added back, pointwise to the density (lethal_density) and as its
+    time integral to the cdf, both from the same pieces.  Densities smaller
+    than DENSITY_CLAMP are 0, and so are negative ones within twice the
+    target; a density more negative than that, or a cdf outside [0, 1] by
+    more than twice the target, fails its point.  Accuracy is as
+    configured wherever h is smooth; within a small neighbourhood of a
+    density kink (multiples of a constant threshold) the series converges
+    to the local average instead, as any vertical-contour Fourier method
+    does, and those points fail.
     """
     config = config or InversionConfig()
     ts = np.array(ts, dtype=float).reshape(-1)
@@ -392,7 +393,7 @@ def invert_grid(model: ShockModel, ts, config: InversionConfig | None = None, *,
     if pdf:
         value = values[0]
         if single:
-            value = value + model.arrivals.density(ts) * model.threshold.survival(ts)
+            value = value + lethal_density(model.arrivals, model.threshold, ts)
         value = np.where(abs(value) < DENSITY_CLAMP, 0.0, value)
         value = np.where((value < 0.0) & (-value <= slack), 0.0, value)
         pdf_values = checked(0, value, np.isnan(value) | (value < 0.0),

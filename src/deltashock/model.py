@@ -15,9 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 
-import numpy as np
-
-from .distributions import ArrivalLaw, ProbabilityLaw, weighted_laplace
+from .distributions import ArrivalLaw, ProbabilityLaw, lethal_density, weighted_laplace
 
 __all__ = ["ShockModel", "MomentSummary", "UnrealizableModelError"]
 
@@ -82,11 +80,7 @@ class ShockModel:
 
     def beta_density(self, t):
         """Density of a gap conditional on being lethal (Z <= delta)."""
-        return (
-            self.arrivals.density(t)
-            * np.asarray(self.threshold.survival(t))
-            / self.lethal_prob
-        )
+        return lethal_density(self.arrivals, self.threshold, t) / self.lethal_prob
 
     def shock_count_pmf(self, n: int) -> float:
         """P(N = n): negative binomial, C(n-1, k-1) p^k q^(n-k) for n >= k."""

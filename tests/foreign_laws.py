@@ -8,7 +8,6 @@ covers.  tail_bound gives the tests' quadrature references a finite range.
 import math
 from dataclasses import dataclass
 
-import numpy as np
 from scipy import optimize
 
 from deltashock import ArrivalLaw
@@ -19,15 +18,6 @@ class Gamma2(ArrivalLaw):
     """Gamma(2, rate) gaps: a law that no built-in one covers."""
 
     rate: float
-
-    def density(self, t):
-        self._check_nonnegative(t)
-        t = np.asarray(t, dtype=float)
-        return (self.rate**2 * t * np.exp(-self.rate * t))[()]
-
-    def cdf(self, t):
-        t = np.maximum(np.asarray(t, dtype=float), 0.0)
-        return (1.0 - (1.0 + self.rate * t) * np.exp(-self.rate * t))[()]
 
     def sample(self, rng, size):
         return rng.gamma(2.0, 1.0 / self.rate, size=size)

@@ -3,6 +3,7 @@
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from deltashock import (
     ShockModel,
     Uniform,
     ks_statistic,
+    lethal_density,
     weighted_laplace,
 )
 from foreign_laws import Gamma2, tail_bound
@@ -121,8 +123,9 @@ class TestCdf:
 
     @pytest.mark.parametrize("law", [Exponential(1.0), Uniform(0.5, 2.0), Constant(0.8)])
     def test_survival_complements_cdf(self, law):
+        # the survival pieces are primary: the cdf is their exact complement
         for t in np.linspace(0.0, 5.0, 41):
-            assert float(law.survival(t)) == pytest.approx(1.0 - float(law.cdf(t)), abs=0.0)
+            assert float(law.cdf(t)) == 1.0 - float(law.survival(t))
 
     @pytest.mark.parametrize("law", [Exponential(1.0), Uniform(0.5, 2.0)])
     def test_cdf_monotone_with_limits(self, law):
@@ -131,6 +134,105 @@ class TestCdf:
         assert np.all(np.diff(vals) >= 0.0)
         assert vals[0] == pytest.approx(0.0, abs=1e-12)
         assert vals[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+EPS = 2.0**-53
+RATES = st.floats(min_value=0.01, max_value=50.0)
+LOWERS = st.floats(min_value=0.0, max_value=10.0)
+WIDTHS = st.floats(min_value=1e-4, max_value=10.0)
+NEGATIVE_TIMES = np.array([-math.inf, -1e300, -10.0, -1.0, -1e-300, -0.0])
+
+
+class TestDerivedFromPieces:
+    """Density, survival and cdf are sums over a law's pieces; these are the
+    closed forms the built-in laws used to state by hand, as references that
+    the pieces describe the named law."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATES)
+    def test_exponential(self, rate):
+        law = Exponential(rate)
+        t = np.linspace(0.0, 40.0 / rate, 1001)
+        assert np.array_equal(law.density(t), rate * np.exp(-rate * t))
+        assert np.array_equal(law.survival(t), np.exp(-rate * t))
+        assert np.max(np.abs(law.cdf(t) + np.expm1(-rate * t))) <= 2.0 * EPS
+
+    @settings(max_examples=300, deadline=None)
+    @given(LOWERS, WIDTHS)
+    def test_uniform(self, lower, width):
+        law = Uniform(lower, lower + width)
+        upper, width = law.upper, law.upper - law.lower
+        t = np.concatenate([np.linspace(0.0, upper + width, 1001),
+                            [lower, np.nextafter(lower, 0.0), upper, np.nextafter(upper, 0.0)]])
+        # half-open like rng.uniform: the density is 0 at upper
+        inside = (lower <= t) & (t < upper)
+        assert np.array_equal(law.density(t), np.where(inside, 1.0 / width, 0.0))
+        assert law.density(upper) == 0.0
+        clipped = np.clip((t - lower) / width, 0.0, 1.0)
+        assert np.max(np.abs(law.cdf(t) - clipped)) <= 4.0 * EPS * (upper / width + 1.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=1e-4, max_value=20.0))
+    def test_constant(self, tau):
+        law = Constant(tau)
+        t = np.concatenate([np.linspace(0.0, 2.0 * tau, 1001), [tau, np.nextafter(tau, 0.0)]])
+        assert np.array_equal(law.survival(t), np.where(t < tau, 1.0, 0.0))
+        assert np.array_equal(law.cdf(t), np.where(t >= tau, 1.0, 0.0))
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATES)
+    def test_gamma2(self, rate):
+        # Gamma2's density r^2 t e^(-r t) and cdf 1 - (1 + r t) e^(-r t)
+        law = Gamma2(rate)
+        t = np.linspace(0.0, 40.0 / rate, 1001)
+        assert np.array_equal(law.density(t), rate**2 * t * np.exp(-rate * t))
+        reference = 1.0 - (1.0 + rate * t) * np.exp(-rate * t)
+        assert np.max(np.abs(law.cdf(t) - reference)) <= 2.0 * EPS
+
+    @settings(max_examples=300, deadline=None)
+    @given(RATES, LOWERS, WIDTHS)
+    def test_every_law_below_zero(self, rate, lower, width):
+        for law in (Exponential(rate), Uniform(lower, lower + width), Constant(lower + width),
+                    Gamma2(rate)):
+            assert np.array_equal(law.survival(NEGATIVE_TIMES), np.ones(NEGATIVE_TIMES.shape))
+            assert np.array_equal(law.cdf(NEGATIVE_TIMES), np.zeros(NEGATIVE_TIMES.shape))
+
+
+def ulp_distance(value: float, exact) -> int:
+    """How many doubles lie between value and exact rounded to a double, both
+    nonnegative."""
+    as_int = lambda x: int(np.array(x, dtype=np.float64).view(np.int64))
+    return abs(as_int(value) - as_int(float(exact)))
+
+
+def mp_uniform_survival(lower, upper):
+    lower, upper = mpmath.mpf(lower), mpmath.mpf(upper)
+    return lambda t: 1 if t < lower else (upper - t) / (upper - lower) if t < upper else 0
+
+
+class TestLethalDensity:
+    """f times the threshold survival, the k = 1 inversion's density head,
+    against 40-digit values at the same float times."""
+
+    @pytest.mark.parametrize("arrival,threshold,density,survival,ulps", [
+        (Exponential(1.0), Exponential(0.7), lambda t: mpmath.exp(-t),
+         lambda t: mpmath.exp(-mpmath.mpf(0.7) * t), 2),
+        (Exponential(1.0), Uniform(0.2, 1.0), lambda t: mpmath.exp(-t),
+         mp_uniform_survival(0.2, 1.0), 34),
+        (Uniform(0.0, 2.0), Uniform(0.5, 1.5), lambda t: mpmath.mpf(0.5),
+         mp_uniform_survival(0.5, 1.5), 0),
+    ])
+    def test_against_mpmath(self, arrival, threshold, density, survival, ulps):
+        ts = np.linspace(0.01, 1.99, 397)
+        got = lethal_density(arrival, threshold, ts)
+        with mpmath.workdps(40):
+            worst = max(ulp_distance(value, density(mpmath.mpf(t)) * survival(mpmath.mpf(t)))
+                        for t, value in zip(ts.tolist(), got.tolist()))
+        assert worst <= ulps
+
+    def test_rejects_negative_t(self):
+        with pytest.raises(ValueError):
+            lethal_density(Exponential(1.0), Constant(1.0), np.array([0.5, -0.1]))
 
 
 POSITIVE = st.floats(min_value=1e-300, max_value=1e300)
@@ -319,8 +421,7 @@ class GapsWithoutPieces(ArrivalLaw):
     """Gamma2 in every method but density_pieces."""
 
     rate: float
-    density, cdf, sample, raw_moment, survival_pieces = (
-        Gamma2.density, Gamma2.cdf, Gamma2.sample, Gamma2.raw_moment, Gamma2.survival_pieces)
+    sample, raw_moment, survival_pieces = Gamma2.sample, Gamma2.raw_moment, Gamma2.survival_pieces
 
 
 @dataclass(frozen=True)
@@ -328,7 +429,7 @@ class ThresholdWithoutPieces(ProbabilityLaw):
     """Constant in every method but survival_pieces."""
 
     tau: float
-    cdf, sample = Constant.cdf, Constant.sample
+    sample = Constant.sample
 
 
 class TestLawsWithoutPieces:
