@@ -488,9 +488,11 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _settled_cdf(model, inv_cfg, t_hi):
-    """compare's KS nodes and the inverted cdf at them: 512 times up to t_hi
-    and the laws' corners, less the nodes where the inversion will not
-    settle (kink neighbourhoods).  Raises InversionError if none settles."""
+    """compare's KS nodes and the inverted cdf at them: t = 0, where W's cdf
+    is 0 and one with mass below 0 (the normal one at k = 1) is furthest
+    from the samples', then 512 times up to t_hi and the laws' corners,
+    less the nodes where the inversion will not settle (kink
+    neighbourhoods).  Raises InversionError if none of those settles."""
     cfg = replace(inv_cfg, target_error=max(inv_cfg.target_error, 1e-6))
     corners = {p for p in (*model.arrivals.breakpoints(), *model.threshold.breakpoints())
                if 0.0 < p < t_hi}
@@ -500,21 +502,7 @@ def _settled_cdf(model, inv_cfg, t_hi):
     if not settled.any():
         raise InversionError(f"the cdf settled at none of the {len(nodes)} KS nodes "
                              f"up to t = {t_hi:.17g}")
-    return nodes[settled], cdf[settled]
-
-
-def _ks_at_nodes(samples, nodes, cdf):
-    """max over the nodes t of max(F_n(t) - F(t), F(t) - F_n(t-)), with F_n
-    the ecdf of the sorted samples and F(t) the cdf value at each node.
-
-    A supremum over a subset of times never exceeds the full KS statistic,
-    so against the true cdf its KS test rejects no more often than its level.
-    At the samples themselves it is the dense formula's float bit for bit.
-    """
-    n = len(samples)
-    at = np.searchsorted(samples, nodes, "right") / n
-    below = np.searchsorted(samples, nodes, "left") / n
-    return float(np.max(np.maximum(at - cdf, cdf - below)))
+    return np.insert(nodes[settled], 0, 0.0), np.insert(cdf[settled], 0, 0.0)
 
 
 def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int:
@@ -531,8 +519,9 @@ def cmd_compare(cfg: RunConfig, analytic_model: ShockModel | None = None) -> int
 
     t_hi = max(report.max_time, general.mean + 8.0 * math.sqrt(general.variance))
     nodes, inverted_cdf = _settled_cdf(analytic, cfg.analysis.inversion, t_hi)
-    ks_exact = _ks_at_nodes(report.sorted_times, nodes, inverted_cdf)
-    ks_normal = ks_statistic(report, approx.cdf)
+    # both suprema over the same times
+    ks_exact = ks_statistic(report.sorted_times, nodes, inverted_cdf)
+    ks_normal = ks_statistic(report.sorted_times, nodes, approx.cdf(nodes))
     # the KS statistic sees only the retained samples, not every run
     samples = len(report.sorted_times)
     critical = KS_CRITICAL_001 / math.sqrt(samples)

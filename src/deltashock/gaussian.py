@@ -21,9 +21,9 @@ from .model import MomentSummary
 
 __all__ = ["NormalApprox"]
 
-# libm's erf elementwise, as an object array; ks_statistic evaluates the cdf
-# at no more than a tenth of compare's samples, so the per-element call is
-# cheaper than importing scipy.special
+# libm's erf elementwise, as an object array; the cdf is evaluated only at
+# compare's KS nodes (about 513) and at analyze's grid, so the per-element
+# call is cheaper than importing scipy.special
 _erf = np.frompyfunc(math.erf, 1, 1)
 
 

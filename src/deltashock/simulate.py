@@ -65,11 +65,6 @@ SAMPLE_RESERVOIR = 1_000_000
 MAX_GAPS_PER_RUN = 10**9
 # Asymptotic one-sample Kolmogorov-Smirnov critical constant at alpha = 0.01.
 KS_CRITICAL_001 = 1.63
-# ks_statistic bounds the distance over blocks of order statistics (see
-# _ks_block), and evaluates the cdf inside a block only when the bound can
-# reach the supremum.  KS_SLACK widens that test and is the largest decrease
-# of the cdf among its evaluated values that the statistic tolerates.
-KS_SLACK = 1e-9
 
 
 @dataclass(frozen=True)
@@ -367,73 +362,26 @@ def run_batch(model: ShockModel, config: SimulationConfig) -> SimulationReport:
     )
 
 
-def ks_statistic(report, analytic_cdf) -> float:
-    """sup |empirical cdf - analytic cdf| over the retained sorted samples.
+def ks_statistic(samples, nodes, cdf) -> float:
+    """max over the nodes t of max(F_n(t) - F(t), F(t) - F_n(t-)), with F_n
+    the ecdf of the sorted samples and F(t) the cdf value at each node.
 
-    `report` may be a SimulationReport or a plain sample array;
-    `analytic_cdf` must accept a 1-d numpy array and be finite and
-    nondecreasing, as every cdf is.  The result is exactly the float of the
-    dense formula max_i max((i+1)/n - F(x_i), F(x_i) - i/n), yet F is
-    evaluated only at the edges of blocks of _ks_block(n) order statistics
-    and inside the blocks where the supremum can lie.  For a nondecreasing F,
-    every i of the block [a, b] has (i+1)/n - F(x_i) <= (b+1)/n - F(x_a)
-    and F(x_i) - i/n <= F(x_b) - a/n, and rounding is monotone, so the same
-    holds for the computed floats.  The edges give a lower bound on the
-    supremum, and a block whose larger bound falls more than KS_SLACK below
-    it holds no point that can reach it.
+    A supremum over a subset of times never exceeds the full KS statistic,
+    so against the true cdf its KS test rejects no more often than its level.
+    At the samples themselves it is the dense formula
+    max_i max((i+1)/n - F(x_i), F(x_i) - i/n) bit for bit.
 
-    Raises ValueError for an empty sample, a NaN sample, and a NaN or a
-    decrease larger than KS_SLACK among the evaluated cdf values.
+    Raises ValueError for an empty sample, a NaN sample and a NaN cdf value.
     """
-    samples = report.sorted_times if isinstance(report, SimulationReport) else np.sort(
-        np.asarray(report, dtype=float)
-    )
     n = len(samples)
     if n == 0:
         raise ValueError("cannot compute a KS statistic from an empty sample")
-    # np.sort puts NaN last
+    # sorted, so a NaN sample is last
     if np.isnan(samples[-1]):
         raise ValueError("cannot compute a KS statistic from a sample with NaN")
-    block = _ks_block(n)
-    starts = np.arange(0, n, block)
-    ends = np.minimum(starts + (block - 1), n - 1)
-    edges = np.stack((starts, ends), axis=1).ravel()
-    at_edges = _cdf_at(analytic_cdf, samples, edges)
-    lower = float(np.max(_ks_distances(edges, at_edges, n)))
-    at_starts, at_ends = at_edges[0::2], at_edges[1::2]
-    bound = np.maximum((ends + 1) / n - at_starts, at_ends - starts / n)
-    live = starts[bound >= lower - KS_SLACK]
-    # whole live blocks, the last one padded with its final sample
-    inside = np.minimum(live[:, None] + np.arange(block), n - 1)
-    at_inside = _cdf_at(analytic_cdf, samples, inside)
-    return float(np.max(_ks_distances(inside, at_inside, n), initial=lower))
-
-
-def _ks_block(n):
-    """The block length for n samples: the power of 2 nearest sqrt(n) / 4 in
-    log scale, and at least 1 (256 at 10^6 samples).
-
-    The edges take 2n / block evaluations of the cdf and each of L live
-    blocks another block, a total least at block = sqrt(2n / L); sqrt(n) / 4
-    is that optimum for L = 32.  A cdf near the sample's keeps more blocks
-    live: on 10^6 exp+constant times, blocks of 512 save 14% of the normal
-    cdf's evaluations and quadruple those of one through the inverted cdf.
-    Any length gives the same statistic.
-    """
-    return max(1, 2 ** round(math.log2(math.sqrt(n) / 4)))
-
-
-def _cdf_at(analytic_cdf, samples, idx):
-    """F at samples[idx], shaped like idx; along its last axis F must not
-    fall by more than KS_SLACK."""
-    values = np.asarray(analytic_cdf(samples[idx.ravel()]), dtype=float).reshape(idx.shape)
-    # NaN fails the comparison, and propagates through the running maximum
-    if not np.all(values >= np.maximum.accumulate(values, axis=-1) - KS_SLACK):
-        raise ValueError("analytic_cdf must be nondecreasing and not NaN on the samples")
-    return values
-
-
-def _ks_distances(idx, values, n):
-    """max((i+1)/n - F(x_i), F(x_i) - i/n) elementwise, as the dense formula
-    rounds it."""
-    return np.maximum((idx + 1) / n - values, values - idx / n)
+    cdf = np.asarray(cdf, dtype=float)
+    if np.isnan(cdf).any():
+        raise ValueError("cannot compute a KS statistic against a NaN cdf value")
+    at = np.searchsorted(samples, nodes, "right") / n
+    below = np.searchsorted(samples, nodes, "left") / n
+    return float(np.max(np.maximum(at - cdf, cdf - below)))

@@ -219,8 +219,9 @@ def test_acceptance_8_conditional_gap_laws(kernel_gaps):
     nonlethal_cdf = lambda x: np.clip(
         (math.exp(-1.0) - np.exp(-np.maximum(np.asarray(x, dtype=float), 1.0))) / q, 0.0, 1.0)
     critical = 1.63 / math.sqrt(100_000)
-    d_lethal = ks_statistic(lethal, lethal_cdf)
-    d_nonlethal = ks_statistic(nonlethal, nonlethal_cdf)
+    lethal, nonlethal = np.sort(lethal), np.sort(nonlethal)
+    d_lethal = ks_statistic(lethal, lethal, lethal_cdf(lethal))
+    d_nonlethal = ks_statistic(nonlethal, nonlethal, nonlethal_cdf(nonlethal))
     assert d_lethal < critical
     assert d_nonlethal < critical
     report(f"ACCEPTANCE 8 PASS: conditional gap laws hold at alpha=0.01 "

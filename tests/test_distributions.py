@@ -282,8 +282,8 @@ class TestSampling:
     @pytest.mark.parametrize("law", [Exponential(1.0), Exponential(0.3), Uniform(0.7, 2.2), Uniform(0.0, 1.0)])
     def test_samples_match_cdf_by_ks(self, law):
         rng = np.random.default_rng(7)
-        draws = law.sample(rng, size=100_000)
-        d = ks_statistic(draws, lambda x: np.asarray(law.cdf(x)))
+        draws = np.sort(law.sample(rng, size=100_000))
+        d = ks_statistic(draws, draws, law.cdf(draws))
         assert d < 1.63 / math.sqrt(len(draws))
 
 

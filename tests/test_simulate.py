@@ -1,6 +1,7 @@
 """Monte Carlo engine: determinism, statistical concordance, report shape."""
 
 import functools
+import json
 import math
 import tracemalloc
 
@@ -129,7 +130,8 @@ class TestStatistics:
         hi = float(report.max_time) * 1.01
         nodes = np.linspace(0.0, hi, 2048)
         interp = PchipInterpolator(nodes, [exp_const_cdf(model, float(t)) for t in nodes])
-        d = ks_statistic(report, lambda x: np.clip(interp(np.clip(x, 0, hi)), 0, 1))
+        samples = report.sorted_times
+        d = ks_statistic(samples, samples, np.clip(interp(np.clip(samples, 0, hi)), 0, 1))
         assert d < 1.63 / math.sqrt(report.runs)
 
     def test_ks_against_general_pair_by_inversion(self):
@@ -147,7 +149,8 @@ class TestStatistics:
         assert not any(inverted.errors)
         values = np.maximum.accumulate(inverted.cdf)
         interp = PchipInterpolator(np.concatenate(([0.0], nodes)), np.concatenate(([0.0], values)))
-        d = ks_statistic(report, lambda x: np.clip(interp(np.clip(x, 0, hi)), 0, 1))
+        samples = report.sorted_times
+        d = ks_statistic(samples, samples, np.clip(interp(np.clip(samples, 0, hi)), 0, 1))
         assert d < 1.63 / math.sqrt(report.runs)
 
 
@@ -160,8 +163,9 @@ class TestConditionalGapLaws:
         nonlethal_cdf = lambda x: np.clip(
             (math.exp(-1.0) - np.exp(-np.maximum(np.asarray(x), 1.0))) / q, 0.0, 1.0)
         critical = 1.63 / math.sqrt(20_000)
-        assert ks_statistic(lethal, lethal_cdf) < critical
-        assert ks_statistic(nonlethal, nonlethal_cdf) < critical
+        for gaps, cdf in ((lethal, lethal_cdf), (nonlethal, nonlethal_cdf)):
+            gaps = np.sort(gaps)
+            assert ks_statistic(gaps, gaps, cdf(gaps)) < critical
 
 
 class TestSplitSampler:
@@ -569,12 +573,11 @@ def _counting(function, received):
 def _compare_cdf(model, report):
     """compare's KS nodes for report's samples, the inverted cdf at them,
     and a cdf through them: np.interp over the running maximum of those
-    values, from (0, 0), kinked at every node."""
+    values, kinked at every node."""
     moments = model.failure_moments()
     t_hi = max(report.max_time, moments.mean + 8.0 * math.sqrt(moments.variance))
     nodes, cdf = cli._settled_cdf(model, InversionConfig(), t_hi)
-    through = np.concatenate(([0.0], nodes)), np.concatenate(([0.0], np.maximum.accumulate(cdf)))
-    return nodes, cdf, lambda t: np.interp(t, *through)
+    return nodes, cdf, lambda t: np.interp(t, nodes, np.maximum.accumulate(cdf))
 
 
 @functools.cache
@@ -586,38 +589,42 @@ def _uniform_head_case():
 
 @functools.cache
 def _bench_case():
-    """A 10^6-run BENCH batch, a cdf through its inverted cdf and its normal cdf."""
+    """A 10^6-run BENCH batch, compare's nodes for it and its inverted cdf there."""
     report = run_batch(BENCH, SimulationConfig(runs=1_000_000, seed=4))
-    inverted = _compare_cdf(BENCH, report)[2]
-    return report, inverted, NormalApprox.from_moments(BENCH.failure_moments()).cdf
+    nodes, cdf, _ = _compare_cdf(BENCH, report)
+    return report, nodes, cdf
 
 
 class TestKsStatistic:
+    @staticmethod
+    def _at_samples(samples, cdf):
+        """ks_statistic read at the samples themselves: the dense formula."""
+        ordered = np.sort(samples)
+        return ks_statistic(ordered, ordered, cdf(ordered))
+
     def test_self_distance_is_tiny(self):
         rng = np.random.default_rng(2)
         samples = np.sort(rng.exponential(size=5000))
         ecdf = lambda x: np.searchsorted(samples, x, side="right") / len(samples)
-        assert ks_statistic(samples, ecdf) <= 1.0 / len(samples) + 1e-12
+        assert self._at_samples(samples, ecdf) <= 1.0 / len(samples) + 1e-12
 
     def test_wrong_law_is_flagged(self):
         rng = np.random.default_rng(2)
         samples = rng.exponential(size=5000)
         wrong = lambda x: np.clip(np.asarray(x) / 4.0, 0.0, 1.0)
-        assert ks_statistic(samples, wrong) > 0.1
+        assert self._at_samples(samples, wrong) > 0.1
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            ks_statistic(np.array([]), lambda x: x)
+            ks_statistic(np.array([]), np.array([1.0]), np.array([0.5]))
 
-    # ks_statistic evaluates the cdf at block edges and in live blocks only,
-    # and returns the dense formula's float bit for bit
     CDFS = {
         # samples are Uniform(0, 2), widened past its support on request
         "true": Uniform(0.0, 2.0).cdf,
         "shifted": Uniform(0.1, 2.1).cdf,
         "normal": NormalApprox.from_moments(UNIFORM_HEAD.failure_moments()).cdf,
         "step": Constant(1.0).cdf,
-        # the samples' own ecdf: every point is at distance 1/n, every block live
+        # the samples' own ecdf: every point is at distance 1/n
         "ecdf": None,
         # failure times of UNIFORM_HEAD against its inverted cdf
         "uniform_head": None,
@@ -639,15 +646,14 @@ class TestKsStatistic:
         rng = np.random.default_rng(seed)
         samples, ordered, cdf = self._case(rng, n, widen, tie_step, name)
         dense = _dense_ks(samples, cdf)
-        assert ks_statistic(samples, cdf) == dense
-        # compare's statistic at nodes: the dense formula at the samples
-        # themselves, and never above it at some of them or, for a cdf that
-        # never falls, at times between them
-        assert cli._ks_at_nodes(ordered, ordered, cdf(ordered)) == dense
+        # the dense formula at the samples themselves, and never above it
+        # at some of them or, for a cdf that never falls, at times between
+        # them
+        assert ks_statistic(ordered, ordered, cdf(ordered)) == dense
         nodes = rng.choice(ordered, size=max(1, round(keep * n)), replace=False)
         if name in self.EXACT:
             nodes = np.concatenate((nodes, rng.uniform(-0.5, 2.5, size=len(nodes))))
-        assert cli._ks_at_nodes(ordered, nodes, cdf(nodes)) <= dense
+        assert ks_statistic(ordered, nodes, cdf(nodes)) <= dense
 
     @classmethod
     def _case(cls, rng, n, widen, tie_step, name):
@@ -666,25 +672,31 @@ class TestKsStatistic:
             cdf = lambda x: np.searchsorted(ordered, x, side="right") / n
         return samples, ordered, cdf
 
-    # the hypothesis cases stop at 10^5 samples, whose blocks are 64 long
+    # the hypothesis cases stop at 10^5 samples; nodes every `block` samples
+    # are a subset of them, like compare's nodes
     @pytest.mark.parametrize("n, block", [(300_000, 128), (1_000_000, 256)])
     @pytest.mark.parametrize("name", sorted(CDFS))
     def test_matches_the_dense_formula_bitwise_in_longer_blocks(self, n, block, name):
-        assert simulate._ks_block(n) == block
         for seed, widen, tie_step in ((1, 0.0, 0.0), (2, 0.25, 1e-3)):
-            samples, _, cdf = self._case(np.random.default_rng(seed), n, widen, tie_step, name)
-            assert ks_statistic(samples, cdf) == _dense_ks(samples, cdf)
+            samples, ordered, cdf = self._case(np.random.default_rng(seed), n, widen, tie_step, name)
+            dense = _dense_ks(samples, cdf)
+            assert ks_statistic(ordered, ordered, cdf(ordered)) == dense
+            nodes = ordered[::block]
+            assert ks_statistic(ordered, nodes, cdf(nodes)) <= dense
 
     @staticmethod
     def _supremum_at(below, n, block):
         """`below` distinct samples under the support, where F = 0, then
         m = n - below samples with F = j/m: the supremum is (i+1)/n - F at
-        i = below - 1, in blocks of the given length."""
-        assert simulate._ks_block(n) == block
+        i = below - 1.  Nodes every `block` samples find it when the node
+        set holds that sample, wherever it lies between two of them."""
         m = n - below
         samples = np.concatenate((-1.0 - np.arange(below), np.arange(1, m + 1) * (2.0 / m)))
         cdf = Uniform(0.0, 2.0).cdf
-        assert ks_statistic(samples, cdf) == _dense_ks(samples, cdf) == below / n
+        ordered = np.sort(samples)
+        assert ks_statistic(ordered, ordered, cdf(ordered)) == _dense_ks(samples, cdf) == below / n
+        nodes = np.concatenate((ordered[::block], [ordered[below - 1]]))
+        assert ks_statistic(ordered, nodes, cdf(nodes)) == below / n
 
     @pytest.mark.parametrize("below", range(2, 2 * 64 + 2))
     def test_supremum_at_every_offset_in_a_block(self, below):
@@ -698,37 +710,58 @@ class TestKsStatistic:
         # the wobble makes F fall on the flat parts outside [0, 2]
         samples = np.random.default_rng(5).uniform(-1.0, 3.0, size=50_000)
         wobbly = lambda x: Uniform(0.0, 2.0).cdf(x) + 1e-12 * np.sin(1e3 * x)
-        assert np.any(np.diff(wobbly(np.sort(samples))) < 0)
-        assert ks_statistic(samples, wobbly) == _dense_ks(samples, wobbly)
+        ordered = np.sort(samples)
+        assert np.any(np.diff(wobbly(ordered)) < 0)
+        assert ks_statistic(ordered, ordered, wobbly(ordered)) == _dense_ks(samples, wobbly)
 
     def test_nan_sample_rejected(self):
+        samples = np.sort(np.array([0.3, np.nan, 1.2]))
         with pytest.raises(ValueError, match="NaN"):
-            ks_statistic(np.array([0.3, np.nan, 1.2]), Uniform(0.0, 2.0).cdf)
-
-    def test_falling_cdf_rejected(self):
-        samples = np.random.default_rng(6).exponential(size=10_000)
-        with pytest.raises(ValueError, match="nondecreasing"):
-            ks_statistic(samples, Exponential(1.0).survival)
+            ks_statistic(samples, np.array([1.0]), np.array([0.5]))
 
     def test_nan_cdf_rejected(self):
-        samples = np.random.default_rng(6).exponential(size=10_000)
-        with pytest.raises(ValueError, match="nondecreasing"):
-            ks_statistic(samples, lambda x: np.where(x > 1.0, np.nan, 0.5))
+        samples = np.sort(np.random.default_rng(6).exponential(size=10_000))
+        with pytest.raises(ValueError, match="NaN"):
+            ks_statistic(samples, samples, np.where(samples > 1.0, np.nan, 0.5))
 
-    def test_compare_cdfs_see_a_tenth_of_the_samples(self):
-        report, inverted, normal = _bench_case()
+    def test_compare_cdfs_see_a_tenth_of_the_samples(self, tmp_path, monkeypatch):
         received = []
-        for cdf in (inverted, normal):
-            assert ks_statistic(report, _counting(cdf, received)) == _dense_ks(
-                report.sorted_times, cdf)
-        assert sum(received) <= 0.1 * 2 * len(report.sorted_times)
+        def counted(samples, nodes, cdf):
+            received.append(len(cdf))
+            return ks_statistic(samples, nodes, cdf)
+        monkeypatch.setattr(cli, "ks_statistic", counted)
+        simulation = SimulationConfig(runs=100_000, seed=1)
+        cli.cmd_compare(cli.RunConfig(model=BENCH, simulation=simulation,
+                                      output=cli.OutputSpec(directory=str(tmp_path))))
+        # the inverted and the normal cdf, each at the nodes only
+        assert len(received) == 2
+        assert sum(received) <= 0.1 * 2 * simulation.runs
 
     def test_compare_nodes_stay_below_the_exact_statistic(self):
         # the inverted cdf at the nodes is within the target of the closed form
         report = run_batch(BENCH, SimulationConfig(runs=100_000, seed=8))
         nodes, cdf, _ = _compare_cdf(BENCH, report)
-        exact = ks_statistic(report, lambda t: exp_const_cdf(BENCH, t))
-        assert cli._ks_at_nodes(report.sorted_times, nodes, cdf) <= exact + 1e-6
+        samples = report.sorted_times
+        exact = ks_statistic(samples, samples, exp_const_cdf(BENCH, samples))
+        assert ks_statistic(samples, nodes, cdf) <= exact + 1e-6
+
+    # at k = 1 the normal cdf is furthest from the samples below the first
+    # sample, which only the node t = 0 sees
+    @pytest.mark.parametrize("model", [BENCH, ShockModel(1, Exponential(1.0), Exponential(0.7))],
+                             ids=["exp-const", "k1-exp-exp"])
+    def test_compare_reads_the_normal_statistic_at_the_same_nodes(self, tmp_path, model):
+        simulation = SimulationConfig(runs=100_000, seed=1)
+        cfg = cli.RunConfig(model=model, simulation=simulation,
+                            output=cli.OutputSpec(directory=str(tmp_path)))
+        cli.cmd_compare(cfg)
+        reported = json.loads((tmp_path / "compare.json").read_text())["ks"]["empirical_vs_normal"]
+        report = run_batch(model, simulation)
+        nodes, _, _ = _compare_cdf(model, report)
+        normal = NormalApprox.from_moments(model.failure_moments()).cdf
+        samples = report.sorted_times
+        assert reported == ks_statistic(samples, nodes, normal(nodes))
+        dense = _dense_ks(samples, normal)
+        assert 0.995 * dense <= reported <= dense
 
     def test_k1_compare_passes_weighted_laplace_no_sample_array(self, tmp_path, monkeypatch):
         sizes = []
@@ -744,15 +777,19 @@ class TestKsStatistic:
         assert 0 < max(sizes) <= 0.01 * 1_000_000
 
     def test_peak_memory_stays_below_one_sample_copy(self):
-        report, inverted, _ = _bench_case()
+        report, nodes, cdf = _bench_case()
+        inverted = lambda t: np.interp(t, nodes, np.maximum.accumulate(cdf))
         peaks = {}
-        for name, ks in (("blocked", ks_statistic), ("dense", _dense_ks)):
+        for name in ("nodes", "dense"):
             tracemalloc.start()
-            ks(report.sorted_times if name == "dense" else report, inverted)
+            if name == "nodes":
+                ks_statistic(report.sorted_times, nodes, cdf)
+            else:
+                _dense_ks(report.sorted_times, inverted)
             peaks[name] = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
         # 10^6 float64 samples take 8 MB; the dense pass needs several copies
-        assert peaks["blocked"] < 8e6 < peaks["dense"]
+        assert peaks["nodes"] < 8e6 < peaks["dense"]
 
 
 class TestConfigValidation:
