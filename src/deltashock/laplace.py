@@ -15,8 +15,10 @@ quarter-octave window on the window's contour, so the window's transform
 values and quotient-difference table serve all its times, and only the
 fraction's point z depends on the time; a time's value there must also agree
 with the one on the window below.  The retries give each time still
-unsettled its own contour.  The transform, the table and the fraction are
-numpy operations over every window or time in the batch.  For k = 1 the
+unsettled its own contour.  The transform is one numpy operation over the
+contours of every time in the batch; the table and the fraction run only
+on the open cells, the (quantity, time) pairs not yet settled, so a
+quantity that settled takes no part in a later rung.  For k = 1 the
 density jumps wherever the lethal-branch density f*Gbar does, so that
 branch (whose transform and pointwise values are both known) is subtracted
 before inversion and added back, leaving a continuous series target.
@@ -184,7 +186,7 @@ def _fractions(d: np.ndarray, z):
 
 
 def _attempt(transform, t: np.ndarray, windows: np.ndarray, depth: int, kappa: float,
-             config: InversionConfig):
+             config: InversionConfig, open_cells: np.ndarray):
     """One rung of the ladder at the times t, on the contours of their windows.
 
     windows holds one or more windows W per time, one row each.  The times
@@ -192,11 +194,15 @@ def _attempt(transform, t: np.ndarray, windows: np.ndarray, depth: int, kappa: f
     A / (2 kappa W), so its 2 depth + 1 transform values and its
     quotient-difference table; each time evaluates the fraction at its own
     z = exp(i pi t / (kappa W)) and scales it by e^(A t / (2 kappa W)) /
-    (kappa W).  Returns (value, estimate, finite), each of shape
+    (kappa W).  The transform runs on every contour, but the table and the
+    fraction only on the open cells, the (transform, time) pairs where
+    open_cells, of shape (transforms, len(t)), holds: the table on the
+    (transform, window) columns some open cell reads, the fraction on the
+    open cells themselves.  Returns (value, estimate, finite), each of shape
     (transforms, len(t)): the fraction on the first row's window at all its
     terms; its largest difference to its two shallower truncations and to
     the value on each other row's window; and whether every window stayed
-    finite.
+    finite, False at every closed cell, whose value and estimate are nan.
     """
     n = 2 * depth + 1
     spans, at = np.unique(windows, return_inverse=True)
@@ -206,20 +212,32 @@ def _attempt(transform, t: np.ndarray, windows: np.ndarray, depth: int, kappa: f
     nodes = gamma[:, None] + 1j * (np.arange(n) * math.pi / period[:, None])
     coeffs = np.array(transform(nodes), dtype=complex)
     coeffs[..., 0] /= 2.0
+    which, cells = np.nonzero(open_cells)
+    at = at[:, cells]
+    # the (transform, window) columns some open cell reads, and the column
+    # each open cell reads on each row of windows
+    read = np.zeros(coeffs.shape[:-1], dtype=bool)
+    read[which, at] = True
+    column = (np.cumsum(read).reshape(read.shape) - 1)[which, at]
     with np.errstate(all="ignore"):
-        d, finite = _table(coeffs, depth)
+        d, finite = _table(coeffs[read], depth)
         # every row of windows in one pass; t / windows is exactly 1 where
         # each time is its own window
-        fractions = _fractions(d[..., at], np.exp(1j * (t / windows * (math.pi / kappa)))).real
-        scaled = (np.exp(gamma[at] * t) / period[at])[..., None] * fractions
-        value = scaled[:, 0, :, 0]
-        others = np.concatenate((scaled[:, 0, :, 1:], np.moveaxis(scaled[:, 1:, :, 0], 1, -1)),
-                                axis=-1)
-        estimate = np.max(abs(value[..., None] - others), axis=-1)
-    zero = ~coeffs.any(axis=-1)[:, at].any(axis=1)
-    finite = finite[:, at].all(axis=1) & np.isfinite(scaled).all(axis=(1, -1))
+        fractions = _fractions(d[:, column],
+                               np.exp(1j * (t[cells] / windows[:, cells] * (math.pi / kappa)))).real
+        scaled = (np.exp(gamma[at] * t[cells]) / period[at])[..., None] * fractions
+        value = scaled[0, :, 0]
+        others = np.concatenate((scaled[0, :, 1:], scaled[1:, :, 0].T), axis=-1)
+        estimate = np.max(abs(value[:, None] - others), axis=-1)
+    zero = ~coeffs.any(axis=-1)[which, at].any(axis=0)
+    finite = finite[column].all(axis=0) & np.isfinite(scaled).all(axis=(0, -1))
     value[zero] = estimate[zero] = 0.0
-    return value, estimate, zero | finite
+    shape = open_cells.shape
+    values, estimates = np.full(shape, np.nan), np.full(shape, np.nan)
+    finites = np.zeros(shape, dtype=bool)
+    values[which, cells], estimates[which, cells] = value, estimate
+    finites[which, cells] = zero | finite
+    return values, estimates, finites
 
 
 def _windows(ts: np.ndarray) -> np.ndarray:
@@ -241,9 +259,11 @@ def _invert_series(transform, ts: np.ndarray, config: InversionConfig, tails):
     window shares (see _windows); its estimate also takes in the value on
     the window below, W(t) 2^(-1/4), a second period that catches errors
     the fraction's own truncations miss.  The attempts of ATTEMPTS follow,
-    each t its own window.  Each rung runs only on the times where some
-    transform has not settled yet, BLOCK_NODES contour nodes at a time, so
-    memory does not grow with the grid.  A transform that vanishes on every
+    each t its own window.  Each rung evaluates the transforms on the
+    contours of the times where some transform has not settled yet, and
+    tabulates and sums only the (transform, time) cells still open there
+    (see _attempt), BLOCK_NODES contour nodes at a time, so memory does not
+    grow with the grid.  A transform that vanishes on every
     contour of a time gives 0 with estimate 0; a non-finite value,
     coefficient or fraction fails that rung for that time only.  A time's
     windows depend on that time alone, so the contours its value comes from
@@ -267,9 +287,10 @@ def _invert_series(transform, ts: np.ndarray, config: InversionConfig, tails):
         for start in range(0, todo.size, block):
             cols = todo[start:start + block]
             value, estimate, finite = _attempt(transform, ts[cols], windows[:, cols], depth, kappa,
-                                               config)
-            # nan estimates never compare below, so a finite one always improves them
-            better = finite & ~settled[:, cols] & ~(estimate >= estimates[:, cols])
+                                               config, ~settled[:, cols])
+            # nan estimates never compare below, so a finite one always improves
+            # them; a settled cell is closed, and never finite
+            better = finite & ~(estimate >= estimates[:, cols])
             rows, at = np.nonzero(better)
             values[rows, cols[at]] = value[rows, at]
             estimates[rows, cols[at]] = estimate[rows, at]

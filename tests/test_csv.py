@@ -40,3 +40,20 @@ class TestWriter:
         _write_csv(path, ["a", "b"], rows)
         expected = "".join(f"{format(a, '.17g')},{format(b, '.17g')}\n" for a, b in rows)
         assert path.read_bytes() == ("a,b\n" + expected).encode()
+
+    def test_rows_with_and_without_empty_cells(self, tmp_path):
+        # every filled cell renders as format(v, ".17g") and every None as
+        # an empty cell, including nan, inf, -0.0, subnormals, a numpy float
+        # and an int, in rows with and without empty cells
+        specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2250738585072014e-308 / 3,
+                    np.float64(0.1), 7, 1 / 3]
+        rows = []
+        for i, v in enumerate(specials):
+            rows.append((float(i), v, -v, v, v))
+            rows.append((float(i), None, v, None, -v))
+            rows.append((float(i), v, v, v, None))
+        path = tmp_path / "curves.csv"
+        _write_csv(path, self.HEADER, rows)
+        expected = "".join(
+            ",".join("" if v is None else format(v, ".17g") for v in row) + "\n" for row in rows)
+        assert path.read_bytes() == (",".join(self.HEADER) + "\n" + expected).encode()

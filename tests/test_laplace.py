@@ -424,6 +424,58 @@ def series_frozen(transform, ts, config, tails):
     return np.where(settled, values - alias, np.nan), estimates
 
 
+def attempt_frozen(transform, t, windows, depth, kappa, config):
+    """_attempt as it was before it took only the open cells, frozen: the
+    table on every (transform, window) column and the fraction on every
+    (transform, time) cell."""
+    n = 2 * depth + 1
+    spans, at = np.unique(windows, return_inverse=True)
+    at = at.reshape(windows.shape)
+    period = kappa * spans
+    gamma = config.contour_parameter / (2.0 * period)
+    nodes = gamma[:, None] + 1j * (np.arange(n) * math.pi / period[:, None])
+    coeffs = np.array(transform(nodes), dtype=complex)
+    coeffs[..., 0] /= 2.0
+    with np.errstate(all="ignore"):
+        d, finite = _table(coeffs, depth)
+        fractions = _fractions(d[..., at], np.exp(1j * (t / windows * (math.pi / kappa)))).real
+        scaled = (np.exp(gamma[at] * t) / period[at])[..., None] * fractions
+        value = scaled[:, 0, :, 0]
+        others = np.concatenate((scaled[:, 0, :, 1:], np.moveaxis(scaled[:, 1:, :, 0], 1, -1)),
+                                axis=-1)
+        estimate = np.max(abs(value[..., None] - others), axis=-1)
+    zero = ~coeffs.any(axis=-1)[:, at].any(axis=1)
+    finite = finite[:, at].all(axis=1) & np.isfinite(scaled).all(axis=(1, -1))
+    value[zero] = estimate[zero] = 0.0
+    return value, estimate, zero | finite
+
+
+def ladder_frozen(transform, ts, config, tails):
+    """_invert_series as it was before its rungs skipped settled cells,
+    frozen with attempt_frozen: the ladder must match it bit for bit."""
+    shape = (len(tails), len(ts))
+    values = np.full(shape, np.nan)
+    estimates = np.full(shape, np.nan)
+    settled = np.zeros(shape, dtype=bool)
+    rungs = [(0, laplace.CONTOUR_PERIOD_RATIO, _windows(ts))]
+    rungs += [(extra, kappa, ts[np.newaxis]) for extra, kappa in laplace.ATTEMPTS]
+    for extra, kappa, windows in rungs:
+        depth = laplace.SERIES_DEPTH + extra
+        todo = np.flatnonzero(~settled.all(axis=0))
+        block = max(1, laplace.BLOCK_NODES // ((2 * depth + 1) * len(windows)))
+        for start in range(0, todo.size, block):
+            cols = todo[start:start + block]
+            value, estimate, finite = attempt_frozen(transform, ts[cols], windows[:, cols], depth,
+                                                     kappa, config)
+            better = finite & ~settled[:, cols] & ~(estimate >= estimates[:, cols])
+            rows, at = np.nonzero(better)
+            values[rows, cols[at]] = value[rows, at]
+            estimates[rows, cols[at]] = estimate[rows, at]
+            settled[rows, cols[at]] = estimate[rows, at] <= config.target_error
+    alias = np.asarray(tails, dtype=float)[:, None] / math.expm1(config.contour_parameter)
+    return np.where(settled, values - alias, np.nan), estimates
+
+
 def default_grid(model, points):
     """analyze's default grid: points times up to mean + 6 sd."""
     moments = model.failure_moments()
@@ -470,19 +522,22 @@ RARE_P01_CDF = np.array([
 
 
 class TestFrozenLadder:
-    """The ladder with its shared first rung against series_frozen."""
+    """The ladder with its shared first rung against series_frozen, and
+    against ladder_frozen bit for bit."""
 
     @staticmethod
     def both(model, grid, target, pdf=True, cdf=True):
         """invert_grid with the ladder and with series_frozen, and the two
-        ladders' (values, estimates) on the same transform."""
+        ladders' (values, estimates) on the same transform. The ladder's
+        values and estimates are ladder_frozen's bit for bit."""
         config = InversionConfig(target_error=target)
         ladder = laplace._invert_series
         series = []
 
         def recording(transform, ts, config, tails):
             series.append((ladder(transform, ts, config, tails),
-                           series_frozen(transform, ts, config, tails)))
+                           series_frozen(transform, ts, config, tails),
+                           ladder_frozen(transform, ts, config, tails)))
             return series[0][0]
 
         with pytest.MonkeyPatch.context() as patch:
@@ -490,7 +545,10 @@ class TestFrozenLadder:
             new = invert_grid(model, grid, config, pdf=pdf, cdf=cdf)
             patch.setattr(laplace, "_invert_series", lambda *args: series[0][1])
             frozen = invert_grid(model, grid, config, pdf=pdf, cdf=cdf)
-        (new_values, _), (frozen_values, _) = series[0]
+        (new_values, new_estimates), (frozen_values, _), (rung_values, rung_estimates) = series[0]
+        assert new_values.shape == (pdf + cdf, len(grid))
+        assert new_values.tobytes() == rung_values.tobytes()
+        assert new_estimates.tobytes() == rung_estimates.tobytes()
         # the ladder settles every (quantity, t) the frozen one settles, within 2 target of it
         assert not (np.isnan(new_values) & ~np.isnan(frozen_values)).any()
         both_settled = ~np.isnan(frozen_values)
@@ -542,6 +600,53 @@ class TestFrozenLadder:
         new, frozen = self.both(model, grid, 1e-8)
         self.no_farther(new.pdf, frozen.pdf, exp_const_pdf(model, grid))
         self.no_farther(new.cdf, frozen.cdf, exp_const_cdf(model, grid))
+
+    @pytest.mark.parametrize("pdf,cdf", [(True, False), (False, True)], ids=["pdf", "cdf"])
+    @pytest.mark.parametrize("name", sorted(BENCH_MODELS))
+    def test_bench_grids_one_quantity(self, name, pdf, cdf):
+        model = BENCH_MODELS[name]
+        self.both(model, default_grid(model, BENCH_POINTS[name]), 1e-8, pdf, cdf)
+
+    @pytest.mark.parametrize("pdf,cdf", [(True, True), (True, False), (False, True)],
+                             ids=["both", "pdf", "cdf"])
+    @pytest.mark.parametrize("model,target", [
+        (ShockModel(1, Uniform(0.0, 2.0), Constant(1.0)), 1e-4),
+        (ShockModel(1, Exponential(1.0), Uniform(0.2, 1.0)), 1e-8),
+        (ShockModel(1000, Exponential(1.0), Constant(LN2)), 1e-8)],
+        ids=["k1-unif-const-1e-4", "k1-exp-unif", "k1000-exp-const"])
+    def test_other_models(self, model, target, pdf, cdf):
+        self.both(model, default_grid(model, 200), target, pdf, cdf)
+
+    @pytest.mark.parametrize("pdf,cdf", [(True, False), (False, True)], ids=["pdf", "cdf"])
+    @pytest.mark.parametrize("model", [ShockModel(1, Uniform(0.0, 2.0), Constant(1.0)),
+                                       ShockModel(3, Uniform(0.0, 2.0), Uniform(0.5, 1.5))],
+                             ids=["k1-unif-const", "unif-unif"])
+    def test_uniform_models_one_quantity(self, model, pdf, cdf):
+        self.both(model, default_grid(model, 200), 1e-8, pdf, cdf)
+
+    def test_retries_tabulate_only_open_cells(self, monkeypatch):
+        """On exp-const's default grid the first rung settles all but 28
+        (quantity, time) cells of 20 times; each retry then tabulates one
+        column per open cell, where both quantities of every open time
+        would take 40, 30 and 18."""
+        model = BENCH_MODELS["exp-const"]
+        columns, times = [], []
+        table, attempt = laplace._table, laplace._attempt
+
+        def counting_table(coeffs, depth):
+            columns.append(coeffs.shape[:-1])
+            return table(coeffs, depth)
+
+        def counting_attempt(transform, t, *args):
+            times.append(len(t))
+            return attempt(transform, t, *args)
+
+        monkeypatch.setattr(laplace, "_table", counting_table)
+        monkeypatch.setattr(laplace, "_attempt", counting_attempt)
+        invert_grid(model, default_grid(model, 200))
+        first = len(np.unique(_windows(default_grid(model, 200))))
+        assert times == [200, 20, 15, 9]
+        assert columns == [(2 * first,), (28,), (20,), (10,)]
 
 
 class TestInvertDensity:
